@@ -20,20 +20,27 @@ def odd_cycle_bound(g: Graph, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    s = count_cycles_of_length(g, 2 * k + 1)
+    return _odd_cycle_real(k, count_cycles_of_length(g, 2 * k + 1))
+
+
+def _odd_cycle_real(k: int, s: int) -> float:
     if s == 0:
         return 1.0
     return ((4 * k + 2) * s) ** (1.0 / (2 * k + 1)) + 1.0
 
 
 def _odd_cycle_int_bound(g: Graph, k: int) -> int:
-    """Integer strengthening of odd_cycle_bound, 0 when vacuous.
+    """Integer strengthening of odd_cycle_bound, 0 when vacuous."""
+    return _odd_cycle_int(k, count_cycles_of_length(g, 2 * k + 1))
+
+
+def _odd_cycle_int(k: int, s: int) -> int:
+    """The odd-cycle bound for s cycles of length 2k+1, as an integer.
 
     Uses exact integer root extraction so that an exactly integral bound is
     not bumped up by float noise: with m = (4k+2)s and r = floor(m^(1/(2k+1))),
     the bound is r+1 when r^(2k+1) = m and r+2 otherwise.
     """
-    s = count_cycles_of_length(g, 2 * k + 1)
     if s == 0:
         return 0
     m = (4 * k + 2) * s
@@ -69,14 +76,23 @@ def default_max_k_cycles(g: Graph) -> int:
     return max(1, (g.n - 1) // 2)
 
 
+def _odd_cycle_counts(g: Graph, max_k_cycles: int | None) -> dict[int, int]:
+    """k -> number of cycles of length 2k+1, for k = 1..max_k_cycles."""
+    if max_k_cycles is None:
+        max_k_cycles = default_max_k_cycles(g)
+    return {k: count_cycles_of_length(g, 2 * k + 1) for k in range(1, max_k_cycles + 1)}
+
+
 def best_sm_lower(g: Graph, max_k_cycles: int | None = None) -> int:
     if g.m == 0:
         return 0
-    if max_k_cycles is None:
-        max_k_cycles = default_max_k_cycles(g)
+    return _best_sm_lower(g, _odd_cycle_counts(g, max_k_cycles))
+
+
+def _best_sm_lower(g: Graph, cycle_counts: dict[int, int]) -> int:
     best = max(1, sum_degree_bound(g))
-    for k in range(1, max_k_cycles + 1):
-        best = max(best, _odd_cycle_int_bound(g, k))
+    for k, s in cycle_counts.items():
+        best = max(best, _odd_cycle_int(k, s))
     return best
 
 
@@ -114,9 +130,8 @@ def bound_report(g: Graph, max_k_cycles: int | None = None) -> BoundReport:
     ``min_degree_bound`` reports the simpler bound df >= min degree, which
     the k=1 term of diff_degree_bound always dominates.
     """
-    if max_k_cycles is None:
-        max_k_cycles = default_max_k_cycles(g)
-    odd = {k: odd_cycle_bound(g, k) for k in range(1, max_k_cycles + 1)}
+    counts = _odd_cycle_counts(g, max_k_cycles)
+    odd = {k: _odd_cycle_real(k, s) for k, s in counts.items()}
     ds = degree_sequence(g)
     if g.m == 0:
         return BoundReport(emit_graph6(g), odd, 0, 0, 0, 0, 0)
@@ -126,6 +141,6 @@ def bound_report(g: Graph, max_k_cycles: int | None = None) -> BoundReport:
         diff_degree_bound=diff_degree_bound(g),
         sum_degree_bound=sum_degree_bound(g),
         min_degree_bound=ds.min_degree,
-        best_sm_lower=best_sm_lower(g, max_k_cycles),
+        best_sm_lower=_best_sm_lower(g, counts),
         best_df_lower=best_df_lower(g),
     )

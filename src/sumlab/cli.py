@@ -284,8 +284,5 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-cli_dispatch = main
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -1,21 +1,34 @@
 """Exact bounded-range solvers for the four labelling invariants.
 
-Sum/difference index: labels range over {0..B}.  Translation invariance lets
-the search pin the smallest used label to 0, and reflection invariance
-(f -> max(f) - f) halves the tree again, so the minimum over that quotient
-equals the minimum over all integer labellings that fit in the range.
+Sum/difference index: labels range over {0..B}.  Sum number and exclusive
+sum number: labels range over {1..B} (the sum-graph definition requires
+positive integers).  The latter two are reported as upper bounds that are
+exhaustive within the range, since no finite label bound certifying global
+optimality is known.
 
-Sum number and exclusive sum number: labels range over {1..B} (the sum-graph
-definition requires positive integers).  These are reported as upper bounds
-that are exhaustive within the range, since no finite label bound certifying
-global optimality is known.
+The sum index, difference index and exclusive sum number share one search
+kernel.  All three are invariant under translating the labels and under
+reflecting them (f -> -f), so a feasibility search pins the first vertex of
+its branch order at relative label 0, gives the second vertex a positive
+label, and offers each later vertex only the labels in [hi - W, lo + W],
+where lo/hi are the least and greatest placed labels and W = B - floor.  The
+witness is translated so that its least label is the floor; the minimum
+over that quotient equals the minimum over all labellings that fit the range.
 
-The search ascends feasibility targets from the best closed-form lower bound,
-pruning each DFS branch as soon as the running distinct-value count exceeds
-the target; once the count reaches the target, candidate labels are generated
-by intersecting value-reuse sets instead of scanning the whole label range.
+Candidate labels are generated as Python-int bitmasks, after the shift-
+register bitmaps of optimal Golomb ruler search (Rankin 1993): the labels a
+vertex may take to reuse an edge value at a placed neighbour are the value
+set shifted by that neighbour's label, counted per candidate in at-least-k
+masks, and the exclusive constraint is an AND-NOT of shifted edge-sum and
+non-edge-sum masks.  Candidates come with the fewest new edge values first,
+then smallest label, and a branch never exceeds the target number of
+distinct values.  ``nodes_expanded`` counts the placements that survive
+these mask filters.
+
+The search ascends feasibility targets from the best closed-form lower bound.
 Witnesses are canonicalised to the lexicographically least optimal labelling
-(by vertex order) within a deterministic label cap, so results are
+(by vertex order) within a deterministic label cap, found by the same DFS
+over the fixed window {floor..cap} in vertex order 0..n-1, so results are
 reproducible regardless of scheduling.
 """
 
@@ -211,9 +224,14 @@ def _greedy_upper(g: Graph, is_sum: bool) -> tuple[int, list[int]]:
 
 
 class _IndexSearch:
-    """DFS over injective labellings bounding the number of distinct edge
-    values.  In exclusive mode, sums of non-adjacent pairs must additionally
-    avoid the edge-sum set, and labels are positive.
+    """Window-and-bitmask DFS over injective labellings that bounds the
+    number of distinct edge values.  In exclusive mode, sums of non-adjacent
+    pairs must additionally avoid the edge-sum set, and labels are positive.
+
+    Labels are held as bit positions and every set the search consults is a
+    Python int: the placed labels, the edge values, and in exclusive mode the
+    non-edge sums.  Candidate labels for a vertex come from shifting those
+    masks by its placed neighbours' labels, so no label is scanned one by one.
     """
 
     def __init__(self, g: Graph, kind: LabelKind, counter: _NodeCounter,
@@ -228,159 +246,132 @@ class _IndexSearch:
         """First labelling with at most ``budget`` distinct edge values and
         labels in {floor..cap}, or None when that space is empty.
 
-        Feasibility mode (lexicographic=False) explores a translation- and
-        reflection-quotiented space in a propagation-friendly vertex order,
-        trying low-impact labels first.  Lexicographic mode explores vertex
-        order 0..n-1 with ascending labels, so the first solution is the
-        lexicographically least labelling using the floor label.
+        Feasibility mode (lexicographic=False) pins the first vertex of a
+        propagation-friendly order at relative label 0 and offers each later
+        vertex only the labels that keep the span within cap - floor; the
+        second vertex takes a positive label (reflection).  Candidates come
+        in order of fewest new edge values, then smallest label, and the
+        witness is translated so that its least label is the floor.
+        Lexicographic mode is the same DFS over the fixed window
+        {floor..cap}, in vertex order 0..n-1 with ascending labels, so the
+        first solution is the lexicographically least labelling using the
+        floor label.
         """
         g = self.g
         n = g.n
         floor = self.floor
-        if cap - floor + 1 < n:
+        width = cap - floor
+        if width + 1 < n:
             return None
         order = list(range(n)) if lexicographic else _branch_order(g)
-        pos = [0] * n
+        step = [0] * n
         for i, v in enumerate(order):
-            pos[v] = i
-        nbrs_before = [
-            tuple(u for u in g.adj[v] if pos[u] < i) for i, v in enumerate(order)
+            step[v] = i
+        nbr_steps = [
+            tuple(step[u] for u in g.adj[v] if step[u] < i) for i, v in enumerate(order)
         ]
         if self.exclusive:
-            adjsets = [frozenset(a) for a in g.adj]
-            nons_before = [
-                tuple(order[j] for j in range(i) if order[j] not in adjsets[v])
-                for i, v in enumerate(order)
+            non_steps = [
+                tuple(j for j in range(i) if j not in nbr_steps[i]) for i in range(n)
             ]
         else:
-            nons_before = [()] * n
-        f = [-1] * n
-        used = [False] * (cap + 1)
-        val_count: dict[int, int] = {}
-        nes_count: dict[int, int] = {}
+            non_steps = [()] * n
+        # Bit positions: labels themselves in lexicographic mode; in
+        # feasibility mode relative labels -width..width shifted by width.
+        # Edge sums are held as sums of positions, differences as themselves
+        # in ``vals`` and mirrored at ``top`` (above every position) in
+        # ``rvals``, so that both shifts of a hit mask are nonnegative.
+        top = 2 * cap
         is_sum = self.is_sum
-        symmetry = not lexicographic and n >= 2
+        exclusive = self.exclusive
         counter = self.counter
-        distinct = 0
+        p = [0] * n  # position of the vertex placed at each step
 
-        def candidates(i: int, nbl: tuple[int, ...]) -> list[int]:
-            a = len(nbl)
-            slack = budget - distinct
-            if a and slack <= 0:
-                # every new edge value must reuse an existing one
-                u0 = nbl[0]
-                if is_sum:
-                    base = {L - u0 for L in val_count}
-                else:
-                    base = set()
-                    for L in val_count:
-                        base.add(u0 + L)
-                        base.add(u0 - L)
-                cands = []
-                for x in base:
-                    if x < floor or x > cap or used[x]:
-                        continue
-                    if all(
-                        (x + lu if is_sum else abs(x - lu)) in val_count
-                        for lu in nbl[1:]
-                    ):
-                        cands.append(x)
-            elif a and slack < a:
-                hits: dict[int, int] = {}
-                if is_sum:
-                    for lu in nbl:
-                        for L in val_count:
-                            x = L - lu
-                            hits[x] = hits.get(x, 0) + 1
-                else:
-                    for lu in nbl:
-                        for L in val_count:
-                            hits[lu - L] = hits.get(lu - L, 0) + 1
-                            hits[lu + L] = hits.get(lu + L, 0) + 1
-                need = a - slack
-                cand_set = {x for x, h in hits.items() if h >= need}
-                if not is_sum:
-                    # two new differences can coincide only at a midpoint
-                    for p in range(a):
-                        for q in range(p + 1, a):
-                            s = nbl[p] + nbl[q]
-                            if s % 2 == 0:
-                                cand_set.add(s // 2)
-                cands = [x for x in cand_set if floor <= x <= cap and not used[x]]
-            else:
-                cands = [x for x in range(floor, cap + 1) if not used[x]]
-            if not used[floor] and i == n - 1:
-                cands = [x for x in cands if x == floor]
-            if symmetry and i == 1:
-                f0 = f[order[0]]
-                cands = [x for x in cands if x > f0]
-            if lexicographic or not a:
-                cands.sort()
-            else:
-                def impact(x: int) -> tuple[int, int]:
-                    new = set()
-                    for lu in nbl:
-                        L = x + lu if is_sum else abs(x - lu)
-                        if L not in val_count:
-                            new.add(L)
-                    return (len(new), x)
-
-                cands.sort(key=impact)
-            return cands
-
-        def dfs(i: int) -> list[int] | None:
-            nonlocal distinct
+        def dfs(i: int, vals: int, rvals: int, nes: int, used: int,
+                lo: int, hi: int) -> list[int] | None:
             if i == n:
-                return f[:]
-            v = order[i]
-            nbl = tuple(f[u] for u in nbrs_before[i])
-            for x in candidates(i, nbl):
-                counter.tick()
-                ok = True
-                touched: list[int] = []
-                nes_touched: list[int] = []
-                for lu in nbl:
-                    L = x + lu if is_sum else abs(x - lu)
-                    c = val_count.get(L, 0)
-                    val_count[L] = c + 1
-                    touched.append(L)
-                    if c == 0:
-                        distinct += 1
-                        if distinct > budget or (self.exclusive and L in nes_count):
-                            ok = False
-                            break
-                if ok and self.exclusive:
-                    for w in nons_before[i]:
-                        s = x + f[w]
-                        if val_count.get(s, 0):
-                            ok = False
-                            break
-                        nes_count[s] = nes_count.get(s, 0) + 1
-                        nes_touched.append(s)
-                if ok:
-                    f[v] = x
-                    used[x] = True
-                    hit = dfs(i + 1)
+                least = min(p)
+                return [p[step[v]] - least + floor for v in range(n)]
+            nbl = [p[j] for j in nbr_steps[i]]
+            a = len(nbl)
+            base = ((1 << (lo + width + 1)) - (1 << (hi - width))) & ~used
+            if lexicographic:
+                if i == n - 1 and not used >> floor & 1:
+                    base &= 1 << floor
+            elif i == 0:
+                base &= 1 << width
+            elif i == 1:
+                base &= -(1 << (p[0] + 1))
+            non_mask = 0
+            if exclusive:
+                for q in nbl:
+                    base &= ~(nes >> q)
+                for j in non_steps[i]:
+                    q = p[j]
+                    base &= ~(vals >> q)
+                    non_mask |= 1 << q
+            nbr_mask = 0
+            for q in nbl:
+                nbr_mask |= 1 << q
+            # atleast[k]: candidates whose edges reuse at least k old values
+            atleast = [base] + [0] * a
+            for k, q in enumerate(nbl, 1):
+                hit = vals >> q if is_sum else (vals << q) | (rvals >> (top - q))
+                for c in range(k, 0, -1):
+                    atleast[c] |= atleast[c - 1] & hit
+            atleast.append(0)
+            # levels[e]: candidates adding exactly e new edge values
+            levels = [atleast[a - e] & ~atleast[a - e + 1] for e in range(a + 1)]
+            if not is_sum and a >= 2:
+                # two new differences coincide exactly at a midpoint
+                mids = 0
+                for s in range(a):
+                    for r in range(s + 1, a):
+                        t = nbl[s] + nbl[r]
+                        if not t & 1:
+                            mids |= 1 << (t >> 1)
+                mids &= base
+                if mids:
+                    levels = [lev & ~mids for lev in levels]
+                    while mids:
+                        low = mids & -mids
+                        mids ^= low
+                        x = low.bit_length() - 1
+                        new = {abs(x - q) for q in nbl}
+                        levels[sum(1 for d in new if not vals >> d & 1)] |= low
+            slack = min(budget - vals.bit_count(), a)
+            if lexicographic:
+                union = 0
+                for e in range(slack + 1):
+                    union |= levels[e]
+                groups = [union]
+            else:
+                groups = levels[:slack + 1]
+            for cands in groups:
+                while cands:
+                    low = cands & -cands
+                    cands ^= low
+                    x = low.bit_length() - 1
+                    counter.tick()
+                    if is_sum:
+                        nvals = vals | (nbr_mask << x)
+                        nrvals = rvals
+                    else:
+                        nvals, nrvals = vals, rvals
+                        for q in nbl:
+                            d = x - q if x > q else q - x
+                            nvals |= 1 << d
+                            nrvals |= 1 << (top - d)
+                    p[i] = x
+                    hit = dfs(i + 1, nvals, nrvals, nes | (non_mask << x), used | low,
+                              min(lo, x), max(hi, x))
                     if hit is not None:
                         return hit
-                    f[v] = -1
-                    used[x] = False
-                for s in reversed(nes_touched):
-                    c = nes_count[s] - 1
-                    if c:
-                        nes_count[s] = c
-                    else:
-                        del nes_count[s]
-                for L in reversed(touched):
-                    c = val_count[L] - 1
-                    if c:
-                        val_count[L] = c
-                    else:
-                        del val_count[L]
-                        distinct -= 1
             return None
 
-        return dfs(0)
+        if lexicographic:
+            return dfs(0, 0, 0, 0, 0, floor, cap)
+        return dfs(0, 0, 0, 0, 0, width, width)
 
 
 def _cap_ladder(n: int, floor: int, bound: int) -> list[int]:
@@ -503,6 +494,14 @@ def difference_index(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
 # Exclusive sum number
 # ---------------------------------------------------------------------------
 
+def _budget_error(what: str, counter: _NodeCounter, bound: int) -> SolverError:
+    return SolverError(
+        f"node budget of {counter.budget} ran out after {counter.nodes} nodes "
+        f"before any {what} labelling within label range 1..{bound} was found; "
+        "raise the node budget"
+    )
+
+
 def _require_connected(g: Graph, what: str) -> None:
     if g.n < 2 or not is_connected(g):
         raise SolverError(f"{what} requires a connected graph on at least 2 vertices")
@@ -561,7 +560,9 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
             value, labels = round_value, round_labels
             trace.append((bound, round_value))
         if value is None:
-            if exhaustive and cfg.escalate:
+            if not exhaustive:
+                raise _budget_error("exclusive sum", counter, bound)
+            if cfg.escalate:
                 bound *= 2
                 continue
             raise SolverError(
@@ -762,7 +763,9 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
             value, labels, iso = round_value, round_labels, round_iso
             trace.append((bound, round_value))
         if value is None:
-            if exhaustive and cfg.escalate:
+            if not exhaustive:
+                raise _budget_error("sum", counter, bound)
+            if cfg.escalate:
                 bound *= 2
                 continue
             raise SolverError(

@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError
@@ -147,3 +148,16 @@ def test_larger_range_never_increases_value(connected_by_n):
         small = sl.sum_index(g, SearchConfig(label_bound=g.n - 1)).value
         large = sl.sum_index(g, SearchConfig(label_bound=3 * g.n)).value
         assert large <= small
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_values_invariant_under_relabelling(connected_by_n, data):
+    # the feasibility search pins and windows labels along a branch order
+    # that follows the vertex numbering; the values must not
+    n = data.draw(st.integers(2, 5), label="n")
+    g = data.draw(st.sampled_from(connected_by_n[n]), label="graph")
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    h = sl.Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    for fn in (sl.sum_index, sl.difference_index, sl.exclusive_sum_number):
+        assert fn(h).value == fn(g).value

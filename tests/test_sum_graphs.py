@@ -140,21 +140,27 @@ def _sigma_by_label_sets(g, bound):
 
 def _eps_by_assignments(g, bound):
     """Independent route to the exclusive sum number: try every injective
-    assignment into {1..bound} and minimise the edge-sum set size."""
+    assignment into {1..bound} and minimise the edge-sum set size.  Returns
+    the minimum and the lexicographically least optimal assignment (by
+    vertex) that uses the label 1."""
     n = g.n
-    best = None
-    for S in combinations(range(1, bound + 1), n):
-        for assign in permutations(S):
-            T = {assign[u] + assign[v] for u, v in g.edges}
-            ok = all(
-                assign[u] + assign[v] not in T
-                for u in range(n)
-                for v in range(u + 1, n)
-                if not g.has_edge(u, v)
-            )
-            if ok and (best is None or len(T) < best):
-                best = len(T)
-    return best
+    best_val = best_wit = None
+    # permutations() yields assignments in lexicographic order
+    for assign in permutations(range(1, bound + 1), n):
+        T = {assign[u] + assign[v] for u, v in g.edges}
+        ok = all(
+            assign[u] + assign[v] not in T
+            for u in range(n)
+            for v in range(u + 1, n)
+            if not g.has_edge(u, v)
+        )
+        if not ok:
+            continue
+        if best_val is None or len(T) < best_val:
+            best_val, best_wit = len(T), None
+        if len(T) == best_val and best_wit is None and 1 in assign:
+            best_wit = assign
+    return best_val, best_wit
 
 
 def test_sum_number_matches_label_set_enumeration():
@@ -170,17 +176,15 @@ def test_sum_number_matches_label_set_enumeration():
         assert oracle == solver
 
 
-def test_exclusive_matches_assignment_enumeration():
-    for g in (
-        sl.complete_graph(2),
-        sl.path_graph(3),
-        sl.complete_graph(3),
-        sl.path_graph(4),
-        sl.Graph(4, [(0, 1), (0, 2), (0, 3)]),
-    ):
-        oracle = _eps_by_assignments(g, 10)
-        solver = sl.exclusive_sum_number(g, SearchConfig(label_bound=10)).value
-        assert oracle == solver
+def test_exclusive_matches_assignment_enumeration(connected_by_n):
+    for n in range(2, 5):
+        for g in connected_by_n[n]:
+            bound = 2 * n
+            value, witness = _eps_by_assignments(g, bound)
+            res = sl.exclusive_sum_number(g, SearchConfig(label_bound=bound))
+            assert res.exhaustive_within_range
+            assert res.value == value
+            assert tuple(res.witness.as_dict()[v] for v in range(n)) == witness
 
 
 def test_realize_gplus_examples():
@@ -218,3 +222,14 @@ def test_exclusive_escalates_out_of_small_range():
     res = sl.exclusive_sum_number(star, SearchConfig(label_bound=4, escalate=True))
     assert res.value == 3
     assert res.range_used > 4
+
+
+def test_budget_exhaustion_is_not_reported_as_range_exhaustion():
+    k5 = sl.parse_graph6("D~{")
+    for fn in (sl.sum_number, sl.exclusive_sum_number):
+        with pytest.raises(SolverError, match=r"node budget of 20 ran out after 21 nodes"):
+            fn(k5, SearchConfig(node_budget=20))
+    # an exhausted range, searched to the end, still says so
+    star = sl.Graph(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(SolverError, match=r"within label range 1\.\.4; increase"):
+        sl.exclusive_sum_number(star, SearchConfig(label_bound=4))
