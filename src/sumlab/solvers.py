@@ -30,6 +30,18 @@ Witnesses are canonicalised to the lexicographically least optimal labelling
 (by vertex order) within a deterministic label cap, found by the same DFS
 over the fixed window {floor..cap} in vertex order 0..n-1, so results are
 reproducible regardless of scheduling.
+
+The sum number has its own search, which places labels in increasing order
+and picks at each step the vertex that takes the next label.  An edge sum
+below the newest label that is not itself a label can never be covered, so
+isolated labels are counted, and the isolated-label conditions checked, as
+soon as they become permanent; the vertex labelled last contributes all its
+edge sums, so at least the least degree of the unplaced vertices.  Twins take
+labels in vertex order.  The ascent over r starts at the classical bound
+sigma(G) >= min degree (Bergstrand et al. 1989).  One cheap pass at cap 4n
+secures an upper-bound witness, then each smaller r is proved infeasible
+over the full range.  The witness is the first labelling in label-ascending
+order, at the reported r, within the cap of the pass that found it.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ import time
 from dataclasses import dataclass
 
 from .bounds import best_df_lower, best_sm_lower
-from .graphs import Graph, is_connected
+from .graphs import Graph, degree_sequence, is_connected
 from .labelling import LabelKind, VertexLabelling
 
 
@@ -71,7 +83,9 @@ class SearchConfig:
     searches and 4n^2 for sum-number searches.  escalate doubles B until the
     value is stable across two consecutive rounds.  node_budget caps the
     total number of search-tree nodes; exceeding it yields a result flagged
-    non-exhaustive.  worker_hint is the desired parallel width for corpus
+    non-exhaustive, except that a sum-number or exclusive sum number search
+    whose budget runs out before it has found any labelling raises
+    SolverError.  worker_hint is the desired parallel width for corpus
     scans (a single solve is sequential).
     """
 
@@ -599,121 +613,167 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
 # Sum number
 # ---------------------------------------------------------------------------
 
-class _SigmaSearch:
-    """DFS for labellings making the graph plus r isolated vertices a sum graph.
+class _AscendingSumSearch:
+    """Label-ascending DFS for labellings that make the graph plus r isolated
+    vertices a sum graph.
 
     A labelling f of the graph's vertices extends to a sum labelling exactly
-    when, with S = f(V) and T the edge-sum set, (i) no non-adjacent pair of
-    graph vertices sums into W = S u T, (ii) the isolated labels I = T \\ S
-    satisfy w + z not in W for every w in I, z in W, and (iii) |I| <= r.
-    Extra isolated labels beyond T \\ S never help, so this is exact.
+    when, with S = f(V), T the edge-sum set and W = S u T, (i) no non-adjacent
+    pair of graph vertices sums into W, (ii) the isolated labels I = T \\ S
+    satisfy w + z not in W for every w in I, z in W \\ {w}, and (iii)
+    |I| <= r.  Extra isolated labels beyond T \\ S never help, so this is
+    exact.
+
+    Labels are placed in increasing order and each step picks the vertex that
+    takes the next label, so an edge sum below the newest label that is not
+    a label stays isolated for good.  S, T and the non-edge sums N are
+    Python-int bitmasks.  A vertex's candidates are the labels above the
+    last one, minus N, minus N shifted by each placed neighbour's label
+    (an edge sum on a non-edge sum) and minus W shifted by each placed
+    non-neighbour's label (a non-edge sum in W).  The vertex placed last has
+    all its edge sums above every label, so at least its degree joins the
+    isolated labels.  Two counts bound r, both applied to the candidate
+    masks: the free sums (T \\ S) left below the new label plus the last
+    vertex's degree, and all free sums after the placement less one per
+    vertex still to come, where at-least-k masks count how many of the new
+    edge sums land on free sums.  Twins (N(u)\\{v} = N(v)\\{u}) take labels
+    in index order.  ``nodes_expanded`` counts the placements that survive
+    the candidate masks.
     """
 
     def __init__(self, g: Graph, counter: _NodeCounter):
-        self.g = g
+        n = g.n
+        adj = [sum(1 << u for u in g.adj[v]) for v in range(n)]
+        self.n = n
+        self.adj = adj
+        self.deg = [len(a) for a in g.adj]
+        # a twin waits for every lower-index twin, which breaks their symmetry
+        self.twins_before = [
+            sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+            for v in range(n)
+        ]
         self.counter = counter
 
-    def search(self, r: int, cap: int, lexicographic: bool) -> tuple[list[int], list[int]] | None:
-        g = self.g
-        n = g.n
+    def search(self, r: int, cap: int) -> tuple[list[int], list[int]] | None:
+        """First labelling in label-ascending order with labels in {1..cap}
+        and at most r isolated labels, as (labels, isolated labels), or None
+        when there is none."""
+        n = self.n
         if cap < n:
             return None
-        order = list(range(n)) if lexicographic else _branch_order(g)
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        adjsets = [frozenset(a) for a in g.adj]
-        nbrs_before = [
-            tuple(u for u in g.adj[v] if pos[u] < i) for i, v in enumerate(order)
-        ]
-        nons_before = [
-            tuple(order[j] for j in range(i) if order[j] not in adjsets[v])
-            for i, v in enumerate(order)
-        ]
-        f = [-1] * n
-        used = [False] * (cap + 1)
-        t_count: dict[int, int] = {}
-        nes_count: dict[int, int] = {}
+        adj, deg, twins_before = self.adj, self.deg, self.twins_before
         counter = self.counter
+        everyone = (1 << n) - 1
+        labels_mask = (1 << (cap + 1)) - 2
+        seq: list[tuple[int, int]] = []  # (vertex bit, label) in placement order
+        layers: dict[int, tuple[int, list[tuple[int, int, int]]]] = {}  # see make_layer
 
-        def in_w(x: int) -> bool:
-            return (0 <= x <= cap and used[x]) or x in t_count
-
-        def uncovered() -> list[int]:
-            return [t for t in t_count if t > cap or not used[t]]
-
-        def dfs(i: int) -> tuple[list[int], list[int]] | None:
-            if i == n:
-                iso = sorted(uncovered())
-                if len(iso) > r:
-                    return None
-                # every isolated label must not sum with any label into W
-                wset = [x for x in range(1, cap + 1) if used[x]] + list(t_count)
-                for w in iso:
-                    for z in wset:
-                        if z != w and in_w(w + z):
-                            return None
-                return f[:], iso
-            v = order[i]
-            nbl = [f[u] for u in nbrs_before[i]]
-            nol = [f[w] for w in nons_before[i]]
-            remaining = n - i - 1
-            for x in range(1, cap + 1):
-                if used[x]:
+        def make_layer(placed: int):
+            """How many vertices stay unplaced after the next placement, and
+            the vertices that may take the next label (a twin waits for its
+            lower-index twins), each with its adjacency and how many free
+            sums may lie below its label: the free sums below the new label
+            stay isolated for good, and the vertex labelled last adds its
+            degree, at least the least degree among the others unplaced."""
+            unplaced = [v for v in range(n) if not placed >> v & 1]
+            movers = []
+            for v in unplaced:
+                if twins_before[v] & ~placed:
                     continue
-                counter.tick()
-                if x in nes_count:
-                    continue  # x would become a vertex label equal to a non-edge sum
-                ok = True
-                touched: list[int] = []
-                nes_touched: list[int] = []
-                for lu in nbl:
-                    s = x + lu
-                    if s in nes_count:
-                        ok = False
-                        break
-                    t_count[s] = t_count.get(s, 0) + 1
-                    touched.append(s)
-                if ok:
-                    for lw in nol:
-                        s = x + lw
-                        if in_w(s):
-                            ok = False
-                            break
-                        nes_count[s] = nes_count.get(s, 0) + 1
-                        nes_touched.append(s)
-                if ok:
-                    f[v] = x
-                    used[x] = True
-                    # the isolated labels are the edge sums not used as labels;
-                    # only a future vertex label can cover one
-                    if len(uncovered()) <= r + remaining:
-                        hit = dfs(i + 1)
-                        if hit is not None:
-                            return hit
-                    f[v] = -1
-                    used[x] = False
-                for s in reversed(nes_touched):
-                    c = nes_count[s] - 1
-                    if c:
-                        nes_count[s] = c
+                last_deg = min((deg[u] for u in unplaced if u != v), default=deg[v])
+                if last_deg <= r:
+                    movers.append((v, adj[v], r - last_deg))
+            return len(unplaced) - 1, movers
+
+        def isolated_ok(iso: int, w_set: int) -> bool:
+            # no isolated label w has w + z in W for some z in W other than w
+            while iso:
+                low = iso & -iso
+                iso ^= low
+                if (w_set >> (low.bit_length() - 1)) & w_set & ~low:
+                    return False
+            return True
+
+        def dfs(placed: int, last: int, s_set: int, t_set: int, nes: int):
+            if placed == everyone:
+                iso = t_set & ~s_set
+                if not isolated_ok(iso, s_set | t_set):
+                    return None
+                labels = [0] * n
+                for low, q in seq:
+                    labels[low.bit_length() - 1] = q
+                return labels, [x for x in range(2 * cap + 1) if iso >> x & 1]
+            layer = layers.get(placed)
+            if layer is None:
+                layer = layers[placed] = make_layer(placed)
+            remaining, movers = layer
+            free = t_set & ~s_set
+            n_free = free.bit_count()
+            window = labels_mask & ~((2 << last) - 1) & ~nes
+            w_set = s_set | t_set
+            # per placed vertex: its bit, its label's bit, and N, W and T
+            # shifted down by its label
+            blocked = [(low, 1 << q, nes >> q, w_set >> q, t_set >> q) for low, q in seq]
+            cands = []
+            union = 0
+            for v, av, spare in movers:
+                bad = nbr = 0
+                hits = [free]  # bit x: label x covers a free sum
+                for low, q, n_shift, w_shift, t_shift in blocked:
+                    if av & low:
+                        bad |= n_shift
+                        nbr |= q
+                        hits.append(t_shift)  # bit x: edge sum x + q is already free
                     else:
-                        del nes_count[s]
-                for s in reversed(touched):
-                    c = t_count[s] - 1
-                    if c:
-                        t_count[s] = c
-                    else:
-                        del t_count[s]
+                        bad |= w_shift
+                c = window & ~bad
+                # at most ``spare`` free sums may stay below the label
+                if n_free > spare:
+                    cut = free
+                    for _ in range(spare):
+                        cut &= cut - 1
+                    c &= (cut & -cut) * 2 - 1
+                # Afterwards the n_free + (new edge sums) - (sums covered or
+                # reused by label x) uncovered sums, less one per remaining
+                # vertex, must fit in r: at least ``need`` of ``hits`` must hit.
+                need = n_free + len(hits) - 1 - remaining - r
+                if need > 0:
+                    atleast = [c] + [0] * need
+                    for h in hits:
+                        for k in range(need, 0, -1):
+                            atleast[k] |= atleast[k - 1] & h
+                    c = atleast[need]
+                if c:
+                    cands.append((v, c, nbr, s_set ^ nbr))
+                    union |= c
+            while union:
+                low = union & -union
+                union ^= low
+                x = low.bit_length() - 1
+                for v, c, nbr, non in cands:
+                    if not c & low:
+                        continue
+                    counter.tick()
+                    ns = s_set | low
+                    nt = t_set | (nbr << x)
+                    perm = nt & ~ns & (low - 1)
+                    if perm and not isolated_ok(perm, ns | nt):
+                        continue
+                    seq.append((1 << v, x))
+                    hit = dfs(placed | 1 << v, x, ns, nt, nes | (non << x))
+                    if hit is not None:
+                        return hit
+                    seq.pop()
             return None
 
-        return dfs(0)
+        return dfs(0, 0, 0, 0, 0)
 
 
 def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     """Least number of isolated vertices (within label range {1..B}) whose
     addition admits a sum labelling: uv is an edge iff f(u)+f(v) is a label.
 
+    The search ascends from the classical lower bound sigma(G) >= min degree.
     Reported as an upper bound exhaustive within the range.
     """
     _require_connected(g, "sum_number")
@@ -724,39 +784,30 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
         raise SolverError(f"label bound {bound} cannot label {n} vertices in 1..{bound}")
     t0 = time.perf_counter()
     counter = _NodeCounter(cfg.node_budget)
+    search = _AscendingSumSearch(g, counter)
+    # sigma(G) >= min degree: the vertex labelled last has all its edge sums
+    # above every vertex label (Bergstrand et al. 1989)
+    lower = max(1, degree_sequence(g).min_degree)
     trace: list[tuple[int, int]] = []
     exhaustive = True
     value: int | None = None
     labels: list[int] | None = None
     iso: list[int] | None = None
     while True:
-        search = _SigmaSearch(g, counter)
         round_value = None
         round_labels = None
         round_iso = None
         try:
-            # cheap pass first (see exclusive_sum_number)
-            for r in range(1, g.m + 1):
-                found = search.search(r, min(bound, max(n, 4 * n)), lexicographic=False)
-                if found is not None:
-                    round_value = r
-                    round_labels, round_iso = found
-                    break
-            for r in range(1, round_value if round_value is not None else g.m + 1):
-                found = None
-                for cap in _cap_ladder(n, 1, bound):
-                    found = search.search(r, cap, lexicographic=False)
+            # cheap pass at cap 4n first: its witness caps the ascent and
+            # survives as an upper bound if the node budget later runs out;
+            # only the full-range pass proves a smaller r infeasible
+            for cap in sorted({min(bound, 4 * n), bound}):
+                for r in range(lower, round_value if round_value is not None else g.m + 1):
+                    found = search.search(r, cap)
                     if found is not None:
+                        round_value = r
+                        round_labels, round_iso = found
                         break
-                if found is not None:
-                    round_value = r
-                    round_labels, round_iso = found
-                    break
-            if round_value is not None:
-                cap2 = min(bound, max(2 * n, max(round_labels)))
-                canon = search.search(round_value, cap2, lexicographic=True)
-                if canon is not None:
-                    round_labels, round_iso = canon
         except _NodeBudgetExceeded:
             exhaustive = False
         if round_value is not None:

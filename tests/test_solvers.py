@@ -161,3 +161,24 @@ def test_values_invariant_under_relabelling(connected_by_n, data):
     h = sl.Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
     for fn in (sl.sum_index, sl.difference_index, sl.exclusive_sum_number):
         assert fn(h).value == fn(g).value
+
+
+def _sum_number_outcome(g, cfg):
+    try:
+        res = sl.sum_number(g, cfg)
+    except SolverError as exc:
+        return str(exc)
+    return res.value, res.exhaustive_within_range
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sum_number_invariant_under_relabelling(connected_by_n, data):
+    # the sum-number search orders twins by vertex index and starts from the
+    # minimum degree; neither may change the value or the range verdict
+    n = data.draw(st.integers(2, 5), label="n")
+    g = data.draw(st.sampled_from(connected_by_n[n]), label="graph")
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    h = sl.Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    cfg = SearchConfig(label_bound=2 * n + 1)
+    assert _sum_number_outcome(h, cfg) == _sum_number_outcome(g, cfg)

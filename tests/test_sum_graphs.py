@@ -176,6 +176,83 @@ def test_sum_number_matches_label_set_enumeration():
         assert oracle == solver
 
 
+def _sigma_by_assignments(g, bound):
+    """Independent route to the sum number: try every injective assignment
+    into {1..bound}, take the isolated labels I = T \\ S, and check the
+    sum-graph conditions directly.  Returns the least |I|, or None when no
+    assignment realises the graph."""
+    n = g.n
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    best = None
+    for assign in permutations(range(1, bound + 1), n):
+        S = set(assign)
+        T = {assign[u] + assign[v] for u, v in g.edges}
+        W = S | T
+        if any(assign[u] + assign[v] in W for u, v in non_edges):
+            continue
+        I = T - S
+        if best is not None and len(I) >= best:
+            continue
+        # an isolated vertex is adjacent to nothing, graph vertex or isolated
+        if any(w + z in W for w in I for z in W if z != w):
+            continue
+        best = len(I)
+    return best
+
+
+def test_sum_number_matches_assignment_enumeration(connected_by_n):
+    for n in range(2, 6):
+        bound = 2 * n + 2 if n < 5 else 9
+        for g in connected_by_n[n]:
+            value = _sigma_by_assignments(g, bound)
+            cfg = SearchConfig(label_bound=bound)
+            if value is None:
+                with pytest.raises(SolverError, match=r"no sum labelling within label range"):
+                    sl.sum_number(g, cfg)
+                continue
+            res = sl.sum_number(g, cfg)
+            assert res.exhaustive_within_range
+            assert res.value == value
+            _check_sum_graph(g, res)
+
+
+def _binary_tree_7():
+    return sl.Graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
+
+
+@pytest.mark.parametrize(
+    "graph,cfg,expect",
+    [
+        # cycles other than C4 have sum number 2 (Harary 1994)
+        (sl.cycle_graph(5), SearchConfig(node_budget=1_000_000), 2),
+        (sl.cycle_graph(6), SearchConfig(node_budget=1_000_000), 2),
+        (sl.cycle_graph(7), SearchConfig(node_budget=1_000_000), 2),
+        # trees have sum number 1 (Ellingham 1993)
+        (sl.path_graph(8), SearchConfig(node_budget=1_000_000), 1),
+        (sl.Graph(6, [(0, v) for v in range(1, 6)]), SearchConfig(node_budget=1_000_000), 1),
+        (_binary_tree_7(), SearchConfig(node_budget=1_000_000), 1),
+        (sl.cycle_graph(4), SearchConfig(node_budget=1_000_000), 3),
+        # sigma(K_n) = 2n - 3 for n >= 4 (Bergstrand et al. 1989)
+        (sl.complete_graph(4), SearchConfig(label_bound=16), 5),
+    ],
+)
+def test_sum_number_closed_forms(graph, cfg, expect):
+    res = sl.sum_number(graph, cfg)
+    assert res.exhaustive_within_range
+    assert res.value == expect
+    _check_sum_graph(graph, res)
+
+
+def test_sum_number_budget_in_full_range_proof_flags_upper_bound():
+    # the cheap pass at cap 16 finds sigma(C4) = 3; proving 2 infeasible over
+    # the default range 1..64 needs far more than 20k nodes
+    c4 = sl.cycle_graph(4)
+    res = sl.sum_number(c4, SearchConfig(node_budget=20_000))
+    assert res.value == 3
+    assert not res.exhaustive_within_range
+    _check_sum_graph(c4, res)
+
+
 def test_exclusive_matches_assignment_enumeration(connected_by_n):
     for n in range(2, 5):
         for g in connected_by_n[n]:
