@@ -384,7 +384,7 @@ def count_cycles_of_length(g: Graph, length: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Canonical forms and enumeration (brute force, desk scale)
+# Canonical forms and enumeration (exact search, desk scale)
 # ---------------------------------------------------------------------------
 
 _CANONICAL_MAX_N = 8
@@ -395,48 +395,64 @@ def canonical_form(g: Graph) -> bytes:
     bit-string over all vertex permutations, in graph6 column-major order,
     returned as the graph6 encoding of the canonical relabelling.
 
-    Brute force with branch-and-bound prefix pruning; supports n <= 8.
+    Exact search over vertex orders; supports n <= 8.  Placing a vertex at
+    position j appends its column (its adjacency to positions 0..j-1) to the
+    string, and every completion has the same length, so only the unplaced
+    vertices whose column is least may be placed next: any other choice
+    gives a larger string.  A branch whose prefix exceeds the best string so
+    far is cut.  Of a twin class (N(u) - {v} = N(v) - {u}) only the
+    least-index unplaced vertex may be placed next, since swapping two twins
+    is an automorphism that fixes the placed prefix.  Columns and the string
+    are Python ints, and the string, already in graph6 order, is written out
+    as graph6 bytes directly.
     """
     n = g.n
     if n > _CANONICAL_MAX_N:
         raise UnsupportedSizeError(f"canonical_form supports n <= {_CANONICAL_MAX_N}")
     if n <= 1:
-        return emit_graph6(g).encode("ascii")
-    adjsets = [frozenset(a) for a in g.adj]
-    best: list[int] | None = None
-    perm: list[int] = []
-    in_perm = [False] * n
+        return bytes([n + 63])
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    twins_below = [
+        sum(
+            1 << u
+            for u in range(v)
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
+        )
+        for v in range(n)
+    ]
+    total = n * (n - 1) // 2
+    # above every string of total bits, so nothing is cut before the first leaf
+    best = 1 << total
 
-    def place(bits: list[int]) -> None:
+    def place(depth: int, prefix: int, rest: list[tuple[int, int]]) -> None:
+        # rest holds (vertex, column against the placed prefix) per unplaced vertex
         nonlocal best
-        j = len(perm)
-        if j == n:
-            if best is None or bits < best:
-                best = bits[:]
+        low = min(col for _, col in rest)
+        prefix = (prefix << depth) | low
+        if prefix > best >> (total - depth * (depth + 1) // 2):
             return
-        for v in range(n):
-            if in_perm[v]:
-                continue
-            col = [1 if perm[i] in adjsets[v] else 0 for i in range(j)]
-            nb = bits + col
-            if best is not None and nb > best[: len(nb)]:
-                continue
-            perm.append(v)
-            in_perm[v] = True
-            place(nb)
-            perm.pop()
-            in_perm[v] = False
+        if len(rest) == 1:
+            best = prefix
+            return
+        unplaced = 0
+        for v, _ in rest:
+            unplaced |= 1 << v
+        for v, col in rest:
+            if col == low and not twins_below[v] & unplaced:
+                place(
+                    depth + 1,
+                    prefix,
+                    [(u, c << 1 | adj[u] >> v & 1) for u, c in rest if u != v],
+                )
 
-    place([])
-    assert best is not None
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if best[pos]:
-                edges.append((i, j))
-            pos += 1
-    return emit_graph6(Graph(n, edges)).encode("ascii")
+    place(0, 0, [(v, 0) for v in range(n)])
+    pad = -total % 6
+    bits = best << pad
+    body = [(bits >> shift & 63) + 63 for shift in range(total + pad - 6, -1, -6)]
+    return bytes([n + 63, *body])
 
 
 _CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -249,25 +250,100 @@ def test_canonical_form_permutation_invariant(connected_by_n):
                 assert sl.canonical_form(h) == want
 
 
+def _brute_canonical(g):
+    """Test-only oracle: the least column-major adjacency bit string over all
+    vertex orders, by taking min over every permutation, encoded as graph6
+    bytes (first byte n + 63, then 6-bit groups + 63, zero padded)."""
+    n = g.n
+    adj = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        adj[u][v] = adj[v][u] = 1
+    cells = [(i, j) for j in range(1, n) for i in range(j)]
+    best = min(tuple([adj[p[i]][p[j]] for i, j in cells]) for p in permutations(range(n)))
+    bits = "".join(map(str, best))
+    bits += "0" * (-len(bits) % 6)
+    return bytes([n + 63] + [int(bits[k:k + 6], 2) + 63 for k in range(0, len(bits), 6)])
+
+
+def test_canonical_form_matches_brute_force_bytes():
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            assert sl.canonical_form(g) == _brute_canonical(g)
+    rng = random.Random(2024)
+    sample = [
+        sl.complete_graph(8),
+        Graph(8),
+        sl.cycle_graph(8),
+        # disconnected: two 4-cycles, K4 plus four isolated vertices,
+        # two triangles, P3 beside C4
+        Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+        Graph(8, combinations(range(4), 2)),
+        Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+        Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)]),
+    ]
+    for n in (6, 7, 8):
+        for p in (0.3, 0.5, 0.7):
+            sample.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for g in sample:
+        assert sl.canonical_form(g) == _brute_canonical(g), g.edges
+
+
+def test_canonical_form_census_matches_networkx_atlas(connected_by_n, connected_7):
+    nx = pytest.importorskip("networkx")
+    atlas: dict[int, list[bytes]] = {}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n and nx.is_connected(h):
+            atlas.setdefault(n, []).append(sl.canonical_form(Graph(n, h.edges())))
+    assert sorted(atlas) == list(range(1, 8))
+    for n, keys in atlas.items():
+        graphs = connected_7 if n == 7 else connected_by_n[n]
+        ours = [sl.canonical_form(g) for g in graphs]
+        # one-to-one: distinct keys on both sides, and the same set of them
+        assert len(set(keys)) == len(keys) == len(set(ours)) == len(ours)
+        assert set(keys) == set(ours)
+
+
+def test_canonical_form_agrees_with_networkx_isomorphism():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        pairs = list(combinations(range(n), 2))
+        m = rng.randint(0, len(pairs))
+        g = Graph(n, rng.sample(pairs, m))
+        h = Graph(n, rng.sample(pairs, m))
+        same = sl.canonical_form(g) == sl.canonical_form(h)
+        gx, hx = nx.Graph(g.edges), nx.Graph(h.edges)
+        gx.add_nodes_from(range(n))
+        hx.add_nodes_from(range(n))
+        assert same == nx.is_isomorphic(gx, hx), (g.edges, h.edges)
+        outcomes.add(same)
+    assert outcomes == {True, False}
+
+
 def test_canonical_form_size_limit():
     with pytest.raises(UnsupportedSizeError):
         sl.canonical_form(Graph(9))
 
 
-def test_enumerate_connected_census():
+def test_enumerate_connected_census(connected_by_n, connected_7):
     expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
     for n, count in expected.items():
-        graphs = list(sl.enumerate_connected(n))
+        graphs = connected_7 if n == 7 else connected_by_n[n]
         assert len(graphs) == count
         assert all(sl.is_connected(g) for g in graphs)
         forms = {sl.canonical_form(g) for g in graphs}
         assert len(forms) == count
 
 
-def test_seven_vertex_stream_invariants():
+def test_seven_vertex_stream_invariants(connected_7):
     """graph6 round-trips and the girth/cycle-count agreement hold on the
     full seven-vertex stream (the six-and-under cases are covered above)."""
-    for g in sl.enumerate_connected(7):
+    for g in connected_7:
         assert sl.parse_graph6(sl.emit_graph6(g)) == g
         by_count = None
         for length in range(3, g.n + 1):

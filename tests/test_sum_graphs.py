@@ -111,13 +111,15 @@ def test_sigma_at_most_exclusive():
 
 
 def _sigma_by_label_sets(g, bound):
-    """Independent route to the sum number: enumerate label sets W within
-    {1..bound}; W realises the graph plus r isolated vertices exactly when
-    the graph on W (w1 ~ w2 iff w1+w2 in W) has r isolated labels and its
-    non-isolated part is isomorphic to g."""
+    """Independent route to the sum number: enumerate label sets W whose
+    graph-vertex labels lie in {1..bound} and whose isolated labels lie in
+    {1..2*bound} (they are edge sums, as in ``sum_number``); W realises the
+    graph plus r isolated vertices exactly when the graph on W (w1 ~ w2 iff
+    w1+w2 in W) has r isolated labels and its non-isolated part is
+    isomorphic to g."""
     n = g.n
     for r in range(1, g.m + 1):
-        for W in combinations(range(1, bound + 1), n + r):
+        for W in combinations(range(1, 2 * bound + 1), n + r):
             wset = set(W)
             adj = {w: [] for w in W}
             for i, w1 in enumerate(W):
@@ -126,7 +128,7 @@ def _sigma_by_label_sets(g, bound):
                         adj[w1].append(w2)
                         adj[w2].append(w1)
             non_iso = [w for w in W if adj[w]]
-            if len(non_iso) != n:
+            if len(non_iso) != n or non_iso[-1] > bound:
                 continue
             idx = {w: i for i, w in enumerate(non_iso)}
             h = sl.Graph(
@@ -164,15 +166,19 @@ def _eps_by_assignments(g, bound):
 
 
 def test_sum_number_matches_label_set_enumeration():
-    for g in (
-        sl.complete_graph(2),
-        sl.path_graph(3),
-        sl.complete_graph(3),
-        sl.path_graph(4),
-        sl.Graph(4, [(0, 1), (0, 2), (0, 3)]),
+    for g, bound in (
+        (sl.complete_graph(2), 12),
+        (sl.path_graph(3), 12),
+        (sl.complete_graph(3), 12),
+        (sl.path_graph(4), 12),
+        (sl.Graph(4, [(0, 1), (0, 2), (0, 3)]), 12),
+        # tight bounds: the isolated labels exceed the bound
+        (sl.complete_graph(2), 2),
+        (sl.path_graph(3), 3),
+        (sl.complete_graph(3), 4),
     ):
-        oracle = _sigma_by_label_sets(g, 12)
-        solver = sl.sum_number(g, SearchConfig(label_bound=12)).value
+        oracle = _sigma_by_label_sets(g, bound)
+        solver = sl.sum_number(g, SearchConfig(label_bound=bound)).value
         assert oracle == solver
 
 
