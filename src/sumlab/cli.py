@@ -45,7 +45,6 @@ def _config_from_args(args: argparse.Namespace) -> SearchConfig:
         label_bound=getattr(args, "range", None),
         escalate=getattr(args, "escalate", False),
         node_budget=getattr(args, "budget", None),
-        worker_hint=getattr(args, "workers", 1) or 1,
     )
 
 

@@ -142,15 +142,13 @@ def scan_conjectures(
     graphs: Iterable[Graph],
     cfg: SearchConfig | None = None,
     checks: Sequence[str] = ALL_CHECKS,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> ScanReport:
     """Scan a graph stream; see the module docstring for record semantics."""
     cfg = cfg or SearchConfig()
     for c in checks:
         if c not in ALL_CHECKS:
             raise ValueError(f"unknown check {c!r}; valid: {', '.join(ALL_CHECKS)}")
-    if workers is None:
-        workers = cfg.worker_hint
     lines = [emit_graph6(g) for g in graphs]
     if workers > 1 and len(lines) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

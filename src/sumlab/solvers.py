@@ -25,7 +25,6 @@ then smallest label, and a branch never exceeds the target number of
 distinct values.  ``nodes_expanded`` counts the placements that survive
 these mask filters.
 
-The search ascends feasibility targets from the best closed-form lower bound.
 Witnesses are canonicalised to the lexicographically least optimal labelling
 (by vertex order) within a deterministic label cap, found by the same DFS
 over the fixed window {floor..cap} in vertex order 0..n-1, so results are
@@ -37,17 +36,28 @@ below the newest label that is not itself a label can never be covered, so
 isolated labels are counted, and the isolated-label conditions checked, as
 soon as they become permanent; the vertex labelled last contributes all its
 edge sums, so at least the least degree of the unplaced vertices.  Twins take
-labels in vertex order.  The ascent over r starts at the classical bound
-sigma(G) >= min degree (Bergstrand et al. 1989).  One cheap pass at cap 4n
-secures an upper-bound witness, then each smaller r is proved infeasible
-over the full range.  The witness is the first labelling in label-ascending
-order, at the reported r, within the cap of the pass that found it.
+labels in vertex order.  Its witness is the first labelling in
+label-ascending order, at the reported r, within the cap of the pass that
+found it; there is no canonical pass.
+
+All four invariants share one ascent-and-escalation driver.  It ascends
+targets from a lower bound: the best closed-form bound and a maximum-degree
+bound for the indices and the exclusive sum number, and the classical
+sigma(G) >= min degree (Bergstrand et al. 1989) for the sum number.  Each
+round makes two passes.  A cheap pass at a small label cap (2n for the
+indices, 4n for the sum and exclusive sum numbers) finds a value quickly;
+the full range is then searched only for the targets below that value,
+since only a full-range search proves a target infeasible.  The indices stop
+the ascent at a greedy labelling's value, which is their result when nothing
+smaller is found.  With escalation the range doubles until the value is the
+same in two consecutive rounds.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .bounds import best_df_lower, best_sm_lower
 from .graphs import Graph, degree_sequence, is_connected
@@ -85,14 +95,13 @@ class SearchConfig:
     total number of search-tree nodes; exceeding it yields a result flagged
     non-exhaustive, except that a sum-number or exclusive sum number search
     whose budget runs out before it has found any labelling raises
-    SolverError.  worker_hint is the desired parallel width for corpus
-    scans (a single solve is sequential).
+    SolverError.  A single solve is sequential; corpus scans take their
+    parallel width from ``scan_conjectures(workers=)``.
     """
 
     label_bound: int | None = None
     escalate: bool = False
     node_budget: int | None = None
-    worker_hint: int = 1
 
 
 @dataclass(frozen=True)
@@ -256,7 +265,8 @@ class _IndexSearch:
         self.floor = 1 if exclusive else 0
         self.counter = counter
 
-    def search(self, budget: int, cap: int, lexicographic: bool) -> list[int] | None:
+    def search(self, budget: int, cap: int,
+               lexicographic: bool = False) -> list[int] | None:
         """First labelling with at most ``budget`` distinct edge values and
         labels in {floor..cap}, or None when that space is empty.
 
@@ -387,21 +397,13 @@ class _IndexSearch:
             return dfs(0, 0, 0, 0, 0, floor, cap)
         return dfs(0, 0, 0, 0, 0, width, width)
 
-
-def _cap_ladder(n: int, floor: int, bound: int) -> list[int]:
-    """Increasing label caps ending exactly at the full bound.
-
-    Small caps find structured witnesses quickly; only the final full-range
-    pass can conclude infeasibility.
-    """
-    lo = max(floor + n - 1, min(2 * n, bound))
-    caps = []
-    c = lo
-    while c < bound:
-        caps.append(c)
-        c *= 2
-    caps.append(bound)
-    return caps
+    def canonical(self, budget: int, labels: list[int], bound: int) -> list[int]:
+        """The lexicographically least labelling with at most ``budget``
+        distinct edge values within the deterministic cap
+        min(bound, max(2n, max(labels))).  ``labels`` uses the floor label
+        and fits under that cap, so the search always finds one."""
+        cap = min(bound, max(2 * self.g.n, max(labels)))
+        return self.search(budget, cap, lexicographic=True)
 
 
 def _degree_floor(g: Graph, is_sum: bool) -> int:
@@ -418,80 +420,125 @@ def _degree_floor(g: Graph, is_sum: bool) -> int:
     return maxdeg if is_sum else (maxdeg + 1) // 2
 
 
-def _default_index_bound(n: int) -> int:
-    return n * (n - 1) // 2 + n
+# ---------------------------------------------------------------------------
+# The ascent-and-escalation driver
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Ascent:
+    """What one invariant supplies to ``_solve``.
+
+    find(t, cap) returns the first labelling with labels up to cap that
+    reaches target t (at most t distinct values, or at most t isolated
+    labels), or None.  The ascent tries t = lower, lower + 1, ... below
+    limit; fallback, if given, is a labelling known to reach limit.
+    canonical(t, labels, bound) replaces the labelling found by the
+    canonical one, and extra(labels) gives the invariant's own IndexResult
+    fields.  what names the labelling in the SolverError raised when no
+    round finds one (only the positive-label invariants, whose ascent has
+    no fallback, can get there).
+    """
+
+    invariant: str
+    find: Callable[[int, int], list[int] | None]
+    lower: int
+    limit: int
+    cheap_cap: int
+    fallback: list[int] | None = None
+    canonical: Callable[[int, list[int], int], list[int]] | None = None
+    extra: Callable[[list[int]], dict] | None = None
+    what: str = ""
 
 
-def _default_positive_bound(n: int) -> int:
-    return 4 * n * n
+def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
+           counter: _NodeCounter, t0: float) -> IndexResult:
+    """Least target reached within label range ``bound``, escalated on request.
+
+    Each round makes two passes over the targets: a cheap pass at
+    min(bound, cheap cap) ascending from the lower bound, whose labelling
+    caps the ascent and survives as an upper bound if the node budget later
+    runs out, then full-bound passes only for the targets below the cheap
+    value, which alone can prove them infeasible.  The labelling found is
+    then made canonical, where the invariant has a canonical form.  With
+    cfg.escalate the bound doubles until the value is the same in two
+    consecutive rounds.
+    """
+    trace: list[tuple[int, int]] = []
+    value = labels = None
+    exhaustive = True
+    while True:
+        round_value, round_labels = spec.limit, spec.fallback
+        try:
+            for cap in sorted({min(bound, spec.cheap_cap), bound}):
+                for t in range(spec.lower, round_value):
+                    found = spec.find(t, cap)
+                    if found is not None:
+                        round_value, round_labels = t, found
+                        break
+            if spec.canonical is not None and round_labels is not None:
+                round_labels = spec.canonical(round_value, round_labels, bound)
+        except _NodeBudgetExceeded:
+            exhaustive = False
+        if round_labels is not None:
+            value, labels = round_value, round_labels
+            trace.append((bound, value))
+        if value is None:
+            if not exhaustive:
+                raise SolverError(
+                    f"node budget of {counter.budget} ran out after {counter.nodes} "
+                    f"nodes before any {spec.what} labelling within label range "
+                    f"1..{bound} was found; raise the node budget"
+                )
+            if not cfg.escalate:
+                raise SolverError(
+                    f"no {spec.what} labelling within label range 1..{bound}; "
+                    "increase the range or enable escalation"
+                )
+        elif not cfg.escalate or not exhaustive or (
+            len(trace) >= 2 and trace[-1][1] == trace[-2][1]
+        ):
+            break
+        bound *= 2
+    return IndexResult(
+        invariant=spec.invariant,
+        value=value,
+        witness=VertexLabelling.from_dict(dict(enumerate(labels))),
+        range_used=bound,
+        escalation_trace=tuple(trace),
+        exhaustive_within_range=exhaustive,
+        nodes_expanded=counter.nodes,
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
+        **(spec.extra(labels) if spec.extra is not None else {}),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Sum index / difference index
 # ---------------------------------------------------------------------------
 
-def _solve_index_round(
-    g: Graph, kind: LabelKind, bound: int, counter: _NodeCounter
-) -> tuple[int, list[int], bool]:
-    n = g.n
-    is_sum = kind is LabelKind.SUM
-    if g.m == 0:
-        return 0, list(range(n)), True
-    search = _IndexSearch(g, kind, counter)
-    lower = best_sm_lower(g) if is_sum else best_df_lower(g)
-    lower = max(lower, _degree_floor(g, is_sum))
-    upper, labels = _greedy_upper(g, is_sum)
-    value = upper
-    exhaustive = True
-    try:
-        for t in range(lower, upper):
-            found = None
-            for cap in _cap_ladder(n, 0, bound):
-                found = search.search(t, cap, lexicographic=False)
-                if found is not None:
-                    break
-            if found is not None:
-                value, labels = t, found
-                break
-        # canonical witness: lexicographically least optimal labelling within
-        # a deterministic cap that certainly admits one
-        cap2 = min(bound, max(2 * n, max(labels)))
-        canon = search.search(value, cap2, lexicographic=True)
-        if canon is not None:
-            labels = canon
-    except _NodeBudgetExceeded:
-        exhaustive = False
-    return value, labels, exhaustive
-
-
 def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str) -> IndexResult:
     cfg = cfg or SearchConfig()
     n = g.n
-    bound = cfg.label_bound if cfg.label_bound is not None else _default_index_bound(n)
+    bound = cfg.label_bound if cfg.label_bound is not None else n * (n - 1) // 2 + n
     if bound < n - 1:
         raise SolverError(f"label bound {bound} cannot label {n} vertices injectively")
     t0 = time.perf_counter()
     counter = _NodeCounter(cfg.node_budget)
-    trace: list[tuple[int, int]] = []
-    while True:
-        value, labels, exhaustive = _solve_index_round(g, kind, bound, counter)
-        trace.append((bound, value))
-        if not cfg.escalate or not exhaustive:
-            break
-        if len(trace) >= 2 and trace[-1][1] == trace[-2][1]:
-            break
-        bound *= 2
-    witness = VertexLabelling.from_dict({v: labels[v] for v in range(n)})
-    return IndexResult(
+    search = _IndexSearch(g, kind, counter)
+    is_sum = kind is LabelKind.SUM
+    lower = max(best_sm_lower(g) if is_sum else best_df_lower(g), _degree_floor(g, is_sum))
+    upper, labels = _greedy_upper(g, is_sum)
+    spec = _Ascent(
         invariant=name,
-        value=value,
-        witness=witness,
-        range_used=bound,
-        escalation_trace=tuple(trace),
-        exhaustive_within_range=exhaustive,
-        nodes_expanded=counter.nodes,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
+        find=search.search,
+        lower=lower,
+        limit=upper,
+        cheap_cap=2 * n,
+        fallback=labels,
+        # an edgeless graph's value 0 needs no search, not even a canonical one
+        canonical=search.canonical if g.m else None,
     )
+    return _solve(spec, cfg, bound, counter, t0)
 
 
 def sum_index(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
@@ -508,17 +555,21 @@ def difference_index(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
 # Exclusive sum number
 # ---------------------------------------------------------------------------
 
-def _budget_error(what: str, counter: _NodeCounter, bound: int) -> SolverError:
-    return SolverError(
-        f"node budget of {counter.budget} ran out after {counter.nodes} nodes "
-        f"before any {what} labelling within label range 1..{bound} was found; "
-        "raise the node budget"
-    )
-
-
 def _require_connected(g: Graph, what: str) -> None:
     if g.n < 2 or not is_connected(g):
         raise SolverError(f"{what} requires a connected graph on at least 2 vertices")
+
+
+def _positive_bound(g: Graph, cfg: SearchConfig) -> int:
+    n = g.n
+    bound = cfg.label_bound if cfg.label_bound is not None else 4 * n * n
+    if bound < n:
+        raise SolverError(f"label bound {bound} cannot label {n} vertices in 1..{bound}")
+    return bound
+
+
+def _edge_sums(g: Graph, labels: list[int]) -> set[int]:
+    return {labels[u] + labels[v] for u, v in g.edges}
 
 
 def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
@@ -531,82 +582,29 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     """
     _require_connected(g, "exclusive_sum_number")
     cfg = cfg or SearchConfig()
-    n = g.n
-    bound = cfg.label_bound if cfg.label_bound is not None else _default_positive_bound(n)
-    if bound < n:
-        raise SolverError(f"label bound {bound} cannot label {n} vertices in 1..{bound}")
+    bound = _positive_bound(g, cfg)
     t0 = time.perf_counter()
     counter = _NodeCounter(cfg.node_budget)
-    trace: list[tuple[int, int]] = []
-    labels: list[int] | None = None
-    value: int | None = None
-    exhaustive = True
-    lower = max(1, best_sm_lower(g), _degree_floor(g, True))
-    while True:
-        search = _IndexSearch(g, LabelKind.SUM, counter, exclusive=True)
-        round_value = None
-        round_labels = None
-        try:
-            # cheap pass first: a small-cap witness caps the ascent and
-            # survives as an upper bound if the node budget later runs out
-            for t in range(lower, g.m + 1):
-                found = search.search(t, min(bound, max(n, 4 * n)), lexicographic=False)
-                if found is not None:
-                    round_value, round_labels = t, found
-                    break
-            for t in range(lower, round_value if round_value is not None else g.m + 1):
-                found = None
-                for cap in _cap_ladder(n, 1, bound):
-                    found = search.search(t, cap, lexicographic=False)
-                    if found is not None:
-                        break
-                if found is not None:
-                    round_value, round_labels = t, found
-                    break
-            if round_labels is not None:
-                cap2 = min(bound, max(2 * n, max(round_labels)))
-                canon = search.search(round_value, cap2, lexicographic=True)
-                if canon is not None:
-                    round_labels = canon
-        except _NodeBudgetExceeded:
-            exhaustive = False
-        if round_value is not None:
-            value, labels = round_value, round_labels
-            trace.append((bound, round_value))
-        if value is None:
-            if not exhaustive:
-                raise _budget_error("exclusive sum", counter, bound)
-            if cfg.escalate:
-                bound *= 2
-                continue
-            raise SolverError(
-                "no exclusive sum labelling within label range "
-                f"1..{bound}; increase the range or enable escalation"
-            )
-        if not cfg.escalate or not exhaustive:
-            break
-        if len(trace) >= 2 and trace[-1][1] == trace[-2][1]:
-            break
-        bound *= 2
-    assert labels is not None
-    witness = VertexLabelling.from_dict({v: labels[v] for v in range(n)})
-    sums = sorted({labels[u] + labels[v] for u, v in g.edges})
-    excl = ExclusiveWitness(
-        S=tuple(sorted(labels)),
-        T=tuple(sums),
-        assignment=tuple(sorted((v, labels[v]) for v in range(n))),
-    )
-    return IndexResult(
+    search = _IndexSearch(g, LabelKind.SUM, counter, exclusive=True)
+
+    def extra(labels: list[int]) -> dict:
+        return {"exclusive": ExclusiveWitness(
+            S=tuple(sorted(labels)),
+            T=tuple(sorted(_edge_sums(g, labels))),
+            assignment=tuple(enumerate(labels)),
+        )}
+
+    spec = _Ascent(
         invariant="exclusive_sum_number",
-        value=value,
-        witness=witness,
-        range_used=bound,
-        escalation_trace=tuple(trace),
-        exhaustive_within_range=exhaustive,
-        nodes_expanded=counter.nodes,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-        exclusive=excl,
+        find=search.search,
+        lower=max(1, best_sm_lower(g), _degree_floor(g, True)),
+        limit=g.m + 1,
+        cheap_cap=4 * g.n,
+        canonical=search.canonical,
+        extra=extra,
+        what="exclusive sum",
     )
+    return _solve(spec, cfg, bound, counter, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +652,9 @@ class _AscendingSumSearch:
         ]
         self.counter = counter
 
-    def search(self, r: int, cap: int) -> tuple[list[int], list[int]] | None:
+    def search(self, r: int, cap: int) -> list[int] | None:
         """First labelling in label-ascending order with labels in {1..cap}
-        and at most r isolated labels, as (labels, isolated labels), or None
-        when there is none."""
+        and at most r isolated labels, or None when there is none."""
         n = self.n
         if cap < n:
             return None
@@ -696,13 +693,12 @@ class _AscendingSumSearch:
 
         def dfs(placed: int, last: int, s_set: int, t_set: int, nes: int):
             if placed == everyone:
-                iso = t_set & ~s_set
-                if not isolated_ok(iso, s_set | t_set):
+                if not isolated_ok(t_set & ~s_set, s_set | t_set):
                     return None
                 labels = [0] * n
                 for low, q in seq:
                     labels[low.bit_length() - 1] = q
-                return labels, [x for x in range(2 * cap + 1) if iso >> x & 1]
+                return labels
             layer = layers.get(placed)
             if layer is None:
                 layer = layers[placed] = make_layer(placed)
@@ -778,69 +774,23 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     """
     _require_connected(g, "sum_number")
     cfg = cfg or SearchConfig()
-    n = g.n
-    bound = cfg.label_bound if cfg.label_bound is not None else _default_positive_bound(n)
-    if bound < n:
-        raise SolverError(f"label bound {bound} cannot label {n} vertices in 1..{bound}")
+    bound = _positive_bound(g, cfg)
     t0 = time.perf_counter()
     counter = _NodeCounter(cfg.node_budget)
-    search = _AscendingSumSearch(g, counter)
-    # sigma(G) >= min degree: the vertex labelled last has all its edge sums
-    # above every vertex label (Bergstrand et al. 1989)
-    lower = max(1, degree_sequence(g).min_degree)
-    trace: list[tuple[int, int]] = []
-    exhaustive = True
-    value: int | None = None
-    labels: list[int] | None = None
-    iso: list[int] | None = None
-    while True:
-        round_value = None
-        round_labels = None
-        round_iso = None
-        try:
-            # cheap pass at cap 4n first: its witness caps the ascent and
-            # survives as an upper bound if the node budget later runs out;
-            # only the full-range pass proves a smaller r infeasible
-            for cap in sorted({min(bound, 4 * n), bound}):
-                for r in range(lower, round_value if round_value is not None else g.m + 1):
-                    found = search.search(r, cap)
-                    if found is not None:
-                        round_value = r
-                        round_labels, round_iso = found
-                        break
-        except _NodeBudgetExceeded:
-            exhaustive = False
-        if round_value is not None:
-            value, labels, iso = round_value, round_labels, round_iso
-            trace.append((bound, round_value))
-        if value is None:
-            if not exhaustive:
-                raise _budget_error("sum", counter, bound)
-            if cfg.escalate:
-                bound *= 2
-                continue
-            raise SolverError(
-                f"no sum labelling within label range 1..{bound}; "
-                "increase the range or enable escalation"
-            )
-        if not cfg.escalate or not exhaustive:
-            break
-        if len(trace) >= 2 and trace[-1][1] == trace[-2][1]:
-            break
-        bound *= 2
-    assert labels is not None and iso is not None
-    witness = VertexLabelling.from_dict({v: labels[v] for v in range(n)})
-    return IndexResult(
+    spec = _Ascent(
         invariant="sum_number",
-        value=value,
-        witness=witness,
-        range_used=bound,
-        escalation_trace=tuple(trace),
-        exhaustive_within_range=exhaustive,
-        nodes_expanded=counter.nodes,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-        isolated_labels=tuple(iso),
+        find=_AscendingSumSearch(g, counter).search,
+        # sigma(G) >= min degree: the vertex labelled last has all its edge
+        # sums above every vertex label (Bergstrand et al. 1989)
+        lower=max(1, degree_sequence(g).min_degree),
+        limit=g.m + 1,
+        cheap_cap=4 * g.n,
+        extra=lambda labels: {
+            "isolated_labels": tuple(sorted(_edge_sums(g, labels) - set(labels)))
+        },
+        what="sum",
     )
+    return _solve(spec, cfg, bound, counter, t0)
 
 
 # ---------------------------------------------------------------------------

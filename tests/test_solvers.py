@@ -108,15 +108,19 @@ def test_bipartite_half_bound(connected_by_n):
 
 
 def test_escalation_trace_monotone_and_stable():
-    g = sl.prism(3).graph
-    res = sl.sum_index(g, SearchConfig(escalate=True))
-    values = [v for _, v in res.escalation_trace]
-    assert len(values) >= 2
-    assert values == sorted(values, reverse=True)
-    assert values[-1] == values[-2]
-    bounds = [b for b, _ in res.escalation_trace]
-    assert all(b2 == 2 * b1 for b1, b2 in zip(bounds, bounds[1:]))
-    assert res.range_used == bounds[-1]
+    # in labels 0..5 the difference index of Es`o is 3, in 0..10 it is 2
+    for fn, g, cfg in (
+        (sl.sum_index, sl.prism(3).graph, SearchConfig(escalate=True)),
+        (sl.difference_index, sl.parse_graph6("Es`o"), SearchConfig(label_bound=5, escalate=True)),
+    ):
+        res = fn(g, cfg)
+        values = [v for _, v in res.escalation_trace]
+        assert len(values) >= 2
+        assert values == sorted(values, reverse=True)
+        assert values[-1] == values[-2]
+        bounds = [b for b, _ in res.escalation_trace]
+        assert all(b2 == 2 * b1 for b1, b2 in zip(bounds, bounds[1:]))
+        assert res.range_used == bounds[-1]
 
 
 def test_node_budget_yields_flagged_upper_bound():

@@ -259,6 +259,33 @@ def test_sum_number_budget_in_full_range_proof_flags_upper_bound():
     _check_sum_graph(c4, res)
 
 
+def test_exclusive_budget_in_full_range_proof_flags_upper_bound():
+    # the cheap pass at cap 20 finds eps(Dv{) = 6 in about 2k nodes; proving
+    # 5 infeasible over the default range 1..100 takes about 43k more
+    g = sl.parse_graph6("Dv{")
+    res = sl.exclusive_sum_number(g, SearchConfig(node_budget=5_000))
+    assert res.value == 6
+    assert not res.exhaustive_within_range
+    assert res.range_used == 100
+    res.exclusive.validate(g)
+
+
+def test_sum_number_escalates_out_of_small_range():
+    # neither K3 in 1..3 nor C4 in 1..4 has a sum labelling
+    for g, bound, expect in ((sl.complete_graph(3), 3, 2), (sl.cycle_graph(4), 4, 3)):
+        assert _sigma_by_assignments(g, bound) is None
+        res = sl.sum_number(g, SearchConfig(label_bound=bound, escalate=True))
+        assert res.exhaustive_within_range
+        assert res.value == expect
+        assert res.range_used > bound
+        values = [v for _, v in res.escalation_trace]
+        assert values[-1] == values[-2] == expect
+        bounds = [b for b, _ in res.escalation_trace]
+        assert all(b2 == 2 * b1 for b1, b2 in zip(bounds, bounds[1:]))
+        assert res.range_used == bounds[-1]
+        _check_sum_graph(g, res)
+
+
 def test_exclusive_matches_assignment_enumeration(connected_by_n):
     for n in range(2, 5):
         for g in connected_by_n[n]:
