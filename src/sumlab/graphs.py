@@ -387,6 +387,20 @@ def count_cycles_of_length(g: Graph, length: int) -> int:
 # Canonical forms and enumeration (exact search, desk scale)
 # ---------------------------------------------------------------------------
 
+def twins_below(adj: list[int]) -> list[int]:
+    """Per vertex v, the bitmask of its twins u < v, given adjacency bitmasks.
+
+    Twins are vertices u, v with N(u) - {v} = N(v) - {u}.  Swapping two twins
+    is an automorphism, so a search over vertex orders or labellings may fix
+    the order within each twin class.  Twinship is an equivalence relation
+    whose classes are cliques or independent sets.
+    """
+    return [
+        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+        for v in range(len(adj))
+    ]
+
+
 _CANONICAL_MAX_N = 8
 
 
@@ -415,14 +429,7 @@ def canonical_form(g: Graph) -> bytes:
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    twins_below = [
-        sum(
-            1 << u
-            for u in range(v)
-            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
-        )
-        for v in range(n)
-    ]
+    below = twins_below(adj)
     total = n * (n - 1) // 2
     # above every string of total bits, so nothing is cut before the first leaf
     best = 1 << total
@@ -441,7 +448,7 @@ def canonical_form(g: Graph) -> bytes:
         for v, _ in rest:
             unplaced |= 1 << v
         for v, col in rest:
-            if col == low and not twins_below[v] & unplaced:
+            if col == low and not below[v] & unplaced:
                 place(
                     depth + 1,
                     prefix,

@@ -7,13 +7,19 @@ exhaustive within the range, since no finite label bound certifying global
 optimality is known.
 
 The sum index, difference index and exclusive sum number share one search
-kernel.  All three are invariant under translating the labels and under
-reflecting them (f -> -f), so a feasibility search pins the first vertex of
-its branch order at relative label 0, gives the second vertex a positive
-label, and offers each later vertex only the labels in [hi - W, lo + W],
-where lo/hi are the least and greatest placed labels and W = B - floor.  The
-witness is translated so that its least label is the floor; the minimum
-over that quotient equals the minimum over all labellings that fit the range.
+kernel.  All three are invariant under translating the labels, under
+reflecting them (f -> -f) and under swapping the labels of twins (vertices
+u, v with N(u) - {v} = N(v) - {u}).  A feasibility search therefore pins the
+first vertex of its branch order at relative label 0, gives twins u < v
+labels f(u) < f(v), places the second twin-free vertex of the branch order
+above the first (the reflection cut; there is none with fewer than two
+twin-free vertices), and offers each vertex only the labels in
+[hi - W, lo + W], where lo/hi are the least and greatest placed labels and
+W = B - floor.  The witness is translated so that its least label is the
+floor; the minimum over that quotient equals the minimum over all
+labellings that fit the range.  A twin-free graph's reflection cut falls on
+the second vertex of the branch order, and its search is the one without
+the twin order.
 
 Candidate labels are generated as Python-int bitmasks, after the shift-
 register bitmaps of optimal Golomb ruler search (Rankin 1993): the labels a
@@ -28,7 +34,9 @@ these mask filters.
 Witnesses are canonicalised to the lexicographically least optimal labelling
 (by vertex order) within a deterministic label cap, found by the same DFS
 over the fixed window {floor..cap} in vertex order 0..n-1, so results are
-reproducible regardless of scheduling.
+reproducible regardless of scheduling.  That DFS keeps twins in order too,
+which loses nothing: the least labelling is twin-sorted, since swapping an
+out-of-order twin pair would give a smaller one.
 
 The sum number has its own search, which places labels in increasing order
 and picks at each step the vertex that takes the next label.  An edge sum
@@ -47,20 +55,24 @@ sigma(G) >= min degree (Bergstrand et al. 1989) for the sum number.  Each
 round makes two passes.  A cheap pass at a small label cap (2n for the
 indices, 4n for the sum and exclusive sum numbers) finds a value quickly;
 the full range is then searched only for the targets below that value,
-since only a full-range search proves a target infeasible.  The indices stop
-the ascent at a greedy labelling's value, which is their result when nothing
-smaller is found.  With escalation the range doubles until the value is the
-same in two consecutive rounds.
+since only a full-range search proves a target infeasible.  Index and
+exclusive witnesses are made canonical before those proofs, and again only
+if a proof finds a smaller value, so a node budget that runs out in the
+proofs still leaves a canonical witness.  The indices stop the ascent at a
+greedy labelling's value, which is their result when nothing smaller is
+found.  With escalation the range doubles until the value is the same in
+two consecutive rounds; no search runs twice within one solve.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .bounds import best_df_lower, best_sm_lower
-from .graphs import Graph, degree_sequence, is_connected
+from .graphs import Graph, degree_sequence, is_connected, twins_below
 from .labelling import LabelKind, VertexLabelling
 
 
@@ -264,6 +276,7 @@ class _IndexSearch:
         self.exclusive = exclusive
         self.floor = 1 if exclusive else 0
         self.counter = counter
+        self.twins_below = twins_below([sum(1 << u for u in a) for a in g.adj])
 
     def search(self, budget: int, cap: int,
                lexicographic: bool = False) -> list[int] | None:
@@ -272,14 +285,28 @@ class _IndexSearch:
 
         Feasibility mode (lexicographic=False) pins the first vertex of a
         propagation-friendly order at relative label 0 and offers each later
-        vertex only the labels that keep the span within cap - floor; the
-        second vertex takes a positive label (reflection).  Candidates come
-        in order of fewest new edge values, then smallest label, and the
-        witness is translated so that its least label is the floor.
-        Lexicographic mode is the same DFS over the fixed window
+        vertex only the labels that keep the span within cap - floor.
+        Candidates come in order of fewest new edge values, then smallest
+        label, and the witness is translated so that its least label is the
+        floor.  Lexicographic mode is the same DFS over the fixed window
         {floor..cap}, in vertex order 0..n-1 with ascending labels, so the
         first solution is the lexicographically least labelling using the
         floor label.
+
+        Swapping the labels of twins u, v (N(u) - {v} = N(v) - {u}) keeps
+        the edge values and the exclusive condition, so both modes keep
+        twins u < v in index order, f(u) < f(v): a placed twin's label
+        bounds the candidates from below or above.  In lexicographic mode
+        that loses nothing: swapping an out-of-order twin pair gives a smaller
+        labelling, so the least one is twin-sorted.  Feasibility mode also
+        cuts reflection (f -> -f), which reverses every twin order, so the
+        cut is placed between the first two twin-free vertices a, b of the
+        branch order: f(b) > f(a).  The two cuts are compatible.  Sort each
+        twin class of any labelling, which leaves a and b alone; if now
+        f(b) < f(a), reflect and sort again, giving -f(b) > -f(a).
+        Translation preserves both cuts.  With fewer than two twin-free
+        vertices there is no reflection cut; a twin-free graph is searched
+        exactly as without the twin order.
         """
         g = self.g
         n = g.n
@@ -294,6 +321,24 @@ class _IndexSearch:
         nbr_steps = [
             tuple(step[u] for u in g.adj[v] if step[u] < i) for i, v in enumerate(order)
         ]
+        # per step, the earlier steps of its lower-index twins (its label
+        # lies above theirs) and of its higher-index twins (below theirs)
+        below = self.twins_below
+        twin_lo = [
+            tuple(step[u] for u in range(v) if below[v] >> u & 1 and step[u] < i)
+            for i, v in enumerate(order)
+        ]
+        twin_hi = [
+            tuple(step[u] for u in range(v + 1, n) if below[u] >> v & 1 and step[u] < i)
+            for i, v in enumerate(order)
+        ]
+        # the reflection cut: the second twin-free vertex lies above the first
+        twinned = 0
+        for v in range(n):
+            if below[v]:
+                twinned |= below[v] | 1 << v
+        free = [i for i, v in enumerate(order) if not twinned >> v & 1]
+        reflect_at, reflect_over = (free[1], free[0]) if len(free) >= 2 else (-1, 0)
         if self.exclusive:
             non_steps = [
                 tuple(j for j in range(i) if j not in nbr_steps[i]) for i in range(n)
@@ -324,8 +369,12 @@ class _IndexSearch:
                     base &= 1 << floor
             elif i == 0:
                 base &= 1 << width
-            elif i == 1:
-                base &= -(1 << (p[0] + 1))
+            elif i == reflect_at:
+                base &= -(2 << p[reflect_over])
+            for j in twin_lo[i]:
+                base &= -(2 << p[j])
+            for j in twin_hi[i]:
+                base &= (1 << p[j]) - 1
             non_mask = 0
             if exclusive:
                 for q in nbl:
@@ -397,14 +446,6 @@ class _IndexSearch:
             return dfs(0, 0, 0, 0, 0, floor, cap)
         return dfs(0, 0, 0, 0, 0, width, width)
 
-    def canonical(self, budget: int, labels: list[int], bound: int) -> list[int]:
-        """The lexicographically least labelling with at most ``budget``
-        distinct edge values within the deterministic cap
-        min(bound, max(2n, max(labels))).  ``labels`` uses the floor label
-        and fits under that cap, so the search always finds one."""
-        cap = min(bound, max(2 * self.g.n, max(labels)))
-        return self.search(budget, cap, lexicographic=True)
-
 
 def _degree_floor(g: Graph, is_sum: bool) -> int:
     """Elementary per-vertex lower bound used to seed the search.
@@ -432,8 +473,11 @@ class _Ascent:
     reaches target t (at most t distinct values, or at most t isolated
     labels), or None.  The ascent tries t = lower, lower + 1, ... below
     limit; fallback, if given, is a labelling known to reach limit.
-    canonical(t, labels, bound) replaces the labelling found by the
-    canonical one, and extra(labels) gives the invariant's own IndexResult
+    canonical(t, cap), if given, returns the lexicographically least
+    labelling with labels up to cap that reaches t; the driver asks for it
+    at the deterministic cap min(bound, max(2n, max(labels))) of the
+    labelling found, which uses the least label and fits under that cap, so
+    one always exists.  extra(labels) gives the invariant's own IndexResult
     fields.  what names the labelling in the SolverError raised when no
     round finds one (only the positive-label invariants, whose ascent has
     no fallback, can get there).
@@ -445,7 +489,7 @@ class _Ascent:
     limit: int
     cheap_cap: int
     fallback: list[int] | None = None
-    canonical: Callable[[int, list[int], int], list[int]] | None = None
+    canonical: Callable[[int, int], list[int]] | None = None
     extra: Callable[[list[int]], dict] | None = None
     what: str = ""
 
@@ -458,25 +502,42 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     min(bound, cheap cap) ascending from the lower bound, whose labelling
     caps the ascent and survives as an upper bound if the node budget later
     runs out, then full-bound passes only for the targets below the cheap
-    value, which alone can prove them infeasible.  The labelling found is
-    then made canonical, where the invariant has a canonical form.  With
+    value, which alone can prove them infeasible.  Where the invariant has a
+    canonical form, the cheap pass's labelling is made canonical before the
+    proofs, and again only if a proof finds a smaller value, so a result
+    cut short by the node budget still carries a canonical witness.  With
     cfg.escalate the bound doubles until the value is the same in two
-    consecutive rounds.
+    consecutive rounds.  A search's outcome depends only on its target and
+    cap, so no search runs twice within one solve: a later round reuses the
+    earlier rounds' cheap pass and, while its cap is unchanged, their
+    canonical search.
     """
     trace: list[tuple[int, int]] = []
     value = labels = None
     exhaustive = True
+    outcomes: dict[tuple, list[int] | None] = {}
+
+    def run(fn: Callable[[int, int], list[int] | None], t: int, cap: int):
+        key = (fn, t, cap)
+        if key not in outcomes:
+            outcomes[key] = fn(t, cap)
+        return outcomes[key]
+
     while True:
         round_value, round_labels = spec.limit, spec.fallback
+        canonical_value = None
         try:
             for cap in sorted({min(bound, spec.cheap_cap), bound}):
                 for t in range(spec.lower, round_value):
-                    found = spec.find(t, cap)
+                    found = run(spec.find, t, cap)
                     if found is not None:
                         round_value, round_labels = t, found
                         break
-            if spec.canonical is not None and round_labels is not None:
-                round_labels = spec.canonical(round_value, round_labels, bound)
+                if spec.canonical is not None and round_labels is not None \
+                        and round_value != canonical_value:
+                    canonical_cap = min(bound, max(2 * len(round_labels), max(round_labels)))
+                    round_labels = run(spec.canonical, round_value, canonical_cap)
+                    canonical_value = round_value
         except _NodeBudgetExceeded:
             exhaustive = False
         if round_labels is not None:
@@ -536,7 +597,7 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
         cheap_cap=2 * n,
         fallback=labels,
         # an edgeless graph's value 0 needs no search, not even a canonical one
-        canonical=search.canonical if g.m else None,
+        canonical=partial(search.search, lexicographic=True) if g.m else None,
     )
     return _solve(spec, cfg, bound, counter, t0)
 
@@ -600,7 +661,7 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
         lower=max(1, best_sm_lower(g), _degree_floor(g, True)),
         limit=g.m + 1,
         cheap_cap=4 * g.n,
-        canonical=search.canonical,
+        canonical=partial(search.search, lexicographic=True),
         extra=extra,
         what="exclusive sum",
     )
@@ -646,10 +707,7 @@ class _AscendingSumSearch:
         self.adj = adj
         self.deg = [len(a) for a in g.adj]
         # a twin waits for every lower-index twin, which breaks their symmetry
-        self.twins_before = [
-            sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
-            for v in range(n)
-        ]
+        self.twins_before = twins_below(adj)
         self.counter = counter
 
     def search(self, r: int, cap: int) -> list[int] | None:

@@ -186,3 +186,59 @@ def test_sum_number_invariant_under_relabelling(connected_by_n, data):
     h = sl.Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
     cfg = SearchConfig(label_bound=2 * n + 1)
     assert _sum_number_outcome(h, cfg) == _sum_number_outcome(g, cfg)
+
+
+def test_escalation_repeats_no_search():
+    # the second round reuses the first round's cheap pass and, at the same
+    # cap, its canonical search, so escalating costs only the new proofs
+    g = sl.prism(3).graph
+    plain = sl.sum_index(g)
+    escalated = sl.sum_index(g, SearchConfig(escalate=True))
+    assert len(escalated.escalation_trace) == 2
+    assert escalated.witness == plain.witness
+    assert escalated.nodes_expanded == plain.nodes_expanded
+
+
+def test_budget_cut_keeps_canonical_witness():
+    # the budget runs out in the full-range proofs; the cheap pass's raw
+    # witness is S = (1, 2, 3, 19, 20), its canonical form (1, 2, 3, 4, 6)
+    g = sl.parse_graph6("Ds{")
+    res = sl.exclusive_sum_number(g, SearchConfig(node_budget=2_000))
+    assert not res.exhaustive_within_range
+    assert res.exclusive.S == (1, 2, 3, 4, 6)
+    assert res.witness == sl.exclusive_sum_number(g).witness
+    res.exclusive.validate(g)
+
+
+def _twin_pairs(g):
+    """Pairs u < v with N(u) - {v} = N(v) - {u}."""
+    nbrs = [set(a) for a in g.adj]
+    return [
+        (u, v)
+        for v in range(g.n)
+        for u in range(v)
+        if nbrs[u] - {v} == nbrs[v] - {u}
+    ]
+
+
+def _graphs_with_twins(connected_by_n):
+    return [g for n in range(2, 6) for g in connected_by_n[n] if _twin_pairs(g)]
+
+
+def test_canonical_witnesses_keep_twins_in_order(connected_by_n):
+    graphs = _graphs_with_twins(connected_by_n)
+    assert len(graphs) == 24
+    for g in graphs:
+        for fn in (sl.sum_index, sl.difference_index, sl.exclusive_sum_number):
+            f = fn(g).witness.as_dict()
+            assert all(f[u] < f[v] for u, v in _twin_pairs(g)), (sl.emit_graph6(g), fn)
+
+
+def test_values_invariant_under_reversal_of_twins(connected_by_n):
+    # reversing the vertex order flips every twin pair, so the searches on
+    # the reversed graph place each twin below its placed higher-index twins
+    for g in _graphs_with_twins(connected_by_n):
+        n = g.n
+        h = sl.Graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges])
+        for fn in (sl.sum_index, sl.difference_index, sl.exclusive_sum_number):
+            assert fn(h).value == fn(g).value, (sl.emit_graph6(g), fn)
