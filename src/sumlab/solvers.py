@@ -43,10 +43,13 @@ and picks at each step the vertex that takes the next label.  An edge sum
 below the newest label that is not itself a label can never be covered, so
 isolated labels are counted, and the isolated-label conditions checked, as
 soon as they become permanent; the vertex labelled last contributes all its
-edge sums, so at least the least degree of the unplaced vertices.  Twins take
-labels in vertex order.  Its witness is the first labelling in
-label-ascending order, at the reported r, within the cap of the pass that
-found it; there is no canonical pass.
+edge sums, so at least the least degree of the unplaced vertices.  At the
+placement that leaves one vertex unplaced, a look-ahead counts how many free
+sums that last vertex can still cover or reuse, which the next-to-last label
+decides through simple thresholds, and drops the labels that would leave too
+many isolated.  Twins take labels in vertex order.  Its witness is the first
+labelling in label-ascending order, at the reported r, within the cap of the
+pass that found it; there is no canonical pass.
 
 All four invariants share one ascent-and-escalation driver.  It ascends
 targets from a lower bound: the best closed-form bound and a maximum-degree
@@ -507,10 +510,11 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     proofs, and again only if a proof finds a smaller value, so a result
     cut short by the node budget still carries a canonical witness.  With
     cfg.escalate the bound doubles until the value is the same in two
-    consecutive rounds.  A search's outcome depends only on its target and
-    cap, so no search runs twice within one solve: a later round reuses the
-    earlier rounds' cheap pass and, while its cap is unchanged, their
-    canonical search.
+    consecutive rounds; a round cut short by the budget keeps an earlier
+    round's smaller value and witness.  A search's outcome depends only on
+    its target and cap, so no search runs twice within one solve: a later
+    round reuses the earlier rounds' cheap pass and, while its cap is
+    unchanged, their canonical search.
     """
     trace: list[tuple[int, int]] = []
     value = labels = None
@@ -540,8 +544,9 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
                     canonical_value = round_value
         except _NodeBudgetExceeded:
             exhaustive = False
-        if round_labels is not None:
+        if round_labels is not None and (value is None or round_value <= value):
             value, labels = round_value, round_labels
+        if value is not None:
             trace.append((bound, value))
         if value is None:
             if not exhaustive:
@@ -691,13 +696,21 @@ class _AscendingSumSearch:
     (an edge sum on a non-edge sum) and minus W shifted by each placed
     non-neighbour's label (a non-edge sum in W).  The vertex placed last has
     all its edge sums above every label, so at least its degree joins the
-    isolated labels.  Two counts bound r, both applied to the candidate
+    isolated labels.  Three counts bound r, all applied to the candidate
     masks: the free sums (T \\ S) left below the new label plus the last
-    vertex's degree, and all free sums after the placement less one per
-    vertex still to come, where at-least-k masks count how many of the new
-    edge sums land on free sums.  Twins (N(u)\\{v} = N(v)\\{u}) take labels
-    in index order.  ``nodes_expanded`` counts the placements that survive
-    the candidate masks.
+    vertex's degree; all free sums after the placement less one per vertex
+    still to come, where at-least-k masks count how many of the new edge
+    sums land on free sums; and a look-ahead at the placement of label x
+    that leaves one vertex w unplaced.  w's label y > x covers at most one
+    free sum, one above x, and its edge sum y + q (q a placed neighbour's
+    label) can reuse a free sum only below the greatest free sum after x,
+    max(F, x + M), with F the greatest free sum before x and M the greatest
+    label of the placing vertex's placed neighbours; x + y never can.  So
+    y + q may hit for every x when q < M and only for x < F - q when
+    q >= M.  These threshold masks join the at-least-k count, which runs
+    again over the labels that the second count keeps.  Twins
+    (N(u)\\{v} = N(v)\\{u}) take labels in index order.  ``nodes_expanded``
+    counts the placements that survive the candidate masks.
     """
 
     def __init__(self, g: Graph, counter: _NodeCounter):
@@ -726,19 +739,31 @@ class _AscendingSumSearch:
         def make_layer(placed: int):
             """How many vertices stay unplaced after the next placement, and
             the vertices that may take the next label (a twin waits for its
-            lower-index twins), each with its adjacency and how many free
-            sums may lie below its label: the free sums below the new label
-            stay isolated for good, and the vertex labelled last adds its
-            degree, at least the least degree among the others unplaced."""
+            lower-index twins), each with its adjacency, how many free sums
+            may lie below its label, and the adjacency of the one vertex
+            left unplaced after it (0 unless exactly one is left): the free
+            sums below the new label stay isolated for good, and the vertex
+            labelled last adds its degree, at least the least degree among
+            the others unplaced."""
             unplaced = [v for v in range(n) if not placed >> v & 1]
             movers = []
             for v in unplaced:
                 if twins_before[v] & ~placed:
                     continue
-                last_deg = min((deg[u] for u in unplaced if u != v), default=deg[v])
+                others = [u for u in unplaced if u != v]
+                last_deg = min((deg[u] for u in others), default=deg[v])
                 if last_deg <= r:
-                    movers.append((v, adj[v], r - last_deg))
+                    last_adj = adj[others[0]] if len(others) == 1 else 0
+                    movers.append((v, adj[v], r - last_deg, last_adj))
             return len(unplaced) - 1, movers
+
+        def at_least(c: int, masks: list[int], k: int) -> int:
+            # the bits of c set in at least k of the masks
+            counts = [c] + [0] * k
+            for h in masks:
+                for j in range(k, 0, -1):
+                    counts[j] |= counts[j - 1] & h
+            return counts[k]
 
         def isolated_ok(iso: int, w_set: int) -> bool:
             # no isolated label w has w + z in W for some z in W other than w
@@ -770,7 +795,7 @@ class _AscendingSumSearch:
             blocked = [(low, 1 << q, nes >> q, w_set >> q, t_set >> q) for low, q in seq]
             cands = []
             union = 0
-            for v, av, spare in movers:
+            for v, av, spare, aw in movers:
                 bad = nbr = 0
                 hits = [free]  # bit x: label x covers a free sum
                 for low, q, n_shift, w_shift, t_shift in blocked:
@@ -792,11 +817,31 @@ class _AscendingSumSearch:
                 # vertex, must fit in r: at least ``need`` of ``hits`` must hit.
                 need = n_free + len(hits) - 1 - remaining - r
                 if need > 0:
-                    atleast = [c] + [0] * need
-                    for h in hits:
-                        for k in range(need, 0, -1):
-                            atleast[k] |= atleast[k - 1] & h
-                    c = atleast[need]
+                    c = at_least(c, hits, need)
+                if c and remaining == 1:
+                    # Look ahead to the last vertex w, labelled y > x (see the
+                    # class docstring), on the labels the count above keeps.
+                    # w adds one edge sum per placed neighbour and one more
+                    # if v ~ w, and its label covers at most one free sum.
+                    # Sure hits lower ``need``: y on x + M when v has placed
+                    # neighbours, and y + q for q < M.  The others are
+                    # threshold masks: x < F for y when v has none, and
+                    # x < F - q for q >= M.
+                    top = free.bit_length() - 1
+                    need += (aw >> v & 1) + 1
+                    if nbr:
+                        need -= 1
+                    elif top > 0:
+                        hits.append((1 << top) - 1)
+                    m = max(nbr.bit_length() - 1, 0)
+                    for low, bit, _, _, _ in blocked:
+                        if aw & low and bit >> m:
+                            need += 1
+                            q = bit.bit_length() - 1
+                            if top > q:
+                                hits.append((1 << (top - q)) - 1)
+                    if need > 0:
+                        c = at_least(c, hits, need)
                 if c:
                     cands.append((v, c, nbr, s_set ^ nbr))
                     union |= c

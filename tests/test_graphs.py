@@ -95,6 +95,28 @@ def test_graph6_round_trip_random():
         assert sl.parse_graph6(sl.emit_graph6(g)) == g
 
 
+def _check_graph6_against_networkx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    text = sl.emit_graph6(g)
+    assert text.encode() + b"\n" == nx.to_graph6_bytes(h, header=False)
+    back = nx.from_graph6_bytes(text.encode())
+    assert sl.parse_graph6(text) == Graph(back.number_of_nodes(), back.edges()) == g
+
+
+def test_graph6_agrees_with_networkx(connected_by_n, connected_7):
+    nx = pytest.importorskip("networkx")
+    for graphs in (*connected_by_n.values(), connected_7):
+        for g in graphs:
+            _check_graph6_against_networkx(nx, g)
+    rng = random.Random(6)
+    for n in range(63):
+        for density in (0.1, 0.5, 0.9):
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+            _check_graph6_against_networkx(nx, Graph(n, edges))
+
+
 # ---------------------------------------------------------------------------
 # edge lists
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +155,20 @@ def test_cli_sumnumber_rejects_disconnected(tmp_path):
     infile = tmp_path / "two.g6"
     _write_g6(infile, [sl.Graph(3, [(0, 1)])])
     assert main(["index", "sumnumber", "--in", str(infile)]) == 2
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(sl.__file__).resolve().parent.parent
+    infile = tmp_path / "k2.g6"
+    _write_g6(infile, [sl.complete_graph(2)])
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "sumlab", "index", "sumnumber", "--in", str(infile)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert "sum_number = 1" in done.stdout
+    done = subprocess.run([sys.executable, "-m", "sumlab", "nosuchcommand"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
 
 
 def test_repository_certificates_match_regeneration(tmp_path):

@@ -123,6 +123,26 @@ def test_escalation_trace_monotone_and_stable():
         assert res.range_used == bounds[-1]
 
 
+def test_budget_cut_round_keeps_earlier_better_value(connected_by_n):
+    # round one (labels 0..3) proves df(Bo) = 1; the budget runs out in round
+    # two (labels 0..6) after its cheap pass has reached only 2
+    g = sl.parse_graph6("Bo")
+    res = sl.difference_index(g, SearchConfig(label_bound=3, escalate=True, node_budget=13))
+    assert not res.exhaustive_within_range
+    assert res.value == 1
+    assert res.escalation_trace == ((3, 1), (6, 1))
+    f = res.witness.as_dict()
+    assert len({abs(f[u] - f[v]) for u, v in g.edges}) == 1
+    for n in range(3, 5):
+        for g in connected_by_n[n]:
+            for fn in (sl.sum_index, sl.difference_index):
+                for budget in range(5, 40, 3):
+                    res = fn(g, SearchConfig(label_bound=n, escalate=True, node_budget=budget))
+                    values = [v for _, v in res.escalation_trace]
+                    assert values == sorted(values, reverse=True), (sl.emit_graph6(g), fn, budget)
+                    assert res.value == values[-1]
+
+
 def test_node_budget_yields_flagged_upper_bound():
     g = sl.prism(4).graph
     res = sl.sum_index(g, SearchConfig(node_budget=10))

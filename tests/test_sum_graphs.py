@@ -222,6 +222,24 @@ def test_sum_number_matches_assignment_enumeration(connected_by_n):
             _check_sum_graph(g, res)
 
 
+@pytest.mark.parametrize(
+    "text,bound",
+    # ranges in which a look-ahead one step too strong loses the optimum:
+    # thresholds x < F - q - 1 (Dso, Esb_); sure reuses below M counted as
+    # thresholds (Cu, DsW); a last label never covering a free sum when the
+    # leaf before it has no placed neighbour (EqHO: 6 on the leaf, 7 = 2 + 5
+    # on its neighbour); no cover term at all, or need one higher (Bo, Bw)
+    [("Dso", 6), ("Dso", 7), ("Esb_", 7), ("Cu", 5), ("DsW", 6), ("EqHO", 7),
+     ("Bo", 4), ("Bw", 4)],
+)
+def test_sum_number_last_vertex_look_ahead_cases(text, bound):
+    g = sl.parse_graph6(text)
+    res = sl.sum_number(g, SearchConfig(label_bound=bound))
+    assert res.exhaustive_within_range
+    assert res.value == _sigma_by_assignments(g, bound)
+    _check_sum_graph(g, res)
+
+
 def _binary_tree_7():
     return sl.Graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
 
@@ -240,6 +258,7 @@ def _binary_tree_7():
         (sl.cycle_graph(4), SearchConfig(node_budget=1_000_000), 3),
         # sigma(K_n) = 2n - 3 for n >= 4 (Bergstrand et al. 1989)
         (sl.complete_graph(4), SearchConfig(label_bound=16), 5),
+        (sl.complete_graph(5), SearchConfig(label_bound=40), 7),
     ],
 )
 def test_sum_number_closed_forms(graph, cfg, expect):
