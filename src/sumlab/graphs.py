@@ -254,9 +254,6 @@ class DegreeSequence:
     def min_degree(self) -> int:
         return self.degrees[0] if self.degrees else 0
 
-    def __len__(self) -> int:
-        return len(self.degrees)
-
 
 def degree_sequence(g: Graph) -> DegreeSequence:
     return DegreeSequence(tuple(sorted(len(g.adj[v]) for v in range(g.n))))

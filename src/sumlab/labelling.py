@@ -48,12 +48,6 @@ class VertexLabelling:
     def as_dict(self) -> dict[int, int]:
         return dict(self.items)
 
-    def value(self, v: int) -> int:
-        for u, x in self.items:
-            if u == v:
-                return x
-        raise LabellingError(f"vertex {v} not labelled")
-
     def translated(self, c: int) -> "VertexLabelling":
         return VertexLabelling(tuple((v, x + c) for v, x in self.items))
 

@@ -23,7 +23,17 @@ from .solvers import IndexResult, SearchConfig, difference_index, sum_index
 
 SCHEMA_VERSION = 1
 
-ALL_CHECKS = ("conj42", "conj44", "dflesm")
+# check name -> (ScanRecord field, report key listing its failures,
+# predicate on (sm, df)).  Record fields, report keys and CLI lines follow
+# this order.
+CHECKS = {
+    "conj42": ("conj42_holds", "counterexamples_42",
+               lambda sm, df: df == (sm + 1) // 2),
+    "conj44": ("conj44_holds", "counterexamples_44",
+               lambda sm, df: (sm + 1) // 2 <= df <= sm),
+    "dflesm": ("df_le_sm", "counterexamples_df_le_sm",
+               lambda sm, df: df <= sm),
+}
 
 
 @dataclass(frozen=True)
@@ -49,9 +59,7 @@ class ScanRecord:
             "sm": self.sm,
             "df": self.df,
             "bounds": self.bounds.to_json_dict(),
-            "conj42_holds": self.conj42_holds,
-            "conj44_holds": self.conj44_holds,
-            "df_le_sm": self.df_le_sm,
+            **{field: getattr(self, field) for field, _, _ in CHECKS.values()},
             "inconclusive": self.inconclusive,
         }
 
@@ -59,35 +67,28 @@ class ScanRecord:
 @dataclass(frozen=True)
 class ScanReport:
     records: tuple[ScanRecord, ...]
-    counterexamples_42: tuple[str, ...]
-    counterexamples_44: tuple[str, ...]
-    counterexamples_df_le_sm: tuple[str, ...]
-    checks: tuple[str, ...]
+    counterexamples: dict[str, tuple[str, ...]]  # selected check -> failing graph6
     config: dict
 
     @property
     def counterexample_count(self) -> int:
-        return (
-            len(self.counterexamples_42)
-            + len(self.counterexamples_44)
-            + len(self.counterexamples_df_le_sm)
-        )
+        return sum(len(cexs) for cexs in self.counterexamples.values())
 
     def to_json_dict(self) -> dict:
+        lists = {
+            key: list(self.counterexamples.get(name, ()))
+            for name, (_, key, _) in CHECKS.items()
+        }
         return {
             "schema": SCHEMA_VERSION,
             "config": self.config,
             "totals": {
                 "graphs": len(self.records),
                 "inconclusive": sum(r.inconclusive for r in self.records),
-                "counterexamples_42": len(self.counterexamples_42),
-                "counterexamples_44": len(self.counterexamples_44),
-                "counterexamples_df_le_sm": len(self.counterexamples_df_le_sm),
+                **{key: len(cexs) for key, cexs in lists.items()},
             },
             "records": [r.to_json_dict() for r in self.records],
-            "counterexamples_42": list(self.counterexamples_42),
-            "counterexamples_44": list(self.counterexamples_44),
-            "counterexamples_df_le_sm": list(self.counterexamples_df_le_sm),
+            **lists,
         }
 
     def to_json(self) -> str:
@@ -95,29 +96,22 @@ class ScanReport:
 
 
 def _result_summary(res: IndexResult) -> dict:
-    # deliberately timing-free so scan reports stay byte-identical across runs
-    return {
-        "value": res.value,
-        "witness": {str(v): x for v, x in res.witness.items},
-        "range_used": res.range_used,
-        "exhaustive": res.exhaustive_within_range,
-        "nodes_expanded": res.nodes_expanded,
-    }
+    # an inclusion list keeps wall_ms and any later field out, so scan
+    # reports stay timing-free and byte-identical across runs
+    full = res.to_json_dict()
+    keys = ("value", "witness", "range_used", "exhaustive", "nodes_expanded")
+    return {k: full[k] for k in keys}
 
 
 def scan_record(g: Graph, cfg: SearchConfig | None = None) -> ScanRecord:
     cfg = cfg or SearchConfig()
     sm = sum_index(g, cfg)
     df = difference_index(g, cfg)
-    complete = (
-        sm.exhaustive_within_range and df.exhaustive_within_range and g.m > 0
-    )
-    conj42 = conj44 = dflesm = None
-    if complete:
-        half = (sm.value + 1) // 2
-        conj42 = df.value == half
-        conj44 = half <= df.value <= sm.value
-        dflesm = df.value <= sm.value
+    conclusive = sm.exhaustive_within_range and df.exhaustive_within_range
+    verdicts = {
+        field: holds(sm.value, df.value) if conclusive and g.m > 0 else None
+        for field, _, holds in CHECKS.values()
+    }
     return ScanRecord(
         graph6=emit_graph6(g),
         n=g.n,
@@ -126,10 +120,8 @@ def scan_record(g: Graph, cfg: SearchConfig | None = None) -> ScanRecord:
         sm=_result_summary(sm),
         df=_result_summary(df),
         bounds=bound_report(g),
-        conj42_holds=conj42,
-        conj44_holds=conj44,
-        df_le_sm=dflesm,
-        inconclusive=not (sm.exhaustive_within_range and df.exhaustive_within_range),
+        inconclusive=not conclusive,
+        **verdicts,
     )
 
 
@@ -141,14 +133,14 @@ def _record_from_graph6(args: tuple[str, SearchConfig]) -> ScanRecord:
 def scan_conjectures(
     graphs: Iterable[Graph],
     cfg: SearchConfig | None = None,
-    checks: Sequence[str] = ALL_CHECKS,
+    checks: Sequence[str] = tuple(CHECKS),
     workers: int = 1,
 ) -> ScanReport:
     """Scan a graph stream; see the module docstring for record semantics."""
     cfg = cfg or SearchConfig()
     for c in checks:
-        if c not in ALL_CHECKS:
-            raise ValueError(f"unknown check {c!r}; valid: {', '.join(ALL_CHECKS)}")
+        if c not in CHECKS:
+            raise ValueError(f"unknown check {c!r}; valid: {', '.join(CHECKS)}")
     lines = [emit_graph6(g) for g in graphs]
     if workers > 1 and len(lines) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -161,15 +153,11 @@ def scan_conjectures(
             )
     else:
         records = [_record_from_graph6((line, cfg)) for line in lines]
-    cex42 = tuple(
-        r.graph6 for r in records if "conj42" in checks and r.conj42_holds is False
-    )
-    cex44 = tuple(
-        r.graph6 for r in records if "conj44" in checks and r.conj44_holds is False
-    )
-    cexdf = tuple(
-        r.graph6 for r in records if "dflesm" in checks and r.df_le_sm is False
-    )
+    counterexamples = {
+        name: tuple(r.graph6 for r in records if getattr(r, field) is False)
+        for name, (field, _, _) in CHECKS.items()
+        if name in checks
+    }
     # config echo excludes the worker count: reports must not depend on it
     config = {
         "label_bound": cfg.label_bound,
@@ -177,4 +165,4 @@ def scan_conjectures(
         "node_budget": cfg.node_budget,
         "checks": list(checks),
     }
-    return ScanReport(tuple(records), cex42, cex44, cexdf, tuple(checks), config)
+    return ScanReport(tuple(records), counterexamples, config)

@@ -179,7 +179,7 @@ def test_criterion_10_scan_determinism(connected_by_n):
     rep1 = sl.scan_conjectures(corpus, workers=1)
     rep8 = sl.scan_conjectures(corpus, workers=8)
     identical = rep1.to_json() == rep8.to_json()
-    ok = identical and rep1.counterexamples_df_le_sm == ()
+    ok = identical and rep1.counterexamples["dflesm"] == ()
     _report("10 scan determinism", ok,
             f"graphs={len(corpus)} byte-identical={identical} "
-            f"df<=sm counterexamples={len(rep1.counterexamples_df_le_sm)}")
+            f"df<=sm counterexamples={len(rep1.counterexamples['dflesm'])}")

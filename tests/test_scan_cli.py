@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -21,9 +22,9 @@ def small_corpus(connected_by_n):
 def test_scan_finds_known_conj42_counterexample(small_corpus):
     report = sl.scan_conjectures(small_corpus)
     khat4 = sl.emit_graph6(sl.subdivided_complete(4).graph)
-    assert khat4 in report.counterexamples_42
-    assert report.counterexamples_44 == ()
-    assert report.counterexamples_df_le_sm == ()
+    assert khat4 in report.counterexamples["conj42"]
+    assert report.counterexamples["conj44"] == ()
+    assert report.counterexamples["dflesm"] == ()
 
 
 def test_scan_record_invariants(small_corpus):
@@ -62,6 +63,26 @@ def test_scan_schema(small_corpus):
     assert data["totals"]["graphs"] == 3
     assert len(data["records"]) == 3
     assert "worker" not in json.dumps(data["config"])
+
+
+def test_benchmark_trace_hooks_still_bind(monkeypatch):
+    """The benchmark's traced run rebinds these module names; a scan must
+    still call through every one of them."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        report = sl.scan_conjectures([sl.complete_graph(3), sl.path_graph(4)])
+        report.to_json()
+    assert {span[0] for span in tracer.spans} >= {
+        "scan.scan_record",
+        "scan.to_json",
+        "solvers.sum_index",
+        "solvers.difference_index",
+        "bounds.bound_report",
+        "graphs.parse_graph6",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +157,30 @@ def test_cli_scan_check_selection(tmp_path, capsys):
     rc = main(["scan", "--in", str(infile), "--checks", "dflesm",
                "--fail-on-counterexample"])
     assert rc == 0  # the conj42 failure is not among the selected checks
+
+
+def test_cli_scan_selected_checks_output(tmp_path, capsys):
+    # K^4 fails conj42 only; Eqjo fails conj42 and conj44
+    graphs = [sl.subdivided_complete(4).graph, sl.parse_graph6("Eqjo")]
+    infile = tmp_path / "corpus.g6"
+    _write_g6(infile, graphs)
+    out = tmp_path / "report.json"
+    rc = main(["scan", "--in", str(infile), "--checks", "dflesm,conj42",
+               "--out", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    khat4 = sl.emit_graph6(graphs[0])
+    assert lines[1:] == [f"  conj42: 2 counterexample(s): {khat4} Eqjo",
+                         "  dflesm: 0 counterexample(s)"]
+    report = json.loads(out.read_text())
+    assert report["config"]["checks"] == ["dflesm", "conj42"]
+    assert report["totals"] == {"graphs": 2, "inconclusive": 0, "counterexamples_42": 2,
+                                "counterexamples_44": 0, "counterexamples_df_le_sm": 0}
+    assert report["records"][1]["conj44_holds"] is False
+    assert report["counterexamples_44"] == []
+    selected = sl.scan_conjectures(graphs, checks=("dflesm", "conj42"))
+    assert selected.counterexample_count == 2
+    assert sl.scan_conjectures(graphs).counterexample_count == 3
 
 
 def test_cli_stanchescu(capsys):
