@@ -1,8 +1,12 @@
 """Closed-form lower bounds for the sum and difference indices.
 
-Three bound families are evaluated: an odd-cycle-count bound on the sum
-index, and two degree-sequence bounds (one per index).  ``bound_report``
-aggregates them into the best integer lower bounds for a graph.
+Four bound families are evaluated: an odd-cycle-count bound on the sum
+index, two degree-sequence bounds (one per index), and the maximum-degree
+bounds (the edges at one vertex carry pairwise distinct sums, and their
+differences coincide only in pairs symmetric about it).  ``best_sm_lower``
+and ``best_df_lower`` combine them into the best integer lower bounds for a
+graph; the solvers start their ascent from exactly these values, and
+``bound_report`` prints them.
 """
 
 from __future__ import annotations
@@ -27,11 +31,6 @@ def _odd_cycle_real(k: int, s: int) -> float:
     if s == 0:
         return 1.0
     return ((4 * k + 2) * s) ** (1.0 / (2 * k + 1)) + 1.0
-
-
-def _odd_cycle_int_bound(g: Graph, k: int) -> int:
-    """Integer strengthening of odd_cycle_bound, 0 when vacuous."""
-    return _odd_cycle_int(k, count_cycles_of_length(g, 2 * k + 1))
 
 
 def _odd_cycle_int(k: int, s: int) -> int:
@@ -71,35 +70,35 @@ def sum_degree_bound(g: Graph) -> int:
     return best
 
 
-def default_max_k_cycles(g: Graph) -> int:
-    # odd cycles of length 2k+1 need at least 2k+1 vertices
-    return max(1, (g.n - 1) // 2)
+def _odd_cycle_counts(g: Graph, max_k_cycles: int | None = None) -> dict[int, int]:
+    """k -> number of cycles of length 2k+1, for k = 1..max_k_cycles.
 
-
-def _odd_cycle_counts(g: Graph, max_k_cycles: int | None) -> dict[int, int]:
-    """k -> number of cycles of length 2k+1, for k = 1..max_k_cycles."""
+    By default k runs up to (n-1)//2 (a cycle of length 2k+1 needs 2k+1
+    vertices), and at least to 1.  Cycles are counted through the module
+    global ``count_cycles_of_length``, so a tracer can rebind it.
+    """
     if max_k_cycles is None:
-        max_k_cycles = default_max_k_cycles(g)
+        max_k_cycles = max(1, (g.n - 1) // 2)
     return {k: count_cycles_of_length(g, 2 * k + 1) for k in range(1, max_k_cycles + 1)}
 
 
-def best_sm_lower(g: Graph, max_k_cycles: int | None = None) -> int:
-    if g.m == 0:
-        return 0
-    return _best_sm_lower(g, _odd_cycle_counts(g, max_k_cycles))
+def best_sm_lower(g: Graph) -> int:
+    """Best sum-index lower bound: maximum degree, sum_degree_bound and
+    every odd-cycle bound.  0 on an edgeless graph."""
+    return _best_sm_lower(g, _odd_cycle_counts(g))
 
 
 def _best_sm_lower(g: Graph, cycle_counts: dict[int, int]) -> int:
-    best = max(1, sum_degree_bound(g))
+    best = max(max(map(len, g.adj), default=0), sum_degree_bound(g))
     for k, s in cycle_counts.items():
         best = max(best, _odd_cycle_int(k, s))
     return best
 
 
 def best_df_lower(g: Graph) -> int:
-    if g.m == 0:
-        return 0
-    return max(1, diff_degree_bound(g))
+    """Best difference-index lower bound: ceil(maximum degree / 2) and
+    diff_degree_bound.  0 on an edgeless graph."""
+    return max((max(map(len, g.adj), default=0) + 1) // 2, diff_degree_bound(g))
 
 
 @dataclass(frozen=True)
@@ -127,20 +126,19 @@ class BoundReport:
 def bound_report(g: Graph, max_k_cycles: int | None = None) -> BoundReport:
     """Evaluate every bound for one graph.
 
-    ``min_degree_bound`` reports the simpler bound df >= min degree, which
-    the k=1 term of diff_degree_bound always dominates.
+    ``best_sm_lower`` and ``best_df_lower`` are the values the solvers
+    ascend from.  ``min_degree_bound`` is the classical sum-number bound
+    sigma >= min degree (Bergstrand et al. 1989), which the sum number's
+    ascent starts from; it is also a difference-index bound, which the k=1
+    term of diff_degree_bound always dominates.
     """
     counts = _odd_cycle_counts(g, max_k_cycles)
-    odd = {k: _odd_cycle_real(k, s) for k, s in counts.items()}
-    ds = degree_sequence(g)
-    if g.m == 0:
-        return BoundReport(emit_graph6(g), odd, 0, 0, 0, 0, 0)
     return BoundReport(
         graph_id=emit_graph6(g),
-        odd_cycle_bounds=odd,
+        odd_cycle_bounds={k: _odd_cycle_real(k, s) for k, s in counts.items()},
         diff_degree_bound=diff_degree_bound(g),
         sum_degree_bound=sum_degree_bound(g),
-        min_degree_bound=ds.min_degree,
+        min_degree_bound=degree_sequence(g).min_degree,
         best_sm_lower=_best_sm_lower(g, counts),
         best_df_lower=best_df_lower(g),
     )

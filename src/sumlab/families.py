@@ -176,20 +176,11 @@ def gnk(n: int, k: int) -> FamilyInstance:
         edges += [(u, vi) for u in u_verts if u not in block]
     g = Graph(total, edges)
     # lexicographically least U labelling subject to: labels are 1..n, and
-    # label n falls on a non-neighbour of v3
-    f = {}
-    if n > 3 * k - 6:
-        last_block3 = 3 * (k - 2) - 1
-        for u in u_verts:
-            if u < last_block3:
-                f[u] = u + 1
-            elif u == last_block3:
-                f[u] = n
-            else:
-                f[u] = u
-    else:
-        for u in u_verts:
-            f[u] = u + 1
+    # label n falls on a non-neighbour of v3: 1..n-1 in vertex order, with n
+    # inserted at the last vertex of the third block
+    u_labels = list(range(1, n))
+    u_labels.insert(3 * (k - 2) - 1, n)
+    f = dict(enumerate(u_labels))
     for idx, w in enumerate(w_verts):
         f[w] = n + 2 + idx
     f[v1], f[v2], f[v3] = n + 1, n + k + 2, n + k + 3

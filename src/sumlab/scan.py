@@ -158,11 +158,12 @@ def scan_conjectures(
         for name, (field, _, _) in CHECKS.items()
         if name in checks
     }
-    # config echo excludes the worker count: reports must not depend on it
+    # config echo excludes the worker count and lists the checks in table
+    # order without repeats: reports must not depend on either
     config = {
         "label_bound": cfg.label_bound,
         "escalate": cfg.escalate,
         "node_budget": cfg.node_budget,
-        "checks": list(checks),
+        "checks": [c for c in CHECKS if c in checks],
     }
     return ScanReport(tuple(records), counterexamples, config)

@@ -52,9 +52,11 @@ labelling in label-ascending order, at the reported r, within the cap of the
 pass that found it; there is no canonical pass.
 
 All four invariants share one ascent-and-escalation driver.  It ascends
-targets from a lower bound: the best closed-form bound and a maximum-degree
-bound for the indices and the exclusive sum number, and the classical
-sigma(G) >= min degree (Bergstrand et al. 1989) for the sum number.  Each
+targets from the lower bound that ``bounds`` reports: ``best_sm_lower``
+(which includes the maximum degree) for the sum index and the exclusive sum
+number, ``best_df_lower`` (which includes half the maximum degree) for the
+difference index, and ``min_degree_bound``, the classical sigma(G) >= min
+degree (Bergstrand et al. 1989), for the sum number.  Each
 round makes two passes.  A cheap pass at a small label cap (2n for the
 indices, 4n for the sum and exclusive sum numbers) finds a value quickly;
 the full range is then searched only for the targets below that value,
@@ -281,9 +283,9 @@ class _IndexSearch:
         self.counter = counter
         self.twins_below = twins_below([sum(1 << u for u in a) for a in g.adj])
 
-    def search(self, budget: int, cap: int,
+    def search(self, target: int, cap: int,
                lexicographic: bool = False) -> list[int] | None:
-        """First labelling with at most ``budget`` distinct edge values and
+        """First labelling with at most ``target`` distinct edge values and
         labels in {floor..cap}, or None when that space is empty.
 
         Feasibility mode (lexicographic=False) pins the first vertex of a
@@ -328,20 +330,23 @@ class _IndexSearch:
         # lies above theirs) and of its higher-index twins (below theirs)
         below = self.twins_below
         twin_lo = [
-            tuple(step[u] for u in range(v) if below[v] >> u & 1 and step[u] < i)
+            [step[u] for u in range(v) if below[v] >> u & 1 and step[u] < i]
             for i, v in enumerate(order)
         ]
         twin_hi = [
             tuple(step[u] for u in range(v + 1, n) if below[u] >> v & 1 and step[u] < i)
             for i, v in enumerate(order)
         ]
-        # the reflection cut: the second twin-free vertex lies above the first
-        twinned = 0
-        for v in range(n):
-            if below[v]:
-                twinned |= below[v] | 1 << v
-        free = [i for i, v in enumerate(order) if not twinned >> v & 1]
-        reflect_at, reflect_over = (free[1], free[0]) if len(free) >= 2 else (-1, 0)
+        if not lexicographic:
+            # the reflection cut: the second twin-free vertex lies above the
+            # first, one more lower bound of the same kind as a twin's
+            twinned = 0
+            for v in range(n):
+                if below[v]:
+                    twinned |= below[v] | 1 << v
+            free = [i for i, v in enumerate(order) if not twinned >> v & 1]
+            if len(free) >= 2:
+                twin_lo[free[1]].append(free[0])
         if self.exclusive:
             non_steps = [
                 tuple(j for j in range(i) if j not in nbr_steps[i]) for i in range(n)
@@ -372,8 +377,6 @@ class _IndexSearch:
                     base &= 1 << floor
             elif i == 0:
                 base &= 1 << width
-            elif i == reflect_at:
-                base &= -(2 << p[reflect_over])
             for j in twin_lo[i]:
                 base &= -(2 << p[j])
             for j in twin_hi[i]:
@@ -415,7 +418,7 @@ class _IndexSearch:
                         x = low.bit_length() - 1
                         new = {abs(x - q) for q in nbl}
                         levels[sum(1 for d in new if not vals >> d & 1)] |= low
-            slack = min(budget - vals.bit_count(), a)
+            slack = min(target - vals.bit_count(), a)
             if lexicographic:
                 union = 0
                 for e in range(slack + 1):
@@ -448,20 +451,6 @@ class _IndexSearch:
         if lexicographic:
             return dfs(0, 0, 0, 0, 0, floor, cap)
         return dfs(0, 0, 0, 0, 0, width, width)
-
-
-def _degree_floor(g: Graph, is_sum: bool) -> int:
-    """Elementary per-vertex lower bound used to seed the search.
-
-    The edges at one vertex carry pairwise distinct sums (their far
-    endpoints are distinct), so the sum count is at least the maximum
-    degree; differences can coincide only in symmetric pairs around the
-    vertex, giving at least ceil(maxdeg / 2) distinct differences.
-    """
-    if g.m == 0:
-        return 0
-    maxdeg = max(len(a) for a in g.adj)
-    return maxdeg if is_sum else (maxdeg + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +581,11 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
     counter = _NodeCounter(cfg.node_budget)
     search = _IndexSearch(g, kind, counter)
     is_sum = kind is LabelKind.SUM
-    lower = max(best_sm_lower(g) if is_sum else best_df_lower(g), _degree_floor(g, is_sum))
     upper, labels = _greedy_upper(g, is_sum)
     spec = _Ascent(
         invariant=name,
         find=search.search,
-        lower=lower,
+        lower=best_sm_lower(g) if is_sum else best_df_lower(g),
         limit=upper,
         cheap_cap=2 * n,
         fallback=labels,
@@ -663,7 +651,7 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     spec = _Ascent(
         invariant="exclusive_sum_number",
         find=search.search,
-        lower=max(1, best_sm_lower(g), _degree_floor(g, True)),
+        lower=best_sm_lower(g),
         limit=g.m + 1,
         cheap_cap=4 * g.n,
         canonical=partial(search.search, lexicographic=True),
@@ -885,7 +873,7 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
         find=_AscendingSumSearch(g, counter).search,
         # sigma(G) >= min degree: the vertex labelled last has all its edge
         # sums above every vertex label (Bergstrand et al. 1989)
-        lower=max(1, degree_sequence(g).min_degree),
+        lower=degree_sequence(g).min_degree,
         limit=g.m + 1,
         cheap_cap=4 * g.n,
         extra=lambda labels: {

@@ -1,24 +1,24 @@
 import pytest
 
 import sumlab as sl
-from sumlab.bounds import _odd_cycle_int_bound
+from sumlab.bounds import _odd_cycle_int
 
 
 def test_odd_cycle_bound_chained():
     g = sl.chained_odd_cycles(1, 2).graph
     assert sl.odd_cycle_bound(g, 1) == pytest.approx(12 ** (1 / 3) + 1)
-    assert _odd_cycle_int_bound(g, 1) == 4
+    assert _odd_cycle_int(1, sl.count_cycles_of_length(g, 3)) == 4
 
 
 def test_odd_cycle_bound_k4():
     g = sl.complete_graph(4)
     assert sl.odd_cycle_bound(g, 1) == pytest.approx(24 ** (1 / 3) + 1)
-    assert _odd_cycle_int_bound(g, 1) == 4
+    assert _odd_cycle_int(1, sl.count_cycles_of_length(g, 3)) == 4
 
 
 def test_odd_cycle_bound_vacuous_on_bipartite():
     assert sl.odd_cycle_bound(sl.prism(4).graph, 1) == 1.0
-    assert _odd_cycle_int_bound(sl.prism(4).graph, 1) == 0
+    assert _odd_cycle_int(1, sl.count_cycles_of_length(sl.prism(4).graph, 3)) == 0
 
 
 def test_odd_cycle_bound_exact_integer_root():
@@ -27,7 +27,7 @@ def test_odd_cycle_bound_exact_integer_root():
     g = sl.chained_odd_cycles(1, 36).graph
     assert sl.count_cycles_of_length(g, 3) == 36
     assert sl.odd_cycle_bound(g, 1) == pytest.approx(7.0)
-    assert _odd_cycle_int_bound(g, 1) == 7
+    assert _odd_cycle_int(1, sl.count_cycles_of_length(g, 3)) == 7
 
 
 def test_odd_cycle_bound_monotone_in_count():
@@ -55,10 +55,25 @@ def test_bound_report_prism():
 
 
 def test_bound_report_edgeless():
-    rep = sl.bound_report(sl.Graph(4))
-    assert rep.best_sm_lower == 0
-    assert rep.best_df_lower == 0
-    assert rep.sum_degree_bound == 0
+    for n in (0, 4):
+        rep = sl.bound_report(sl.Graph(n))
+        assert rep.best_sm_lower == 0
+        assert rep.best_df_lower == 0
+        assert rep.sum_degree_bound == 0
+
+
+@pytest.mark.parametrize("g6, sm, df", [
+    ("Cs", 3, 2),    # K1,3: three distinct sums at the centre
+    ("Ds_", 4, 2),   # K1,4: four sums, differences pair up about the centre
+    ("Bo", 2, 1),    # P3
+])
+def test_best_lower_bounds_include_max_degree(g6, sm, df):
+    g = sl.parse_graph6(g6)
+    rep = sl.bound_report(g)
+    assert (rep.best_sm_lower, rep.best_df_lower) == (sm, df)
+    assert (sl.best_sm_lower(g), sl.best_df_lower(g)) == (sm, df)
+    assert sl.sum_index(g).value == sm
+    assert sl.difference_index(g).value == df
 
 
 def test_bound_report_positive_for_nonempty():

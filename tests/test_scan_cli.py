@@ -81,6 +81,7 @@ def test_benchmark_trace_hooks_still_bind(monkeypatch):
         "solvers.sum_index",
         "solvers.difference_index",
         "bounds.bound_report",
+        "bounds.count_cycles",
         "graphs.parse_graph6",
     }
 
@@ -173,7 +174,7 @@ def test_cli_scan_selected_checks_output(tmp_path, capsys):
     assert lines[1:] == [f"  conj42: 2 counterexample(s): {khat4} Eqjo",
                          "  dflesm: 0 counterexample(s)"]
     report = json.loads(out.read_text())
-    assert report["config"]["checks"] == ["dflesm", "conj42"]
+    assert report["config"]["checks"] == ["conj42", "dflesm"]
     assert report["totals"] == {"graphs": 2, "inconclusive": 0, "counterexamples_42": 2,
                                 "counterexamples_44": 0, "counterexamples_df_le_sm": 0}
     assert report["records"][1]["conj44_holds"] is False
@@ -181,6 +182,29 @@ def test_cli_scan_selected_checks_output(tmp_path, capsys):
     selected = sl.scan_conjectures(graphs, checks=("dflesm", "conj42"))
     assert selected.counterexample_count == 2
     assert sl.scan_conjectures(graphs).counterexample_count == 3
+
+
+@pytest.mark.parametrize("first, second", [
+    ("conj44,conj44", "conj44"),
+    ("dflesm,conj42", "conj42,dflesm"),
+])
+def test_cli_scan_report_ignores_check_order_and_repeats(tmp_path, capsys, first, second):
+    infile = tmp_path / "corpus.g6"
+    _write_g6(infile, [sl.subdivided_complete(4).graph, sl.parse_graph6("Eqjo")])
+    reports = []
+    for checks in (first, second):
+        out = tmp_path / f"{checks}.json"
+        assert main(["scan", "--in", str(infile), "--checks", checks,
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_cli_bounds_prints_max_degree_floor(tmp_path, capsys):
+    infile = tmp_path / "k13.g6"
+    infile.write_text("Cs\n")  # K1,3
+    assert main(["bounds", "--in", str(infile)]) == 0
+    assert "best_sm_lower=3 " in capsys.readouterr().out
 
 
 def test_cli_stanchescu(capsys):
