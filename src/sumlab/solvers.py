@@ -58,15 +58,20 @@ number, ``best_df_lower`` (which includes half the maximum degree) for the
 difference index, and ``min_degree_bound``, the classical sigma(G) >= min
 degree (Bergstrand et al. 1989), for the sum number.  Each
 round makes two passes.  A cheap pass at a small label cap (2n for the
-indices, 4n for the sum and exclusive sum numbers) finds a value quickly;
-the full range is then searched only for the targets below that value,
-since only a full-range search proves a target infeasible.  Index and
-exclusive witnesses are made canonical before those proofs, and again only
-if a proof finds a smaller value, so a node budget that runs out in the
-proofs still leaves a canonical witness.  The indices stop the ascent at a
-greedy labelling's value, which is their result when nothing smaller is
-found.  With escalation the range doubles until the value is the same in
-two consecutive rounds; no search runs twice within one solve.
+indices, 4n for the sum and exclusive sum numbers) ascends to a value
+quickly.  Only a full-range search proves a target infeasible, so the full
+range is then searched descending from just below that value, and only
+while each search finds a labelling: a labelling that reaches t also
+reaches t + 1, so the first target the full range cannot reach proves
+every smaller one infeasible too.  When the cheap value is optimal that is
+one search, a subset of those an ascent would run, so the descent never
+spends more nodes.  Index and exclusive witnesses are made canonical before
+the proofs and after each proof that finds a smaller value, so a node
+budget that runs out in the proofs still leaves a canonical witness.  The
+indices stop the cheap ascent at a greedy labelling's value, which is their
+result when nothing smaller is found.  With escalation the range doubles
+until the value is the same in two consecutive rounds; no search runs twice
+within one solve.
 """
 
 from __future__ import annotations
@@ -106,14 +111,15 @@ class _NodeCounter:
 class SearchConfig:
     """Knobs for the exact searches.
 
-    label_bound: largest label B; defaults to n(n-1)/2 + n for index
-    searches and 4n^2 for sum-number searches.  escalate doubles B until the
-    value is stable across two consecutive rounds.  node_budget caps the
-    total number of search-tree nodes; exceeding it yields a result flagged
-    non-exhaustive, except that a sum-number or exclusive sum number search
-    whose budget runs out before it has found any labelling raises
-    SolverError.  A single solve is sequential; corpus scans take their
-    parallel width from ``scan_conjectures(workers=)``.
+    label_bound: largest label B; defaults to n(n-1)/2 + n for the sum and
+    difference indices and 4n^2 for the sum number and the exclusive sum
+    number.  escalate doubles B until the value is stable across two
+    consecutive rounds.  node_budget caps the total number of search-tree
+    nodes; exceeding it yields a result flagged non-exhaustive, except that
+    a sum-number or exclusive sum number search whose budget runs out before
+    it has found any labelling raises SolverError.  A single solve is
+    sequential; corpus scans take their parallel width from
+    ``scan_conjectures(workers=)``.
     """
 
     label_bound: int | None = None
@@ -463,8 +469,11 @@ class _Ascent:
 
     find(t, cap) returns the first labelling with labels up to cap that
     reaches target t (at most t distinct values, or at most t isolated
-    labels), or None.  The ascent tries t = lower, lower + 1, ... below
-    limit; fallback, if given, is a labelling known to reach limit.
+    labels), or None; it is monotone in t, as a labelling that reaches t
+    also reaches t + 1.  The cheap pass tries t = lower, lower + 1, ...
+    below limit, and the full-range pass descends from below the cheap value
+    to lower at most; fallback, if given, is a labelling known to reach
+    limit.
     canonical(t, cap), if given, returns the lexicographically least
     labelling with labels up to cap that reaches t; the driver asks for it
     at the deterministic cap min(bound, max(2n, max(labels))) of the
@@ -491,14 +500,17 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     """Least target reached within label range ``bound``, escalated on request.
 
     Each round makes two passes over the targets: a cheap pass at
-    min(bound, cheap cap) ascending from the lower bound, whose labelling
-    caps the ascent and survives as an upper bound if the node budget later
-    runs out, then full-bound passes only for the targets below the cheap
-    value, which alone can prove them infeasible.  Where the invariant has a
-    canonical form, the cheap pass's labelling is made canonical before the
-    proofs, and again only if a proof finds a smaller value, so a result
-    cut short by the node budget still carries a canonical witness.  With
-    cfg.escalate the bound doubles until the value is the same in two
+    min(bound, cheap cap) ascending from the lower bound to its least value
+    v, whose labelling survives as an upper bound if the node budget later
+    runs out, then a full-bound pass, which alone can prove a target
+    infeasible, descending from v - 1 while each search finds a labelling.
+    Since find is monotone in t, its first None proves every smaller target
+    infeasible; when v is optimal the pass is the single search at v - 1,
+    never more than an ascent over the targets below v would run.  Where
+    the invariant has a canonical form, the cheap pass's labelling and each
+    labelling the descent finds are made canonical before the next proof, so
+    a result cut short by the node budget still carries a canonical witness.
+    With cfg.escalate the bound doubles until the value is the same in two
     consecutive rounds; a round cut short by the budget keeps an earlier
     round's smaller value and witness.  A search's outcome depends only on
     its target and cap, so no search runs twice within one solve: a later
@@ -516,21 +528,30 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
             outcomes[key] = fn(t, cap)
         return outcomes[key]
 
+    def canonical(t: int, labels: list[int]) -> list[int]:
+        if spec.canonical is None:
+            return labels
+        return run(spec.canonical, t, min(bound, max(2 * len(labels), max(labels))))
+
     while True:
         round_value, round_labels = spec.limit, spec.fallback
-        canonical_value = None
         try:
-            for cap in sorted({min(bound, spec.cheap_cap), bound}):
-                for t in range(spec.lower, round_value):
-                    found = run(spec.find, t, cap)
-                    if found is not None:
-                        round_value, round_labels = t, found
-                        break
-                if spec.canonical is not None and round_labels is not None \
-                        and round_value != canonical_value:
-                    canonical_cap = min(bound, max(2 * len(round_labels), max(round_labels)))
-                    round_labels = run(spec.canonical, round_value, canonical_cap)
-                    canonical_value = round_value
+            cheap_cap = min(bound, spec.cheap_cap)
+            for t in range(spec.lower, round_value):
+                found = run(spec.find, t, cheap_cap)
+                if found is not None:
+                    round_value, round_labels = t, found
+                    break
+            if round_labels is not None:
+                round_labels = canonical(round_value, round_labels)
+            # find is monotone in t, so the first None proves every smaller
+            # target infeasible as well
+            for t in range(round_value - 1, spec.lower - 1, -1):
+                found = run(spec.find, t, bound)
+                if found is None:
+                    break
+                round_value, round_labels = t, found
+                round_labels = canonical(t, found)
         except _NodeBudgetExceeded:
             exhaustive = False
         if round_labels is not None and (value is None or round_value <= value):

@@ -1,11 +1,12 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
-from sumlab import LabelKind, SearchConfig, SolverError
+from sumlab import LabelKind, SearchConfig, SolverError, solvers
 
 
 def _observed(g, res, kind):
@@ -262,3 +263,139 @@ def test_values_invariant_under_reversal_of_twins(connected_by_n):
         h = sl.Graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges])
         for fn in (sl.sum_index, sl.difference_index, sl.exclusive_sum_number):
             assert fn(h).value == fn(g).value, (sl.emit_graph6(g), fn)
+
+
+class _Oracle:
+    """Monotone stand-ins for an invariant's find and canonical searches: a
+    target t is reached at cap c when t is at least the value at c.  Every
+    call is recorded and ticks the node counter once; no search runs."""
+
+    def __init__(self, counter, cheap_cap, cheap_value, value):
+        self.counter = counter
+        self.cheap_cap = cheap_cap
+        self.cheap_value = cheap_value
+        self.value = value
+        self.calls = []
+
+    def find(self, t, cap):
+        self.calls.append(("find", t, cap))
+        self.counter.tick()
+        reached = self.cheap_value if cap <= self.cheap_cap else self.value
+        return [0, 1, 10 + t] if t >= reached else None
+
+    def canonical(self, t, cap):
+        self.calls.append(("canonical", t, cap))
+        self.counter.tick()
+        return [0, 1, 2 + t]
+
+
+def _scripted_solve(cheap_value, value, budget=None, bound=50):
+    counter = solvers._NodeCounter(budget)
+    oracle = _Oracle(counter, 8, cheap_value, value)
+    spec = solvers._Ascent(
+        invariant="scripted", find=oracle.find, lower=1, limit=8, cheap_cap=8,
+        canonical=oracle.canonical,
+    )
+    res = solvers._solve(spec, SearchConfig(node_budget=budget), bound, counter,
+                         time.perf_counter())
+    full = [(t, cap) for what, t, cap in oracle.calls if what == "find" and cap == bound]
+    canonical = [t for what, t, _ in oracle.calls if what == "canonical"]
+    return res, full, canonical
+
+
+def test_proof_pass_stops_at_the_first_infeasible_target():
+    # (a) the cheap value is optimal: one proof, just below it
+    res, full, canonical = _scripted_solve(cheap_value=4, value=4)
+    assert full == [(3, 50)]
+    assert canonical == [4]
+    assert (res.value, res.exhaustive_within_range) == (4, True)
+    assert res.witness.as_dict() == {0: 0, 1: 1, 2: 6}
+    # (b) the proofs keep finding labellings down to 3; the None at 2 ends them
+    res, full, canonical = _scripted_solve(cheap_value=6, value=3)
+    assert full == [(5, 50), (4, 50), (3, 50), (2, 50)]
+    assert canonical == [6, 5, 4, 3]
+    assert (res.value, res.exhaustive_within_range) == (3, True)
+    assert res.witness.as_dict() == {0: 0, 1: 1, 2: 5}
+    # (c) six cheap finds, canonical(6), find(5), canonical(5): the budget of
+    # nine runs out in find(4) and leaves 5 with its canonical witness
+    res, full, canonical = _scripted_solve(cheap_value=6, value=3, budget=9)
+    assert full == [(5, 50), (4, 50)]
+    assert canonical == [6, 5]
+    assert (res.value, res.exhaustive_within_range) == (5, False)
+    assert res.witness.as_dict() == {0: 0, 1: 1, 2: 7}
+    # a find at the lower bound 1 ends the descent; 0 is never searched
+    res, full, canonical = _scripted_solve(cheap_value=3, value=1)
+    assert full == [(2, 50), (1, 50)]
+    assert (res.value, res.exhaustive_within_range) == (1, True)
+
+
+def _spy(monkeypatch, cls):
+    calls = []
+    real = cls.search
+
+    def search(self, t, cap, **kwargs):
+        if not kwargs.get("lexicographic"):
+            calls.append((t, cap))
+        return real(self, t, cap, **kwargs)
+
+    monkeypatch.setattr(cls, "search", search)
+    return calls
+
+
+def test_real_solvers_prove_only_value_minus_one(monkeypatch):
+    # K4: sigma >= min degree 3, the cheap pass (cap 16) finds 5, and the
+    # one full-range proof (cap 4n^2 = 64) is r = 4
+    calls = _spy(monkeypatch, solvers._AscendingSumSearch)
+    res = sl.sum_number(sl.parse_graph6("C~"))
+    assert (res.value, res.exhaustive_within_range) == (5, True)
+    assert [c for c in calls if c[1] == 64] == [(4, 64)]
+    # Eq~w: best_sm_lower 5, the cheap pass (cap 12) finds 7, and the one
+    # full-range proof (cap n(n-1)/2 + n = 21) is t = 6, not 5 and then 6
+    calls = _spy(monkeypatch, solvers._IndexSearch)
+    g = sl.parse_graph6("Eq~w")
+    res = sl.sum_index(g)
+    assert sl.best_sm_lower(g) == 5
+    assert (res.value, res.exhaustive_within_range) == (7, True)
+    assert [c for c in calls if c[1] == 21] == [(6, 21)]
+
+
+def _reference_ascent(g, kind, exclusive, bound):
+    """Value and canonical witness by ascending every target: at the cheap
+    cap, then at the full bound below the cheap value, then the
+    lexicographic search at min(bound, max(2n, max(labels))).  None when no
+    labelling fits."""
+    search = solvers._IndexSearch(g, kind, solvers._NodeCounter(None), exclusive=exclusive)
+    n = g.n
+    lower = sl.best_sm_lower(g) if kind is LabelKind.SUM else sl.best_df_lower(g)
+    value = labels = None
+    top = g.m + 1
+    for cap in (min(bound, 4 * n if exclusive else 2 * n), bound):
+        for t in range(lower, top):
+            found = search.search(t, cap)
+            if found is not None:
+                value, labels, top = t, found, t
+                break
+    if labels is None:
+        return None
+    cap = min(bound, max(2 * n, max(labels)))
+    return value, tuple(search.search(value, cap, lexicographic=True))
+
+
+def test_descent_matches_reference_ascent(connected_by_n):
+    for n in range(2, 6):
+        for g in connected_by_n[n]:
+            for fn, kind, exclusive, default in (
+                (sl.sum_index, LabelKind.SUM, False, n * (n - 1) // 2 + n),
+                (sl.difference_index, LabelKind.DIFF, False, n * (n - 1) // 2 + n),
+                (sl.exclusive_sum_number, LabelKind.SUM, True, 4 * n * n),
+            ):
+                for label_bound in (None, *range(n - 1, 2 * n + 1)):
+                    bound = default if label_bound is None else label_bound
+                    expect = _reference_ascent(g, kind, exclusive, bound)
+                    try:
+                        res = fn(g, SearchConfig(label_bound=label_bound))
+                    except SolverError:
+                        got = None
+                    else:
+                        got = res.value, tuple(res.witness.as_dict()[v] for v in range(n))
+                    assert got == expect, (sl.emit_graph6(g), fn, bound)
