@@ -84,8 +84,25 @@ def _odd_cycle_counts(g: Graph, max_k_cycles: int | None = None) -> dict[int, in
 
 def best_sm_lower(g: Graph) -> int:
     """Best sum-index lower bound: maximum degree, sum_degree_bound and
-    every odd-cycle bound.  0 on an edgeless graph."""
-    return _best_sm_lower(g, _odd_cycle_counts(g))
+    every odd-cycle bound.  0 on an edgeless graph.
+
+    Equals ``bound_report(g).best_sm_lower``, but counts the cycles of a
+    length only when they could raise the bound.  A cycle of length 2k+1 is
+    2(2k+1) closed walks (a start and a direction), so there are at most
+    tr(A^(2k+1)) / (2(2k+1)) of them, and the odd-cycle bound grows with the
+    count: a length whose cap cannot beat the best bound so far is skipped.
+    """
+    best = _best_sm_lower(g, {})
+    n = g.n
+    adj = g.adj
+    walks = [[int(v in adj[u]) for v in range(n)] for u in range(n)]  # A^(2k-1)
+    for k in range(1, max(1, (n - 1) // 2) + 1):
+        for _ in range(2):
+            walks = [[sum(row[w] for w in adj[v]) for v in range(n)] for row in walks]
+        cap = sum(walks[v][v] for v in range(n)) // (4 * k + 2)
+        if _odd_cycle_int(k, cap) > best:
+            best = max(best, _odd_cycle_int(k, count_cycles_of_length(g, 2 * k + 1)))
+    return best
 
 
 def _best_sm_lower(g: Graph, cycle_counts: dict[int, int]) -> int:

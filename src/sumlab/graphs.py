@@ -134,23 +134,30 @@ def is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# graph6 (short form, n <= 62): one printable line per graph.  The first byte
-# is n+63; the upper triangle of the adjacency matrix follows in column-major
-# order (x01, x02, x12, x03, ...), packed big-endian into 6-bit groups, each
-# group offset by 63.  An optional ">>graph6<<" prefix is tolerated.
+# graph6: one printable line per graph.  The line opens with the vertex count
+# N(n): the byte n+63 for n <= 62, else "~" and n in three 6-bit groups (the
+# long form, n <= 258047); the 8-byte "~~" form for larger n is refused.  The
+# upper triangle of the adjacency matrix follows in column-major order (x01,
+# x02, x12, x03, ...), packed big-endian into 6-bit groups, each group offset
+# by 63.  An optional ">>graph6<<" prefix is tolerated.
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+_G6_MAX_N = (1 << 18) - 1
 
 
 def emit_graph6(g: Graph) -> str:
-    if g.n > 62:
-        raise UnsupportedSizeError("graph6 short form supports at most 62 vertices")
-    out = [chr(g.n + 63)]
+    n = g.n
+    if n > _G6_MAX_N:
+        raise UnsupportedSizeError(f"graph6 output supports at most {_G6_MAX_N} vertices")
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
     edge_set = frozenset(g.edges)
     acc = 0
     nbits = 0
-    for j in range(1, g.n):
+    for j in range(1, n):
         for i in range(j):
             acc = (acc << 1) | ((i, j) in edge_set)
             nbits += 1
@@ -171,19 +178,28 @@ def parse_graph6(line: str) -> Graph:
     for pos, ch in enumerate(text):
         if not 63 <= ord(ch) <= 126:
             raise Graph6Error(f"byte {ord(ch)} outside printable graph6 range", pos)
-    first = ord(text[0]) - 63
-    if first == 63:
-        raise Graph6Error("multi-byte vertex counts (n > 62) are not supported", 0)
-    n = first
+    if text[0] != "~":
+        n, start = ord(text[0]) - 63, 1
+    else:
+        # long form: "~" and n in three 6-bit groups
+        if text[1:2] == "~":
+            raise Graph6Error("8-byte vertex counts (n > 258047) are not supported", 1)
+        digits = text[1:4]
+        if len(digits) < 3:
+            raise Graph6Error("truncated vertex count", len(text))
+        n = 0
+        for ch in digits:
+            n = (n << 6) | (ord(ch) - 63)
+        start = 4
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = text[1:]
+    body = text[start:]
     if len(body) < nbytes:
         raise Graph6Error(
             f"truncated bit body: need {nbytes} bytes, got {len(body)}", len(text)
         )
     if len(body) > nbytes:
-        raise Graph6Error("trailing bytes after bit body", 1 + nbytes)
+        raise Graph6Error("trailing bytes after bit body", start + nbytes)
     bits = 0
     for ch in body:
         bits = (bits << 6) | (ord(ch) - 63)

@@ -24,12 +24,15 @@ the twin order.
 Candidate labels are generated as Python-int bitmasks, after the shift-
 register bitmaps of optimal Golomb ruler search (Rankin 1993): the labels a
 vertex may take to reuse an edge value at a placed neighbour are the value
-set shifted by that neighbour's label, counted per candidate in at-least-k
-masks, and the exclusive constraint is an AND-NOT of shifted edge-sum and
-non-edge-sum masks.  Candidates come with the fewest new edge values first,
-then smallest label, and a branch never exceeds the target number of
-distinct values.  ``nodes_expanded`` counts the placements that survive
-these mask filters.
+set shifted by that neighbour's label, and the exclusive constraint is an
+AND-NOT of shifted edge-sum and non-edge-sum masks.  A branch never exceeds
+the target number of distinct values, so a vertex may add at most its slack
+s (the target less the values so far) new ones.  Its candidates' misses
+(edges onto no old value) are therefore counted in s + 1 masks only, one
+per usable level, which with no slack is a chain of ANDs; a vertex with no
+candidate ends its branch before any level is built.  Candidates come with
+the fewest new edge values first, then smallest label.  ``nodes_expanded``
+counts the placements that survive these mask filters.
 
 Witnesses are canonicalised to the lexicographically least optimal labelling
 (by vertex order) within a deterministic label cap, found by the same DFS
@@ -278,6 +281,10 @@ class _IndexSearch:
     Python int: the placed labels, the edge values, and in exclusive mode the
     non-edge sums.  Candidate labels for a vertex come from shifting those
     masks by its placed neighbours' labels, so no label is scanned one by one.
+    Per vertex, the candidates that miss the old edge values at most e times
+    are kept for e = 0..slack only, where slack is the number of new values
+    the target still allows; a vertex with none left ends its branch there,
+    before the candidate groups and the masks a placement needs are built.
     """
 
     def __init__(self, g: Graph, kind: LabelKind, counter: _NodeCounter,
@@ -299,10 +306,13 @@ class _IndexSearch:
         vertex only the labels that keep the span within cap - floor.
         Candidates come in order of fewest new edge values, then smallest
         label, and the witness is translated so that its least label is the
-        floor.  Lexicographic mode is the same DFS over the fixed window
-        {floor..cap}, in vertex order 0..n-1 with ascending labels, so the
-        first solution is the lexicographically least labelling using the
-        floor label.
+        floor.  A candidate's number of new values is its miss count,
+        except in difference mode at the midpoint of two placed neighbours'
+        labels, where their two differences coincide and the exact count is
+        taken instead.  Lexicographic mode is the same DFS over the fixed
+        window {floor..cap}, in vertex order 0..n-1 with ascending labels,
+        so the first solution is the lexicographically least labelling using
+        the floor label.
 
         Swapping the labels of twins u, v (N(u) - {v} = N(v) - {u}) keeps
         the edge values and the exclusive condition, so both modes keep
@@ -376,7 +386,6 @@ class _IndexSearch:
                 least = min(p)
                 return [p[step[v]] - least + floor for v in range(n)]
             nbl = [p[j] for j in nbr_steps[i]]
-            a = len(nbl)
             base = ((1 << (lo + width + 1)) - (1 << (hi - width))) & ~used
             if lexicographic:
                 if i == n - 1 and not used >> floor & 1:
@@ -387,51 +396,60 @@ class _IndexSearch:
                 base &= -(2 << p[j])
             for j in twin_hi[i]:
                 base &= (1 << p[j]) - 1
-            non_mask = 0
             if exclusive:
                 for q in nbl:
                     base &= ~(nes >> q)
                 for j in non_steps[i]:
-                    q = p[j]
-                    base &= ~(vals >> q)
-                    non_mask |= 1 << q
-            nbr_mask = 0
-            for q in nbl:
-                nbr_mask |= 1 << q
-            # atleast[k]: candidates whose edges reuse at least k old values
-            atleast = [base] + [0] * a
-            for k, q in enumerate(nbl, 1):
-                hit = vals >> q if is_sum else (vals << q) | (rvals >> (top - q))
-                for c in range(k, 0, -1):
-                    atleast[c] |= atleast[c - 1] & hit
-            atleast.append(0)
-            # levels[e]: candidates adding exactly e new edge values
-            levels = [atleast[a - e] & ~atleast[a - e + 1] for e in range(a + 1)]
-            if not is_sum and a >= 2:
-                # two new differences coincide exactly at a midpoint
-                mids = 0
-                for s in range(a):
-                    for r in range(s + 1, a):
-                        t = nbl[s] + nbl[r]
-                        if not t & 1:
-                            mids |= 1 << (t >> 1)
+                    base &= ~(vals >> p[j])
+            slack = min(target - vals.bit_count(), len(nbl))
+            # Two new differences coincide exactly at a midpoint of two placed
+            # neighbours' labels, where the miss count below counts one new
+            # value twice.  With no slack the correction changes nothing: a
+            # candidate adds no new value exactly when it misses nothing.
+            mids = 0
+            if not is_sum and slack:
+                for s, q in enumerate(nbl):
+                    for r in nbl[s + 1:]:
+                        if not (q + r) & 1:
+                            mids |= 1 << ((q + r) >> 1)
                 mids &= base
-                if mids:
-                    levels = [lev & ~mids for lev in levels]
-                    while mids:
-                        low = mids & -mids
-                        mids ^= low
-                        x = low.bit_length() - 1
-                        new = {abs(x - q) for q in nbl}
-                        levels[sum(1 for d in new if not vals >> d & 1)] |= low
-            slack = min(target - vals.bit_count(), a)
+            # within[e]: candidates whose edges miss the old values at most e
+            # times; one that misses more than slack times cannot be placed.
+            # within[slack] only shrinks, so the count stops once it is empty.
+            within = [base] * (slack + 1)
+            for q in nbl:
+                hit = vals >> q if is_sum else (vals << q) | (rvals >> (top - q))
+                for e in range(slack, 0, -1):
+                    within[e] = within[e - 1] | (within[e] & hit)
+                within[0] &= hit
+                if not within[slack]:
+                    break
+            if not (within[slack] | mids):
+                return None
+            # candidate groups: one per number of new edge values in
+            # feasibility mode, all of them at once in lexicographic mode
             if lexicographic:
-                union = 0
-                for e in range(slack + 1):
-                    union |= levels[e]
-                groups = [union]
+                groups = [within[slack]]
             else:
-                groups = levels[:slack + 1]
+                groups = [within[0]] + [within[e] & ~within[e - 1] for e in range(1, slack + 1)]
+            if mids:
+                # each midpoint moves to the group of its exact count, and
+                # joins one if that count fits the slack
+                groups = [c & ~mids for c in groups]
+                while mids:
+                    low = mids & -mids
+                    mids ^= low
+                    x = low.bit_length() - 1
+                    e = sum(1 for d in {abs(x - q) for q in nbl} if not vals >> d & 1)
+                    if e <= slack:
+                        groups[0 if lexicographic else e] |= low
+            nbr_mask = non_mask = 0
+            if is_sum:
+                for q in nbl:
+                    nbr_mask |= 1 << q
+            if exclusive:
+                for j in non_steps[i]:
+                    non_mask |= 1 << p[j]
             for cands in groups:
                 while cands:
                     low = cands & -cands

@@ -1,6 +1,7 @@
 import pytest
 
 import sumlab as sl
+from sumlab import bounds
 from sumlab.bounds import _odd_cycle_int
 
 
@@ -89,6 +90,37 @@ def test_degree_bounds_leave_gap_on_subdivided_clique_pair():
     rep = sl.bound_report(kk.graph)
     assert rep.best_sm_lower <= 5
     assert sl.sum_index(kk.graph).value == 5
+
+
+def test_best_sm_lower_matches_bound_report(connected_by_n):
+    # best_sm_lower skips the cycle lengths whose closed-walk cap cannot
+    # raise the bound; bound_report counts every length
+    for graphs in connected_by_n.values():
+        for g in graphs:
+            assert sl.best_sm_lower(g) == sl.bound_report(g).best_sm_lower
+
+
+def test_best_sm_lower_skips_hopeless_cycle_lengths(monkeypatch):
+    counted = []
+    real = bounds.count_cycles_of_length
+
+    def spy(g, length):
+        counted.append(length)
+        return real(g, length)
+
+    monkeypatch.setattr(bounds, "count_cycles_of_length", spy)
+    # 21 triangles in 43 vertices: (6 * 21)^(1/3) + 1 rounds up to 7, and
+    # no longer odd cycle exists, so only the triangles are counted
+    assert sl.best_sm_lower(sl.chained_odd_cycles(1, 21).graph) == 7
+    assert counted == [3]
+
+
+def test_bound_report_beyond_short_graph6():
+    # 117 = 64 + 53 vertices: graph_id needs the graph6 long form "~?@t...".
+    # 58 triangles give (6 * 58)^(1/3) + 1 = 8.03, so the integer bound is 9
+    rep = sl.bound_report(sl.chained_odd_cycles(1, 58).graph, max_k_cycles=1)
+    assert rep.graph_id.startswith("~?@t")
+    assert rep.best_sm_lower == 9
 
 
 def test_bounds_sound_vs_exact(connected_by_n):

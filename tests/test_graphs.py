@@ -71,8 +71,22 @@ def test_emit_graph6_known():
 
 
 def test_emit_graph6_size_limit():
+    # the 4-byte long form holds n <= 2^18 - 1; larger graphs would need the
+    # 8-byte form, which is neither read nor written
     with pytest.raises(UnsupportedSizeError):
-        sl.emit_graph6(Graph(63))
+        sl.emit_graph6(Graph(1 << 18))
+
+
+def test_graph6_long_form():
+    # n = 63 is "~" and the groups 0, 0, 63; 63 * 62 / 2 bits fill 326 bytes
+    assert sl.emit_graph6(Graph(63)) == "~??~" + "?" * 326
+    assert sl.parse_graph6("~??~" + "?" * 326) == Graph(63)
+    with pytest.raises(Graph6Error, match="8-byte"):
+        sl.parse_graph6("~~?????~" + "?" * 326)
+    with pytest.raises(Graph6Error):
+        sl.parse_graph6("~??")
+    with pytest.raises(Graph6Error):
+        sl.parse_graph6("~??~" + "?" * 325)
 
 
 def test_graph6_round_trip(connected_by_n):
@@ -115,6 +129,16 @@ def test_graph6_agrees_with_networkx(connected_by_n, connected_7):
         for density in (0.1, 0.5, 0.9):
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
             _check_graph6_against_networkx(nx, Graph(n, edges))
+
+
+def test_graph6_long_form_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(117)
+    for n in (62, 63, 117):
+        for density in (0.0, 0.1, 0.5):
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+            _check_graph6_against_networkx(nx, Graph(n, edges))
+    _check_graph6_against_networkx(nx, sl.chained_odd_cycles(1, 58).graph)
 
 
 # ---------------------------------------------------------------------------

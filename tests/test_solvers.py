@@ -399,3 +399,40 @@ def test_descent_matches_reference_ascent(connected_by_n):
                     else:
                         got = res.value, tuple(res.witness.as_dict()[v] for v in range(n))
                     assert got == expect, (sl.emit_graph6(g), fn, bound)
+
+
+# nodes_expanded of sum_index, difference_index and exclusive_sum_number, each
+# at the default config and at node_budget=300 (301 when the budget runs out,
+# None when it runs out before any exclusive labelling is found).  These pin
+# the search trees, which a change to how candidates are computed must keep;
+# a change that alters a tree on purpose updates the pins.
+_TREE_PINS = {
+    # twins
+    "K1,4": ("Ds_", (5, 5, 191, 191, 10, 10)),
+    "K1,5": ("Esa?", (6, 6, 869, 301, 12, 12)),
+    "K4-e": ("C}", (4, 4, 25, 25, 8, 8)),
+    "K2,3": ("D]o", (783, 301, 194, 194, 25261, None)),
+    "Dr{": ("Dr{", (402, 301, 84, 84, 2002, None)),
+    "Esxw": ("Esxw", (4775, 301, 952, 301, 113217, None)),
+    # twin-free
+    "C5": ("Dhc", (152, 152, 5, 5, 427, 301)),
+    "C6": ("EhEG", (65, 65, 6, 6, 76, 76)),
+    "P5": ("DhC", (42, 42, 5, 5, 68, 68)),
+    "house": ("Dhs", (1802, 301, 21, 21, 1291, 301)),
+    "prism3": ("E{Sw", (185, 185, 6, 6, 519, 301)),
+    "bull": ("DyG", (191, 191, 5, 5, 610, 301)),
+}
+
+
+@pytest.mark.parametrize("name", list(_TREE_PINS))
+def test_search_trees_are_pinned(name):
+    g6, pins = _TREE_PINS[name]
+    g = sl.parse_graph6(g6)
+    got = []
+    for solve in (sl.sum_index, sl.difference_index, sl.exclusive_sum_number):
+        for cfg in (SearchConfig(), SearchConfig(node_budget=300)):
+            try:
+                got.append(solve(g, cfg).nodes_expanded)
+            except SolverError:
+                got.append(None)
+    assert tuple(got) == pins
