@@ -65,6 +65,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
         witness = " ".join(f"{v}={x}" for v, x in res.witness.items)
         note = "exhaustive" if res.exhaustive_within_range else "budget-limited"
         print(f"{res.invariant} = {res.value}  [{note} within labels <= {res.range_used}]")
+        if res.range_free:
+            print("  exact at any label range")
         print(f"  witness: {witness}")
         if res.isolated_labels is not None:
             print(f"  isolated labels: {' '.join(map(str, res.isolated_labels))}")

@@ -4,7 +4,9 @@ Sum/difference index: labels range over {0..B}.  Sum number and exclusive
 sum number: labels range over {1..B} (the sum-graph definition requires
 positive integers).  The latter two are reported as upper bounds that are
 exhaustive within the range, since no finite label bound certifying global
-optimality is known.
+optimality is known.  A value that equals its lower bound is exact at any
+range, and so is an exclusive sum number whose next smaller target the
+edge-partition refutation of ``partition`` rules out (``range_free``).
 
 The sum index, difference index and exclusive sum number share one search
 kernel.  All three are invariant under translating the labels, under
@@ -71,6 +73,10 @@ one search, a subset of those an ascent would run, so the descent never
 spends more nodes.  Index and exclusive witnesses are made canonical before
 the proofs and after each proof that finds a smaller value, so a node
 budget that runs out in the proofs still leaves a canonical witness.  The
+exclusive sum number's proof step first tries the range-free refutation of
+the target by edge partitions, which ticks the same node counter; a refuted
+target ends the descent, as refutation too is monotone in t, and only a
+target it cannot refute goes on to the full-range label search.  The
 indices stop the cheap ascent at a greedy labelling's value, which is their
 result when nothing smaller is found.  With escalation the range doubles
 until the value is the same in two consecutive rounds; no search runs twice
@@ -87,6 +93,7 @@ from typing import Callable
 from .bounds import best_df_lower, best_sm_lower
 from .graphs import Graph, degree_sequence, is_connected, twins_below
 from .labelling import LabelKind, VertexLabelling
+from .partition import refute_exclusive
 
 
 class SolverError(ValueError):
@@ -163,7 +170,12 @@ class ExclusiveWitness:
 
 @dataclass(frozen=True)
 class IndexResult:
-    """A computed invariant value with its witness and search provenance."""
+    """A computed invariant value with its witness and search provenance.
+
+    range_free: the value is exact at any label range, since it equals the
+    lower bound the ascent starts from, or the invariant's refutation ruled
+    out the next smaller value.
+    """
 
     invariant: str
     value: int
@@ -175,6 +187,7 @@ class IndexResult:
     wall_ms: float
     isolated_labels: tuple[int, ...] | None = None
     exclusive: ExclusiveWitness | None = None
+    range_free: bool = False
 
     def to_json_dict(self) -> dict:
         out = {
@@ -184,6 +197,7 @@ class IndexResult:
             "range_used": self.range_used,
             "escalation_trace": [list(t) for t in self.escalation_trace],
             "exhaustive": self.exhaustive_within_range,
+            "range_free": self.range_free,
             "nodes_expanded": self.nodes_expanded,
             "wall_ms": self.wall_ms,
         }
@@ -496,10 +510,13 @@ class _Ascent:
     labelling with labels up to cap that reaches t; the driver asks for it
     at the deterministic cap min(bound, max(2n, max(labels))) of the
     labelling found, which uses the least label and fits under that cap, so
-    one always exists.  extra(labels) gives the invariant's own IndexResult
-    fields.  what names the labelling in the SolverError raised when no
-    round finds one (only the positive-label invariants, whose ascent has
-    no fallback, can get there).
+    one always exists.  refute(t), if given, is True only when no labelling
+    at any cap reaches t, so it implies find(t, cap) is None for every cap;
+    the descent asks it before each full-range find.  A value at lower, or
+    one whose t - 1 is refuted, is reported range_free.  extra(labels)
+    gives the invariant's own IndexResult fields.  what names the labelling
+    in the SolverError raised when no round finds one (only the
+    positive-label invariants, whose ascent has no fallback, can get there).
     """
 
     invariant: str
@@ -509,6 +526,7 @@ class _Ascent:
     cheap_cap: int
     fallback: list[int] | None = None
     canonical: Callable[[int, int], list[int]] | None = None
+    refute: Callable[[int], bool] | None = None
     extra: Callable[[list[int]], dict] | None = None
     what: str = ""
 
@@ -524,7 +542,9 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     infeasible, descending from v - 1 while each search finds a labelling.
     Since find is monotone in t, its first None proves every smaller target
     infeasible; when v is optimal the pass is the single search at v - 1,
-    never more than an ascent over the targets below v would run.  Where
+    never more than an ascent over the targets below v would run.  Where the
+    invariant supplies a refutation, a refuted target ends the descent
+    before its full-range search, at any bound.  Where
     the invariant has a canonical form, the cheap pass's labelling and each
     labelling the descent finds are made canonical before the next proof, so
     a result cut short by the node budget still carries a canonical witness.
@@ -532,18 +552,18 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     consecutive rounds; a round cut short by the budget keeps an earlier
     round's smaller value and witness.  A search's outcome depends only on
     its target and cap, so no search runs twice within one solve: a later
-    round reuses the earlier rounds' cheap pass and, while its cap is
-    unchanged, their canonical search.
+    round reuses the earlier rounds' cheap pass, their refutations and,
+    while its cap is unchanged, their canonical search.
     """
     trace: list[tuple[int, int]] = []
     value = labels = None
     exhaustive = True
-    outcomes: dict[tuple, list[int] | None] = {}
+    outcomes: dict[tuple, object] = {}
 
-    def run(fn: Callable[[int, int], list[int] | None], t: int, cap: int):
-        key = (fn, t, cap)
+    def run(fn: Callable, *args: int):
+        key = (fn, *args)
         if key not in outcomes:
-            outcomes[key] = fn(t, cap)
+            outcomes[key] = fn(*args)
         return outcomes[key]
 
     def canonical(t: int, labels: list[int]) -> list[int]:
@@ -565,6 +585,8 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
             # find is monotone in t, so the first None proves every smaller
             # target infeasible as well
             for t in range(round_value - 1, spec.lower - 1, -1):
+                if spec.refute is not None and run(spec.refute, t):
+                    break
                 found = run(spec.find, t, bound)
                 if found is None:
                     break
@@ -593,6 +615,8 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
         ):
             break
         bound *= 2
+    # range-free: nothing below the lower bound, or value - 1 refuted
+    refuted = outcomes.get((spec.refute, value - 1)) is True
     return IndexResult(
         invariant=spec.invariant,
         value=value,
@@ -602,6 +626,7 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
         exhaustive_within_range=exhaustive,
         nodes_expanded=counter.nodes,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
+        range_free=value == spec.lower or refuted,
         **(spec.extra(labels) if spec.extra is not None else {}),
     )
 
@@ -670,8 +695,11 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     f(u)+f(v) in T, over injective assignments into {1..B}.
 
     Since the sum index never exceeds it, the search ascends from the sum
-    index's lower bounds.  Reported as an upper bound exhaustive within the
-    range; disjointness of S and T is not required.
+    index's lower bounds.  The proof step refutes targets by edge
+    partitions (see ``partition``), which needs no label range, before it
+    searches the full range; a value proven that way or equal to the lower
+    bound is flagged ``range_free``, any other is an upper bound exhaustive
+    within the range.  Disjointness of S and T is not required.
     """
     _require_connected(g, "exclusive_sum_number")
     cfg = cfg or SearchConfig()
@@ -694,6 +722,7 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
         limit=g.m + 1,
         cheap_cap=4 * g.n,
         canonical=partial(search.search, lexicographic=True),
+        refute=partial(refute_exclusive, g, tick=counter.tick),
         extra=extra,
         what="exclusive sum",
     )

@@ -106,6 +106,21 @@ def test_cli_index_sum_prism(tmp_path, capsys):
     assert data["results"][0]["exhaustive"] is True
 
 
+def test_cli_index_exclusive_says_range_free(tmp_path, capsys):
+    # eps(Ds{) = 5 rests on a range-free refutation of 4; cut short by the
+    # budget inside that refutation, it is exact only within the range
+    infile = tmp_path / "ds.g6"
+    _write_g6(infile, [sl.parse_graph6("Ds{")])
+    for extra, range_free in (([], True), (["--budget", "890"], False)):
+        out = tmp_path / "res.json"
+        rc = main(["index", "exclusive", "--in", str(infile), "--json", str(out), *extra])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert "exclusive_sum_number = 5" in printed
+        assert ("exact at any label range" in printed) is range_free
+        assert json.loads(out.read_text())["results"][0]["range_free"] is range_free
+
+
 def test_cli_index_edges_format(tmp_path, capsys):
     infile = tmp_path / "k2.edges"
     infile.write_text("n 2\n0 1\n")

@@ -221,11 +221,15 @@ def test_escalation_repeats_no_search():
 
 
 def test_budget_cut_keeps_canonical_witness():
-    # the budget runs out in the full-range proofs; the cheap pass's raw
-    # witness is S = (1, 2, 3, 19, 20), its canonical form (1, 2, 3, 4, 6)
+    # the cheap and canonical passes take 884 nodes and the range-free
+    # refutation of 4 the last 11, so the budget runs out in the proof step;
+    # the cheap pass's raw witness is S = (1, 2, 3, 19, 20), its canonical
+    # form (1, 2, 3, 4, 6)
     g = sl.parse_graph6("Ds{")
-    res = sl.exclusive_sum_number(g, SearchConfig(node_budget=2_000))
+    res = sl.exclusive_sum_number(g, SearchConfig(node_budget=890))
+    assert res.nodes_expanded == 891
     assert not res.exhaustive_within_range
+    assert not res.range_free
     assert res.exclusive.S == (1, 2, 3, 4, 6)
     assert res.witness == sl.exclusive_sum_number(g).witness
     res.exclusive.validate(g)
@@ -289,16 +293,16 @@ class _Oracle:
         return [0, 1, 2 + t]
 
 
-def _scripted_solve(cheap_value, value, budget=None, bound=50):
+def _scripted_solve(cheap_value, value, budget=None, bound=50, refute=None, escalate=False):
     counter = solvers._NodeCounter(budget)
     oracle = _Oracle(counter, 8, cheap_value, value)
     spec = solvers._Ascent(
         invariant="scripted", find=oracle.find, lower=1, limit=8, cheap_cap=8,
-        canonical=oracle.canonical,
+        canonical=oracle.canonical, refute=refute,
     )
-    res = solvers._solve(spec, SearchConfig(node_budget=budget), bound, counter,
-                         time.perf_counter())
-    full = [(t, cap) for what, t, cap in oracle.calls if what == "find" and cap == bound]
+    res = solvers._solve(spec, SearchConfig(escalate=escalate, node_budget=budget), bound,
+                         counter, time.perf_counter())
+    full = [(t, cap) for what, t, cap in oracle.calls if what == "find" and cap >= bound]
     canonical = [t for what, t, _ in oracle.calls if what == "canonical"]
     return res, full, canonical
 
@@ -327,6 +331,31 @@ def test_proof_pass_stops_at_the_first_infeasible_target():
     res, full, canonical = _scripted_solve(cheap_value=3, value=1)
     assert full == [(2, 50), (1, 50)]
     assert (res.value, res.exhaustive_within_range) == (1, True)
+
+
+def test_refutation_ends_the_descent():
+    # refute(t) holds below 4: each full-range find waits for a refutation
+    # that fails, the first refuted target ends the descent, and the second
+    # escalation round reuses every refutation of the first
+    asked = []
+
+    def refute(t):
+        asked.append(t)
+        return t < 4
+
+    res, full, canonical = _scripted_solve(cheap_value=6, value=4, refute=refute, escalate=True)
+    assert asked == [5, 4, 3]
+    assert full == [(5, 50), (4, 50), (5, 100), (4, 100)]
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (4, True, True)
+    assert res.escalation_trace == ((50, 4), (100, 4))
+    # a refutation that never fires leaves the proof to find, which proves
+    # the value only within the range
+    res, full, _ = _scripted_solve(cheap_value=6, value=4, refute=lambda t: t < 2)
+    assert full == [(5, 50), (4, 50), (3, 50)]
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (4, True, False)
+    # a value at the lower bound needs no refutation to be range-free
+    res, _, _ = _scripted_solve(cheap_value=3, value=1)
+    assert res.range_free
 
 
 def _spy(monkeypatch, cls):
@@ -411,9 +440,9 @@ _TREE_PINS = {
     "K1,4": ("Ds_", (5, 5, 191, 191, 10, 10)),
     "K1,5": ("Esa?", (6, 6, 869, 301, 12, 12)),
     "K4-e": ("C}", (4, 4, 25, 25, 8, 8)),
-    "K2,3": ("D]o", (783, 301, 194, 194, 25261, None)),
+    "K2,3": ("D]o", (783, 301, 194, 194, 915, None)),
     "Dr{": ("Dr{", (402, 301, 84, 84, 2002, None)),
-    "Esxw": ("Esxw", (4775, 301, 952, 301, 113217, None)),
+    "Esxw": ("Esxw", (4775, 301, 952, 301, 11705, None)),
     # twin-free
     "C5": ("Dhc", (152, 152, 5, 5, 427, 301)),
     "C6": ("EhEG", (65, 65, 6, 6, 76, 76)),

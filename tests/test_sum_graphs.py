@@ -6,7 +6,8 @@ from itertools import combinations, permutations
 import pytest
 
 import sumlab as sl
-from sumlab import LabelKind, SearchConfig, SolverError
+from sumlab import LabelKind, SearchConfig, SolverError, solvers
+from sumlab.partition import refute_exclusive
 
 
 def _check_sum_graph(g, res):
@@ -279,12 +280,14 @@ def test_sum_number_budget_in_full_range_proof_flags_upper_bound():
 
 
 def test_exclusive_budget_in_full_range_proof_flags_upper_bound():
-    # the cheap pass at cap 20 finds eps(Dv{) = 6 in about 2k nodes; proving
-    # 5 infeasible over the default range 1..100 takes about 43k more
+    # the cheap pass at cap 20 finds eps(Dv{) = 6, and with the canonical
+    # pass that takes 591 nodes; the range-free refutation of 5 takes 59 more
     g = sl.parse_graph6("Dv{")
-    res = sl.exclusive_sum_number(g, SearchConfig(node_budget=5_000))
+    res = sl.exclusive_sum_number(g, SearchConfig(node_budget=620))
     assert res.value == 6
+    assert res.nodes_expanded == 621
     assert not res.exhaustive_within_range
+    assert not res.range_free
     assert res.range_used == 100
     res.exclusive.validate(g)
 
@@ -314,6 +317,74 @@ def test_exclusive_matches_assignment_enumeration(connected_by_n):
             assert res.exhaustive_within_range
             assert res.value == value
             assert tuple(res.witness.as_dict()[v] for v in range(n)) == witness
+
+
+def test_refutation_spares_every_found_labelling(connected_by_n):
+    # refute(t) claims that no labelling at any range reaches t, so it must
+    # fail wherever brute force over {1..2n} finds one, and hold below the
+    # sum index's lower bound
+    for n in range(2, 5):
+        for g in connected_by_n[n]:
+            value, _ = _eps_by_assignments(g, 2 * n)
+            lower = sl.best_sm_lower(g)
+            for t in range(g.m + 1):
+                if t >= value:
+                    assert not refute_exclusive(g, t), (sl.emit_graph6(g), t)
+                elif t < lower:
+                    assert refute_exclusive(g, t), (sl.emit_graph6(g), t)
+
+
+def _eps_by_label_search(g):
+    """The exclusive sum number within labels 1..4n^2 by the label search
+    alone: ascend at cap 4n, then descend at the full cap while labellings
+    are found."""
+    search = solvers._IndexSearch(g, LabelKind.SUM, solvers._NodeCounter(None), exclusive=True)
+    lower = sl.best_sm_lower(g)
+    t = lower
+    while search.search(t, 4 * g.n) is None:
+        t += 1
+    while t > lower and search.search(t - 1, 4 * g.n ** 2) is not None:
+        t -= 1
+    return t
+
+
+def test_refutation_proves_the_label_search_values(connected_by_n):
+    # every connected graph on 2-5 vertices whose exclusive sum number lies
+    # above the sum index's lower bound has eps - 1 refuted, and eps never;
+    # two relabellings of each graph give the same answers
+    rng = random.Random(29)
+    graphs = [g for n in range(2, 6) for g in connected_by_n[n]]
+    assert len(graphs) == 30
+    above = 0
+    for g in graphs:
+        eps = _eps_by_label_search(g)
+        assert not refute_exclusive(g, eps), sl.emit_graph6(g)
+        if eps > sl.best_sm_lower(g):
+            above += 1
+            assert refute_exclusive(g, eps - 1), sl.emit_graph6(g)
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = sl.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            for t in (eps - 1, eps):
+                assert refute_exclusive(h, t) == refute_exclusive(g, t), (sl.emit_graph6(g), perm)
+    assert above > 0
+
+
+@pytest.mark.parametrize(
+    "text,eps,sm",
+    # the six connected graphs on 6 vertices with eps = sm + 1, and the two
+    # on 7 vertices with eps = sm + 2
+    [("EsZ_", 5, 4), ("Esz_", 6, 5), ("Es^o", 6, 5), ("Es^w", 7, 6), ("Es~w", 8, 7),
+     ("EqzW", 6, 5), ("Fqzmw", 9, 7), ("Fqz^w", 9, 7)],
+)
+def test_exclusive_exceeds_sum_index(text, eps, sm):
+    g = sl.parse_graph6(text)
+    res = sl.exclusive_sum_number(g)
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (eps, True, True)
+    res.exclusive.validate(g)
+    index = sl.sum_index(g)
+    assert (index.value, index.exhaustive_within_range) == (sm, True)
 
 
 def test_realize_gplus_examples():
