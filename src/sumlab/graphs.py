@@ -133,6 +133,23 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
+def bfs_order(g: Graph) -> list[int]:
+    """The vertices in breadth-first order from the least-index vertex of
+    maximum degree, neighbours in index order, then the vertices that search
+    did not reach, in index order."""
+    if g.n == 0:
+        return []
+    start = max(range(g.n), key=lambda v: (len(g.adj[v]), -v))
+    order = [start]
+    seen = {start}
+    for v in order:
+        for w in g.adj[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order + [v for v in range(g.n) if v not in seen]
+
+
 # ---------------------------------------------------------------------------
 # graph6: one printable line per graph.  The line opens with the vertex count
 # N(n): the byte n+63 for n <= 62, else "~" and n in three 6-bit groups (the

@@ -136,27 +136,8 @@ def verify_certificate(c: Certificate) -> CertificateVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Text/JSON formats
+# JSON formats
 # ---------------------------------------------------------------------------
-
-def labelling_to_text(f: VertexLabelling) -> str:
-    return "\n".join(f"{v} {x}" for v, x in f.items) + "\n"
-
-
-def labelling_from_text(text: str) -> VertexLabelling:
-    values: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if len(tokens) != 2:
-            raise LabellingError(f"expected 'vertex value' on line {lineno}")
-        try:
-            values[int(tokens[0])] = int(tokens[1])
-        except ValueError:
-            raise LabellingError(f"bad integer on line {lineno}") from None
-    return VertexLabelling.from_dict(values)
-
 
 def certificates_to_json(certs: list[Certificate]) -> str:
     return json.dumps([c.to_json_dict() for c in certs], indent=2) + "\n"

@@ -18,80 +18,57 @@ proves the exclusive sum number above t at every label range.
 The search assigns the edges, in breadth-first order, to classes numbered
 by first use.  A class is a matching, since two adjacent edges with equal
 sums would give two vertices equal labels, so that is checked before any
-elimination.  R is kept in reduced echelon form with integer rows; its
-free coordinates x_j set to B^j give a point of V whose labels, scaled to
-integers, tell the forbidden normals apart: B exceeds four times every
-coefficient, so two sums of two labels are equal exactly when their
-difference is a normal in R.  Adding an edge either adds no new row, or
-adds one and the labels are recomputed and checked; opening a class checks
-its representative's sum against the non-edge sums.  A prefix that fails
-fails in every extension, as extensions only add rows and normals.
+algebra.  V is kept as each label's integer linear form in free
+coordinates x_j, which parametrise it; a normal w lies in R exactly when
+the form sum_u w_u f_u is zero.  Setting x_j = B^j, with B above
+four times every coefficient, gives labels that tell the forbidden normals
+apart: two sums of two labels are equal exactly when their difference is
+a normal in R.  Adding an edge either adds an equation the forms already
+satisfy, or one that is solved for a coordinate, substituted into every
+form, and checked on the new labels; opening a class checks its
+representative's sum against the non-edge sums.  A prefix that fails fails
+in every extension, as extensions only add equations and normals.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Callable
 
-from .graphs import Graph
+from .graphs import Graph, bfs_order
 
 
 def _bfs_edges(g: Graph) -> list[tuple[int, int]]:
-    """The edges of connected g by the breadth-first positions of their later
-    and then their earlier end, from a vertex of maximum degree, so that
-    edges sharing an end come close together."""
-    start = max(range(g.n), key=lambda v: (len(g.adj[v]), -v))
-    order = [start]
-    pos = {start: 0}
-    for v in order:
-        for w in g.adj[v]:
-            if w not in pos:
-                pos[w] = len(order)
-                order.append(w)
+    """The edges of g by the breadth-first positions of their later and then
+    their earlier end, so that edges sharing an end come close together."""
+    pos = {v: i for i, v in enumerate(bfs_order(g))}
     return sorted(g.edges, key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]])))
 
 
-def _normalised(row: list[int], pivot: int) -> list[int]:
-    k = gcd(*row)
-    if row[pivot] < 0:
-        k = -k
-    return [x // k for x in row]
+def _substituted(forms: list[list[int]], eq: list[int]) -> list[list[int]]:
+    """The forms with eq = 0 solved for one coordinate and substituted.
 
-
-def _with_row(rows: list[tuple[int, list[int]]], w: list[int]) -> list | None:
-    """The reduced echelon rows of R + <w>, or None when w already lies in R.
-
-    Each row is (pivot, row) with a positive pivot entry and zeros at every
-    other row's pivot; elimination stays in the integers."""
-    for p, r in rows:
-        c = w[p]
-        if c:
-            a = r[p]
-            w = [a * x - c * y for x, y in zip(w, r)]
-    q = next((j for j, x in enumerate(w) if x), None)
+    The pivot is a coordinate with coefficient +-1 where there is one, so
+    that the forms without that coordinate stay as they are; otherwise every
+    form is scaled by the pivot and all are divided by their gcd."""
+    q = next((j for j, x in enumerate(eq) if x == 1 or x == -1), None)
     if q is None:
-        return None
-    w = _normalised(w, q)
-    out = []
-    for p, r in rows:
-        c = r[q]
-        if c:
-            r = _normalised([w[q] * x - c * y for x, y in zip(r, w)], p)
-        out.append((p, r))
-    out.append((q, w))
-    return out
+        q = next(j for j, x in enumerate(eq) if x)
+    if eq[q] < 0:
+        eq = [-x for x in eq]
+    p = eq[q]
+    if p == 1:
+        return [[x - f[q] * y for x, y in zip(f, eq)] if f[q] else f for f in forms]
+    forms = [[p * x - f[q] * y for x, y in zip(f, eq)] for f in forms]
+    k = gcd(*(x for f in forms for x in f))
+    return [[x // k for x in f] for f in forms]
 
 
-def _generic_labels(n: int, rows: list[tuple[int, list[int]]]) -> list[int]:
-    """Each vertex's label, times the pivots' lcm d, at the point of the
-    null space with x_j = B^j on the free coordinates j."""
-    d = lcm(*(r[p] for p, r in rows))
-    coeffs = [{u: d} for u in range(n)]
-    for p, r in rows:
-        k = d // r[p]
-        coeffs[p] = {j: -k * x for j, x in enumerate(r) if x and j != p}
-    shift = max(abs(x) for c in coeffs for x in c.values()).bit_length() + 2
-    return [sum(x << (shift * j) for j, x in c.items()) for c in coeffs]
+def _packed(forms: list[list[int]]) -> list[int]:
+    """Each label at x_j = B^j, with B a power of two above four times every
+    coefficient."""
+    shift = max(abs(x) for f in forms for x in f).bit_length() + 2
+    return [sum(x << (shift * j) for j, x in enumerate(f) if x) for f in forms]
 
 
 def refute_exclusive(g: Graph, t: int, tick: Callable[[], None] = lambda: None) -> bool:
@@ -108,9 +85,9 @@ def refute_exclusive(g: Graph, t: int, tick: Callable[[], None] = lambda: None) 
     reps: list[tuple[int, int]] = []  # each class's first edge
     masks: list[int] = []  # each class's ends
 
-    # rows: R in reduced echelon form; labels: the generic point's labels;
-    # nsums: its non-edge sums
-    def dfs(i: int, rows: list, labels: list[int], nsums: set[int]) -> bool:
+    # forms: each label's linear form; labels: their packed values;
+    # nsums: the labels' non-edge sums
+    def dfs(i: int, forms: list, labels: list[int], nsums: set[int]) -> bool:
         if i == len(edges):
             return True
         c, d = edges[i]
@@ -120,21 +97,19 @@ def refute_exclusive(g: Graph, t: int, tick: Callable[[], None] = lambda: None) 
                 continue
             tick()
             a, b = reps[k]
-            w = [0] * n  # the class is a matching, so a, b, c, d differ
-            w[c] = w[d] = 1
-            w[a] = w[b] = -1
-            grown = _with_row(rows, w)
-            if grown is None:
-                nrows, nlabels, nnsums = rows, labels, nsums
-            else:
-                nrows, nlabels = grown, _generic_labels(n, grown)
+            eq = [w + x - y - z for w, x, y, z in zip(forms[c], forms[d], forms[a], forms[b])]
+            if any(eq):
+                nforms = _substituted(forms, eq)
+                nlabels = _packed(nforms)
                 if len(set(nlabels)) < n:
                     continue
                 nnsums = {nlabels[u] + nlabels[v] for u, v in non_edges}
                 if any(nlabels[x] + nlabels[y] in nnsums for x, y in reps):
                     continue
+            else:
+                nforms, nlabels, nnsums = forms, labels, nsums
             masks[k] |= ends
-            found = dfs(i + 1, nrows, nlabels, nnsums)
+            found = dfs(i + 1, nforms, nlabels, nnsums)
             masks[k] ^= ends
             if found:
                 return True
@@ -143,12 +118,13 @@ def refute_exclusive(g: Graph, t: int, tick: Callable[[], None] = lambda: None) 
             if labels[c] + labels[d] not in nsums:
                 reps.append((c, d))
                 masks.append(ends)
-                found = dfs(i + 1, rows, labels, nsums)
+                found = dfs(i + 1, forms, labels, nsums)
                 reps.pop()
                 masks.pop()
                 if found:
                     return True
         return False
 
-    labels = _generic_labels(n, [])
-    return not dfs(0, [], labels, {labels[u] + labels[v] for u, v in non_edges})
+    forms = [[int(u == j) for j in range(n)] for u in range(n)]
+    labels = _packed(forms)
+    return not dfs(0, forms, labels, {labels[u] + labels[v] for u, v in non_edges})

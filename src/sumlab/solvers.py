@@ -91,7 +91,7 @@ from functools import partial
 from typing import Callable
 
 from .bounds import best_df_lower, best_sm_lower
-from .graphs import Graph, degree_sequence, is_connected, twins_below
+from .graphs import Graph, bfs_order, degree_sequence, is_connected, twins_below
 from .labelling import LabelKind, VertexLabelling
 from .partition import refute_exclusive
 
@@ -219,6 +219,8 @@ class IndexResult:
 def _branch_order(g: Graph) -> list[int]:
     """Static assignment order: seed at a maximum-degree vertex, then grow by
     (most ordered neighbours, degree, lowest index) so propagation bites early.
+    Twins tie on both of the first keys while unplaced, so they come in index
+    order.
     """
     n = g.n
     if n == 0:
@@ -255,35 +257,12 @@ def _greedy_upper(g: Graph, is_sum: bool) -> tuple[int, list[int]]:
     """Cheap upper bound: best of a few order-based labellings (labels 0..n-1)."""
     n = g.n
     candidates = [list(range(n))]
-    order = _branch_order(g)
-    by_order = [0] * n
-    for i, v in enumerate(order):
-        by_order[v] = i
-    candidates.append(by_order)
-    # BFS order from the branch seed
-    seen = {order[0]} if n else set()
-    bfs = list(seen)
-    qi = 0
-    while qi < len(bfs):
-        for w in g.adj[bfs[qi]]:
-            if w not in seen:
-                seen.add(w)
-                bfs.append(w)
-        qi += 1
-    for v in range(n):
-        if v not in seen:
-            bfs.append(v)
-            seen.add(v)
-    by_bfs = [0] * n
-    for i, v in enumerate(bfs):
-        by_bfs[v] = i
-    candidates.append(by_bfs)
-    best = None
-    for f in candidates:
-        val = _labelling_value(g, f, is_sum)
-        if best is None or val < best[0]:
-            best = (val, f)
-    return best
+    for order in (_branch_order(g), bfs_order(g)):
+        f = [0] * n
+        for i, v in enumerate(order):
+            f[v] = i
+        candidates.append(f)
+    return min(((_labelling_value(g, f, is_sum), f) for f in candidates), key=lambda c: c[0])
 
 
 class _IndexSearch:
@@ -331,17 +310,17 @@ class _IndexSearch:
         Swapping the labels of twins u, v (N(u) - {v} = N(v) - {u}) keeps
         the edge values and the exclusive condition, so both modes keep
         twins u < v in index order, f(u) < f(v): a placed twin's label
-        bounds the candidates from below or above.  In lexicographic mode
-        that loses nothing: swapping an out-of-order twin pair gives a smaller
-        labelling, so the least one is twin-sorted.  Feasibility mode also
-        cuts reflection (f -> -f), which reverses every twin order, so the
-        cut is placed between the first two twin-free vertices a, b of the
-        branch order: f(b) > f(a).  The two cuts are compatible.  Sort each
-        twin class of any labelling, which leaves a and b alone; if now
-        f(b) < f(a), reflect and sort again, giving -f(b) > -f(a).
-        Translation preserves both cuts.  With fewer than two twin-free
-        vertices there is no reflection cut; a twin-free graph is searched
-        exactly as without the twin order.
+        bounds the candidates from below; both orders place lower-index
+        twins first.  In lexicographic mode that loses nothing: swapping an
+        out-of-order twin pair gives a smaller labelling, so the least one
+        is twin-sorted.  Feasibility mode also cuts reflection (f -> -f),
+        which reverses every twin order, so the cut is placed between the
+        first two twin-free vertices a, b of the branch order: f(b) > f(a).
+        The two cuts are compatible.  Sort each twin class of any
+        labelling, which leaves a and b alone; if now f(b) < f(a), reflect
+        and sort again, giving -f(b) > -f(a).  Translation preserves both
+        cuts.  With fewer than two twin-free vertices there is no reflection
+        cut; a twin-free graph is searched exactly as without the twin order.
         """
         g = self.g
         n = g.n
@@ -356,17 +335,10 @@ class _IndexSearch:
         nbr_steps = [
             tuple(step[u] for u in g.adj[v] if step[u] < i) for i, v in enumerate(order)
         ]
-        # per step, the earlier steps of its lower-index twins (its label
-        # lies above theirs) and of its higher-index twins (below theirs)
+        # per step, the steps of its lower-index twins (its label lies above
+        # theirs); both orders place them earlier
         below = self.twins_below
-        twin_lo = [
-            [step[u] for u in range(v) if below[v] >> u & 1 and step[u] < i]
-            for i, v in enumerate(order)
-        ]
-        twin_hi = [
-            tuple(step[u] for u in range(v + 1, n) if below[u] >> v & 1 and step[u] < i)
-            for i, v in enumerate(order)
-        ]
+        twin_lo = [[step[u] for u in range(v) if below[v] >> u & 1] for v in order]
         if not lexicographic:
             # the reflection cut: the second twin-free vertex lies above the
             # first, one more lower bound of the same kind as a twin's
@@ -408,8 +380,6 @@ class _IndexSearch:
                 base &= 1 << width
             for j in twin_lo[i]:
                 base &= -(2 << p[j])
-            for j in twin_hi[i]:
-                base &= (1 << p[j]) - 1
             if exclusive:
                 for q in nbl:
                     base &= ~(nes >> q)

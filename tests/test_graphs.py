@@ -5,6 +5,7 @@ import pytest
 
 import sumlab as sl
 from sumlab import Graph, Graph6Error, EdgeListError, UnsupportedSizeError
+from sumlab.graphs import bfs_order
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +194,16 @@ def test_handshake(connected_by_n):
     for graphs in connected_by_n.values():
         for g in graphs:
             assert sum(sl.degree_sequence(g).degrees) == 2 * g.m
+
+
+def test_bfs_order():
+    assert bfs_order(Graph(0)) == []
+    # 0, 2 and 4 tie at maximum degree 2, so the search starts at 0
+    assert bfs_order(Graph(5, [(2, 4), (2, 0), (4, 1), (0, 3)])) == [0, 2, 3, 4, 1]
+    # stars at 1 and 4 tie at degree 3; the unreached star follows in index
+    # order, not breadth-first from its centre
+    stars = Graph(8, [(1, 7), (1, 3), (1, 5), (4, 6), (4, 0), (4, 2)])
+    assert bfs_order(stars) == [1, 3, 5, 7, 0, 2, 4, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ from sumlab import Certificate, LabelKind, LabellingError, VertexLabelling
 from sumlab.labelling import (
     certificates_from_json,
     certificates_to_json,
-    labelling_from_text,
-    labelling_to_text,
 )
 
 
@@ -101,11 +99,6 @@ def test_diff_labels_always_positive(connected_by_n):
         for g in rng.sample(connected_by_n[n], min(5, len(connected_by_n[n]))):
             e = sl.derive_edge_labelling(g, _random_injective(rng, n), LabelKind.DIFF)
             assert all(x >= 1 for x in e.values())
-
-
-def test_labelling_text_round_trip():
-    f = _labelling({0: -3, 1: 7, 2: 0})
-    assert labelling_from_text(labelling_to_text(f)) == f
 
 
 def test_certificate_json_round_trip():

@@ -118,7 +118,46 @@ def test_cli_index_exclusive_says_range_free(tmp_path, capsys):
         printed = capsys.readouterr().out
         assert "exclusive_sum_number = 5" in printed
         assert ("exact at any label range" in printed) is range_free
-        assert json.loads(out.read_text())["results"][0]["range_free"] is range_free
+        res = json.loads(out.read_text())["results"][0]
+        assert res["range_free"] is range_free
+        assert res["exclusive"] == {
+            "S": [1, 2, 3, 4, 6],
+            "T": [3, 4, 5, 7, 9],
+            "assignment": res["witness"],
+        }
+        assert "isolated_labels" not in res
+
+
+def test_cli_index_sumnumber_and_bounds_json(tmp_path, capsys):
+    # sigma(P3) = 1: labels 1, 2, 3 give edge sums 3 and 5, and 5 needs an
+    # isolated vertex
+    infile = tmp_path / "p3.g6"
+    _write_g6(infile, [sl.path_graph(3)])
+    out = tmp_path / "res.json"
+    assert main(["index", "sumnumber", "--in", str(infile), "--json", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "sum_number = 1" in printed
+    assert "  isolated labels: 5\n" in printed
+    res = json.loads(out.read_text())["results"][0]
+    assert res["isolated_labels"] == [5]
+    assert res["witness"] == {"0": 1, "1": 2, "2": 3}
+    assert "exclusive" not in res
+
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--in", str(infile), "--json", str(out)]) == 0
+    assert "Bg: best_sm_lower=2 best_df_lower=1" in capsys.readouterr().out
+    assert json.loads(out.read_text()) == {
+        "schema": 1,
+        "reports": [{
+            "graph_id": "Bg",
+            "odd_cycle_bounds": {"1": 1.0},
+            "diff_degree_bound": 1,
+            "sum_degree_bound": 1,
+            "min_degree_bound": 1,
+            "best_sm_lower": 2,
+            "best_df_lower": 1,
+        }],
+    }
 
 
 def test_cli_index_edges_format(tmp_path, capsys):

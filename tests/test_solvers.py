@@ -259,9 +259,30 @@ def test_canonical_witnesses_keep_twins_in_order(connected_by_n):
             assert all(f[u] < f[v] for u, v in _twin_pairs(g)), (sl.emit_graph6(g), fn)
 
 
+def test_branch_order_places_lower_index_twins_first(connected_by_n):
+    # the index search bounds a twin's label below by the labels of its
+    # lower-index twins, read when it is placed, so they must come earlier
+    rng = random.Random(29)
+    pairs = 0
+    for n in range(2, 7):
+        for g in connected_by_n[n]:
+            for k in range(3):
+                perm = list(range(n))
+                if k:
+                    rng.shuffle(perm)
+                h = sl.Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+                step = {v: i for i, v in enumerate(solvers._branch_order(h))}
+                for u, v in _twin_pairs(h):
+                    assert step[u] < step[v], (sl.emit_graph6(h), u, v)
+                    pairs += 1
+    # relabelling keeps the number of twin pairs: 271 over the classes
+    assert pairs == 3 * 271
+
+
 def test_values_invariant_under_reversal_of_twins(connected_by_n):
-    # reversing the vertex order flips every twin pair, so the searches on
-    # the reversed graph place each twin below its placed higher-index twins
+    # reversing the vertex order swaps which vertex of each twin pair has
+    # the lower index, so the searches on the reversed graph keep each pair
+    # in the opposite labelling order, and must reach the same values
     for g in _graphs_with_twins(connected_by_n):
         n = g.n
         h = sl.Graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges])

@@ -1,6 +1,7 @@
 """Sum number, exclusive sum number, and the G_+(S, T) realisation."""
 
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -69,6 +70,21 @@ def test_exclusive_p3():
     res = sl.exclusive_sum_number(sl.path_graph(3))
     assert res.value == 2
     res.exclusive.validate(sl.path_graph(3))
+
+
+@pytest.mark.parametrize("S, T, message", [
+    ((1, 2, 4), (3, 5), "assignment image differs from S"),
+    ((1, 2, 3), (5,), r"edge \(0,1\) sums outside T"),
+    ((1, 2, 3), (3, 4, 5), r"non-edge \(0,2\) sums into T"),
+    ((1, 2, 3), (3, 5, 9), "T is not exactly the set of edge sums"),
+])
+def test_exclusive_witness_validate_rejects_tampering(S, T, message):
+    # P3 labelled 1, 2, 3 is realised by S = (1, 2, 3), T = (3, 5)
+    g = sl.path_graph(3)
+    good = sl.ExclusiveWitness(S=(1, 2, 3), T=(3, 5), assignment=((0, 1), (1, 2), (2, 3)))
+    good.validate(g)
+    with pytest.raises(SolverError, match=message):
+        replace(good, S=S, T=T).validate(g)
 
 
 def test_exclusive_k4_matches_sum_index():
