@@ -44,12 +44,22 @@ def _odd_cycle_int(k: int, s: int) -> int:
         return 0
     m = (4 * k + 2) * s
     e = 2 * k + 1
-    r = round(m ** (1.0 / e))
-    while r**e > m:
-        r -= 1
-    while (r + 1) ** e <= m:
-        r += 1
+    r = _iroot(m, e)
     return r + 1 if r**e == m else r + 2
+
+
+def _iroot(m: int, e: int) -> int:
+    """floor(m^(1/e)) for integers m >= 0, e >= 1, exactly: Newton's method
+    in integers, from 2^ceil(bits/e) > m^(1/e), descends to it (no floats,
+    so m may exceed the float range)."""
+    if m < 2:
+        return m
+    r = 1 << -(-m.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + m // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 def diff_degree_bound(g: Graph) -> int:
@@ -91,12 +101,18 @@ def best_sm_lower(g: Graph) -> int:
     2(2k+1) closed walks (a start and a direction), so there are at most
     tr(A^(2k+1)) / (2(2k+1)) of them, and the odd-cycle bound grows with the
     count: a length whose cap cannot beat the best bound so far is skipped.
+    Since tr(A^L) <= n * D^L (D the maximum degree), no length L or longer
+    gives more than floor(D * n^(1/L)) + 2, which never grows with L, so the
+    walks stop once that envelope cannot beat the best bound.
     """
     best = _best_sm_lower(g, {})
     n = g.n
     adj = g.adj
+    top = max(map(len, adj), default=0)
     walks = [[int(v in adj[u]) for v in range(n)] for u in range(n)]  # A^(2k-1)
     for k in range(1, max(1, (n - 1) // 2) + 1):
+        if _iroot(n * top ** (2 * k + 1), 2 * k + 1) + 2 <= best:
+            break
         for _ in range(2):
             walks = [[sum(row[w] for w in adj[v]) for v in range(n)] for row in walks]
         cap = sum(walks[v][v] for v in range(n)) // (4 * k + 2)

@@ -4,9 +4,10 @@ Sum/difference index: labels range over {0..B}.  Sum number and exclusive
 sum number: labels range over {1..B} (the sum-graph definition requires
 positive integers).  The latter two are reported as upper bounds that are
 exhaustive within the range, since no finite label bound certifying global
-optimality is known.  A value that equals its lower bound is exact at any
-range, and so is an exclusive sum number whose next smaller target the
-edge-partition refutation of ``partition`` rules out (``range_free``).
+optimality is known.  A value that equals the lower bound its ascent starts
+from is exact at any range (``range_free``); the exclusive sum number's
+lower bound is the least target that the edge-partition refutation of
+``partition`` does not rule out.
 
 The sum index, difference index and exclusive sum number share one search
 kernel.  All three are invariant under translating the labels, under
@@ -57,26 +58,24 @@ labelling in label-ascending order, at the reported r, within the cap of the
 pass that found it; there is no canonical pass.
 
 All four invariants share one ascent-and-escalation driver.  It ascends
-targets from the lower bound that ``bounds`` reports: ``best_sm_lower``
-(which includes the maximum degree) for the sum index and the exclusive sum
-number, ``best_df_lower`` (which includes half the maximum degree) for the
-difference index, and ``min_degree_bound``, the classical sigma(G) >= min
-degree (Bergstrand et al. 1989), for the sum number.  Each
-round makes two passes.  A cheap pass at a small label cap (2n for the
-indices, 4n for the sum and exclusive sum numbers) ascends to a value
-quickly.  Only a full-range search proves a target infeasible, so the full
-range is then searched descending from just below that value, and only
-while each search finds a labelling: a labelling that reaches t also
-reaches t + 1, so the first target the full range cannot reach proves
-every smaller one infeasible too.  When the cheap value is optimal that is
-one search, a subset of those an ascent would run, so the descent never
-spends more nodes.  Index and exclusive witnesses are made canonical before
+targets from a lower bound: ``best_sm_lower`` (which includes the maximum
+degree) for the sum index, ``best_df_lower`` (which includes half the
+maximum degree) for the difference index, and ``min_degree_bound``, the
+classical sigma(G) >= min degree (Bergstrand et al. 1989), for the sum
+number, all as ``bounds`` reports them.  The exclusive sum number ascends
+from its range-free floor: the least t >= ``best_sm_lower`` that
+``partition.refute_exclusive`` does not refute, found before the driver
+runs and on the same node counter.  Each round makes two passes.  A cheap
+pass at a small label cap (2n for the indices, 4n for the sum and exclusive
+sum numbers) ascends to a value quickly.  Only a full-range search proves a
+target infeasible, so the full range is then searched descending from just
+below that value, and only while each search finds a labelling: a
+labelling that reaches t also reaches t + 1, so the first target the full
+range cannot reach proves every smaller one infeasible too.  When the
+cheap value is optimal that is one search, a subset of those an ascent
+would run, so the descent never spends more nodes.  Index and exclusive witnesses are made canonical before
 the proofs and after each proof that finds a smaller value, so a node
 budget that runs out in the proofs still leaves a canonical witness.  The
-exclusive sum number's proof step first tries the range-free refutation of
-the target by edge partitions, which ticks the same node counter; a refuted
-target ends the descent, as refutation too is monotone in t, and only a
-target it cannot refute goes on to the full-range label search.  The
 indices stop the cheap ascent at a greedy labelling's value, which is their
 result when nothing smaller is found.  With escalation the range doubles
 until the value is the same in two consecutive rounds; no search runs twice
@@ -173,8 +172,10 @@ class IndexResult:
     """A computed invariant value with its witness and search provenance.
 
     range_free: the value is exact at any label range, since it equals the
-    lower bound the ascent starts from, or the invariant's refutation ruled
-    out the next smaller value.
+    lower bound the ascent starts from (for the exclusive sum number, the
+    least target the edge-partition refutation does not rule out).  With
+    exhaustive_within_range False it is still exact, but the node budget ran
+    out before the witness was made canonical.
     """
 
     invariant: str
@@ -480,10 +481,8 @@ class _Ascent:
     labelling with labels up to cap that reaches t; the driver asks for it
     at the deterministic cap min(bound, max(2n, max(labels))) of the
     labelling found, which uses the least label and fits under that cap, so
-    one always exists.  refute(t), if given, is True only when no labelling
-    at any cap reaches t, so it implies find(t, cap) is None for every cap;
-    the descent asks it before each full-range find.  A value at lower, or
-    one whose t - 1 is refuted, is reported range_free.  extra(labels)
+    one always exists.  No labelling at any cap reaches a target below
+    lower, so a value at lower is reported range_free.  extra(labels)
     gives the invariant's own IndexResult fields.  what names the labelling
     in the SolverError raised when no round finds one (only the
     positive-label invariants, whose ascent has no fallback, can get there).
@@ -496,9 +495,16 @@ class _Ascent:
     cheap_cap: int
     fallback: list[int] | None = None
     canonical: Callable[[int, int], list[int]] | None = None
-    refute: Callable[[int], bool] | None = None
     extra: Callable[[list[int]], dict] | None = None
     what: str = ""
+
+
+def _budget_error(counter: _NodeCounter, what: str, bound: int) -> SolverError:
+    return SolverError(
+        f"node budget of {counter.budget} ran out after {counter.nodes} nodes "
+        f"before any {what} labelling within label range 1..{bound} was found; "
+        "raise the node budget"
+    )
 
 
 def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
@@ -512,9 +518,7 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     infeasible, descending from v - 1 while each search finds a labelling.
     Since find is monotone in t, its first None proves every smaller target
     infeasible; when v is optimal the pass is the single search at v - 1,
-    never more than an ascent over the targets below v would run.  Where the
-    invariant supplies a refutation, a refuted target ends the descent
-    before its full-range search, at any bound.  Where
+    never more than an ascent over the targets below v would run.  Where
     the invariant has a canonical form, the cheap pass's labelling and each
     labelling the descent finds are made canonical before the next proof, so
     a result cut short by the node budget still carries a canonical witness.
@@ -522,8 +526,8 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     consecutive rounds; a round cut short by the budget keeps an earlier
     round's smaller value and witness.  A search's outcome depends only on
     its target and cap, so no search runs twice within one solve: a later
-    round reuses the earlier rounds' cheap pass, their refutations and,
-    while its cap is unchanged, their canonical search.
+    round reuses the earlier rounds' cheap pass and, while its cap is
+    unchanged, their canonical search.
     """
     trace: list[tuple[int, int]] = []
     value = labels = None
@@ -555,8 +559,6 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
             # find is monotone in t, so the first None proves every smaller
             # target infeasible as well
             for t in range(round_value - 1, spec.lower - 1, -1):
-                if spec.refute is not None and run(spec.refute, t):
-                    break
                 found = run(spec.find, t, bound)
                 if found is None:
                     break
@@ -570,11 +572,7 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
             trace.append((bound, value))
         if value is None:
             if not exhaustive:
-                raise SolverError(
-                    f"node budget of {counter.budget} ran out after {counter.nodes} "
-                    f"nodes before any {spec.what} labelling within label range "
-                    f"1..{bound} was found; raise the node budget"
-                )
+                raise _budget_error(counter, spec.what, bound)
             if not cfg.escalate:
                 raise SolverError(
                     f"no {spec.what} labelling within label range 1..{bound}; "
@@ -585,8 +583,6 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
         ):
             break
         bound *= 2
-    # range-free: nothing below the lower bound, or value - 1 refuted
-    refuted = outcomes.get((spec.refute, value - 1)) is True
     return IndexResult(
         invariant=spec.invariant,
         value=value,
@@ -596,7 +592,7 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
         exhaustive_within_range=exhaustive,
         nodes_expanded=counter.nodes,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
-        range_free=value == spec.lower or refuted,
+        range_free=value == spec.lower,
         **(spec.extra(labels) if spec.extra is not None else {}),
     )
 
@@ -664,12 +660,13 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     """Least |T| with the graph realised on vertex labels S, edges uv iff
     f(u)+f(v) in T, over injective assignments into {1..B}.
 
-    Since the sum index never exceeds it, the search ascends from the sum
-    index's lower bounds.  The proof step refutes targets by edge
-    partitions (see ``partition``), which needs no label range, before it
-    searches the full range; a value proven that way or equal to the lower
-    bound is flagged ``range_free``, any other is an upper bound exhaustive
-    within the range.  Disjointness of S and T is not required.
+    The search ascends from the least target t at or above the sum index's
+    lower bound that the edge-partition refutation (see ``partition``) does
+    not rule out: no labelling at any label range has fewer values, and
+    some labelling at some range has t.  A value at that floor is flagged
+    ``range_free``; any other is an upper bound exhaustive within the range.
+    A node budget that runs out before the floor is found raises
+    SolverError.  Disjointness of S and T is not required.
     """
     _require_connected(g, "exclusive_sum_number")
     cfg = cfg or SearchConfig()
@@ -677,6 +674,12 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     t0 = time.perf_counter()
     counter = _NodeCounter(cfg.node_budget)
     search = _IndexSearch(g, LabelKind.SUM, counter, exclusive=True)
+    lower = best_sm_lower(g)
+    try:
+        while refute_exclusive(g, lower, tick=counter.tick):
+            lower += 1
+    except _NodeBudgetExceeded:
+        raise _budget_error(counter, "exclusive sum", bound) from None
 
     def extra(labels: list[int]) -> dict:
         return {"exclusive": ExclusiveWitness(
@@ -688,11 +691,10 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     spec = _Ascent(
         invariant="exclusive_sum_number",
         find=search.search,
-        lower=best_sm_lower(g),
+        lower=lower,
         limit=g.m + 1,
         cheap_cap=4 * g.n,
         canonical=partial(search.search, lexicographic=True),
-        refute=partial(refute_exclusive, g, tick=counter.tick),
         extra=extra,
         what="exclusive sum",
     )

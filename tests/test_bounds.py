@@ -109,10 +109,14 @@ def test_best_sm_lower_skips_hopeless_cycle_lengths(monkeypatch):
         return real(g, length)
 
     monkeypatch.setattr(bounds, "count_cycles_of_length", spy)
-    # 21 triangles in 43 vertices: (6 * 21)^(1/3) + 1 rounds up to 7, and
-    # no longer odd cycle exists, so only the triangles are counted
-    assert sl.best_sm_lower(sl.chained_odd_cycles(1, 21).graph) == 7
-    assert counted == [3]
+    # s triangles in 2s + 1 vertices: (6s)^(1/3) + 1 rounds up to 7 at
+    # s = 21 and to 9 at s = 58, and no longer odd cycle exists, so only the
+    # triangles are counted; at s = 58 no length from 7 on can give more
+    # than floor(4 * 117^(1/7)) + 2 = 9, so the walks stop there
+    for s, expect in ((21, 7), (58, 9)):
+        counted.clear()
+        assert sl.best_sm_lower(sl.chained_odd_cycles(1, s).graph) == expect
+        assert counted == [3]
 
 
 def test_bound_report_beyond_short_graph6():

@@ -107,24 +107,29 @@ def test_cli_index_sum_prism(tmp_path, capsys):
 
 
 def test_cli_index_exclusive_says_range_free(tmp_path, capsys):
-    # eps(Ds{) = 5 rests on a range-free refutation of 4; cut short by the
-    # budget inside that refutation, it is exact only within the range
-    infile = tmp_path / "ds.g6"
-    _write_g6(infile, [sl.parse_graph6("Ds{")])
-    for extra, range_free in (([], True), (["--budget", "890"], False)):
+    # eps(Ds{) = 5 is the least target the partition refutation leaves, so
+    # it is exact at any range; sm(Eq~w) = 7 lies above its lower bound 5,
+    # so it is exact only within the range
+    for g6, invariant, printed_value, range_free in (
+        ("Ds{", "exclusive", "exclusive_sum_number = 5", True),
+        ("Eq~w", "sum", "sum_index = 7", False),
+    ):
+        infile = tmp_path / "g.g6"
+        _write_g6(infile, [sl.parse_graph6(g6)])
         out = tmp_path / "res.json"
-        rc = main(["index", "exclusive", "--in", str(infile), "--json", str(out), *extra])
+        rc = main(["index", invariant, "--in", str(infile), "--json", str(out)])
         assert rc == 0
         printed = capsys.readouterr().out
-        assert "exclusive_sum_number = 5" in printed
+        assert printed_value in printed
         assert ("exact at any label range" in printed) is range_free
         res = json.loads(out.read_text())["results"][0]
         assert res["range_free"] is range_free
-        assert res["exclusive"] == {
-            "S": [1, 2, 3, 4, 6],
-            "T": [3, 4, 5, 7, 9],
-            "assignment": res["witness"],
-        }
+        if invariant == "exclusive":
+            assert res["exclusive"] == {
+                "S": [1, 2, 3, 4, 6],
+                "T": [3, 4, 5, 7, 9],
+                "assignment": res["witness"],
+            }
         assert "isolated_labels" not in res
 
 

@@ -221,18 +221,15 @@ def test_escalation_repeats_no_search():
 
 
 def test_budget_cut_keeps_canonical_witness():
-    # the cheap and canonical passes take 884 nodes and the range-free
-    # refutation of 4 the last 11, so the budget runs out in the proof step;
-    # the cheap pass's raw witness is S = (1, 2, 3, 19, 20), its canonical
-    # form (1, 2, 3, 4, 6)
-    g = sl.parse_graph6("Ds{")
-    res = sl.exclusive_sum_number(g, SearchConfig(node_budget=890))
-    assert res.nodes_expanded == 891
+    # Eq~w: best_sm_lower 5, the cheap pass (cap 12) finds 7 with the raw
+    # labelling (2, 3, 1, 0, 5, 6) after 2,117 nodes and the canonical pass
+    # takes 2,533 more, so a budget of 5,000 runs out in the proof at t = 6
+    g = sl.parse_graph6("Eq~w")
+    res = sl.sum_index(g, SearchConfig(node_budget=5_000))
+    assert (res.value, res.nodes_expanded) == (7, 5_001)
     assert not res.exhaustive_within_range
-    assert not res.range_free
-    assert res.exclusive.S == (1, 2, 3, 4, 6)
-    assert res.witness == sl.exclusive_sum_number(g).witness
-    res.exclusive.validate(g)
+    assert res.witness.as_dict() == {0: 0, 1: 3, 2: 5, 3: 1, 4: 2, 5: 4}
+    assert res.witness == sl.sum_index(g).witness
 
 
 def _twin_pairs(g):
@@ -314,14 +311,14 @@ class _Oracle:
         return [0, 1, 2 + t]
 
 
-def _scripted_solve(cheap_value, value, budget=None, bound=50, refute=None, escalate=False):
+def _scripted_solve(cheap_value, value, budget=None, bound=50):
     counter = solvers._NodeCounter(budget)
     oracle = _Oracle(counter, 8, cheap_value, value)
     spec = solvers._Ascent(
         invariant="scripted", find=oracle.find, lower=1, limit=8, cheap_cap=8,
-        canonical=oracle.canonical, refute=refute,
+        canonical=oracle.canonical,
     )
-    res = solvers._solve(spec, SearchConfig(escalate=escalate, node_budget=budget), bound,
+    res = solvers._solve(spec, SearchConfig(node_budget=budget), bound,
                          counter, time.perf_counter())
     full = [(t, cap) for what, t, cap in oracle.calls if what == "find" and cap >= bound]
     canonical = [t for what, t, _ in oracle.calls if what == "canonical"]
@@ -339,7 +336,8 @@ def test_proof_pass_stops_at_the_first_infeasible_target():
     res, full, canonical = _scripted_solve(cheap_value=6, value=3)
     assert full == [(5, 50), (4, 50), (3, 50), (2, 50)]
     assert canonical == [6, 5, 4, 3]
-    assert (res.value, res.exhaustive_within_range) == (3, True)
+    # above the lower bound, the value is exact only within the range
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (3, True, False)
     assert res.witness.as_dict() == {0: 0, 1: 1, 2: 5}
     # (c) six cheap finds, canonical(6), find(5), canonical(5): the budget of
     # nine runs out in find(4) and leaves 5 with its canonical witness
@@ -348,35 +346,11 @@ def test_proof_pass_stops_at_the_first_infeasible_target():
     assert canonical == [6, 5]
     assert (res.value, res.exhaustive_within_range) == (5, False)
     assert res.witness.as_dict() == {0: 0, 1: 1, 2: 7}
-    # a find at the lower bound 1 ends the descent; 0 is never searched
+    # a find at the lower bound 1 ends the descent; 0 is never searched, and
+    # the value, at the lower bound, is exact at any range
     res, full, canonical = _scripted_solve(cheap_value=3, value=1)
     assert full == [(2, 50), (1, 50)]
-    assert (res.value, res.exhaustive_within_range) == (1, True)
-
-
-def test_refutation_ends_the_descent():
-    # refute(t) holds below 4: each full-range find waits for a refutation
-    # that fails, the first refuted target ends the descent, and the second
-    # escalation round reuses every refutation of the first
-    asked = []
-
-    def refute(t):
-        asked.append(t)
-        return t < 4
-
-    res, full, canonical = _scripted_solve(cheap_value=6, value=4, refute=refute, escalate=True)
-    assert asked == [5, 4, 3]
-    assert full == [(5, 50), (4, 50), (5, 100), (4, 100)]
-    assert (res.value, res.exhaustive_within_range, res.range_free) == (4, True, True)
-    assert res.escalation_trace == ((50, 4), (100, 4))
-    # a refutation that never fires leaves the proof to find, which proves
-    # the value only within the range
-    res, full, _ = _scripted_solve(cheap_value=6, value=4, refute=lambda t: t < 2)
-    assert full == [(5, 50), (4, 50), (3, 50)]
-    assert (res.value, res.exhaustive_within_range, res.range_free) == (4, True, False)
-    # a value at the lower bound needs no refutation to be range-free
-    res, _, _ = _scripted_solve(cheap_value=3, value=1)
-    assert res.range_free
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (1, True, True)
 
 
 def _spy(monkeypatch, cls):
@@ -407,6 +381,21 @@ def test_real_solvers_prove_only_value_minus_one(monkeypatch):
     assert sl.best_sm_lower(g) == 5
     assert (res.value, res.exhaustive_within_range) == (7, True)
     assert [c for c in calls if c[1] == 21] == [(6, 21)]
+
+
+@pytest.mark.parametrize(
+    "text", ["EsZ_", "Esz_", "Es^o", "Es^w", "Es~w", "EqzW", "Fqzmw", "Fqz^w"],
+)
+def test_exclusive_searches_no_target_below_its_value(monkeypatch, text):
+    # eps exceeds best_sm_lower on these graphs (test_sum_graphs pins the
+    # values), and the partition refutation rules out every target below
+    # eps, so the ascent starts at eps and no label search runs below it
+    calls = _spy(monkeypatch, solvers._IndexSearch)
+    g = sl.parse_graph6(text)
+    res = sl.exclusive_sum_number(g)
+    assert res.value > sl.best_sm_lower(g)
+    assert res.range_free
+    assert min(t for t, _ in calls) == res.value
 
 
 def _reference_ascent(g, kind, exclusive, bound):
@@ -455,22 +444,23 @@ def test_descent_matches_reference_ascent(connected_by_n):
 # at the default config and at node_budget=300 (301 when the budget runs out,
 # None when it runs out before any exclusive labelling is found).  These pin
 # the search trees, which a change to how candidates are computed must keep;
-# a change that alters a tree on purpose updates the pins.
+# a change that alters a tree on purpose updates the pins.  The exclusive
+# counts include the partition refutations that find its floor.
 _TREE_PINS = {
     # twins
-    "K1,4": ("Ds_", (5, 5, 191, 191, 10, 10)),
-    "K1,5": ("Esa?", (6, 6, 869, 301, 12, 12)),
-    "K4-e": ("C}", (4, 4, 25, 25, 8, 8)),
-    "K2,3": ("D]o", (783, 301, 194, 194, 915, None)),
-    "Dr{": ("Dr{", (402, 301, 84, 84, 2002, None)),
-    "Esxw": ("Esxw", (4775, 301, 952, 301, 11705, None)),
+    "K1,4": ("Ds_", (5, 5, 191, 191, 14, 14)),
+    "K1,5": ("Esa?", (6, 6, 869, 301, 17, 17)),
+    "K4-e": ("C}", (4, 4, 25, 25, 14, 14)),
+    "K2,3": ("D]o", (783, 301, 194, 194, 47, 47)),
+    "Dr{": ("Dr{", (402, 301, 84, 84, 2012, None)),
+    "Esxw": ("Esxw", (4775, 301, 952, 301, 9187, None)),
     # twin-free
-    "C5": ("Dhc", (152, 152, 5, 5, 427, 301)),
-    "C6": ("EhEG", (65, 65, 6, 6, 76, 76)),
-    "P5": ("DhC", (42, 42, 5, 5, 68, 68)),
-    "house": ("Dhs", (1802, 301, 21, 21, 1291, 301)),
-    "prism3": ("E{Sw", (185, 185, 6, 6, 519, 301)),
-    "bull": ("DyG", (191, 191, 5, 5, 610, 301)),
+    "C5": ("Dhc", (152, 152, 5, 5, 432, 301)),
+    "C6": ("EhEG", (65, 65, 6, 6, 83, 83)),
+    "P5": ("DhC", (42, 42, 5, 5, 72, 72)),
+    "house": ("Dhs", (1802, 301, 21, 21, 1298, 301)),
+    "prism3": ("E{Sw", (185, 185, 6, 6, 547, 301)),
+    "bull": ("DyG", (191, 191, 5, 5, 615, 301)),
 }
 
 

@@ -296,16 +296,21 @@ def test_sum_number_budget_in_full_range_proof_flags_upper_bound():
 
 
 def test_exclusive_budget_in_full_range_proof_flags_upper_bound():
-    # the cheap pass at cap 20 finds eps(Dv{) = 6, and with the canonical
-    # pass that takes 591 nodes; the range-free refutation of 5 takes 59 more
-    g = sl.parse_graph6("Dv{")
-    res = sl.exclusive_sum_number(g, SearchConfig(node_budget=620))
-    assert res.value == 6
-    assert res.nodes_expanded == 621
-    assert not res.exhaustive_within_range
-    assert not res.range_free
-    assert res.range_used == 100
-    res.exclusive.validate(g)
+    # eps(Ds{) = 5: refuting 4 and passing 5 take 20 nodes, the cheap pass at
+    # cap 20 finds S = (1, 2, 3, 19, 20) with 5 more, and making it canonical,
+    # S = (1, 2, 3, 4, 6), 22 more.  A budget cut in the canonical pass
+    # leaves the exact, range-free value with the raw witness, flagged as
+    # not exhaustive.
+    g = sl.parse_graph6("Ds{")
+    for budget in (25, 46):
+        res = sl.exclusive_sum_number(g, SearchConfig(node_budget=budget))
+        assert (res.value, res.nodes_expanded) == (5, budget + 1)
+        assert not res.exhaustive_within_range
+        assert res.range_free
+        assert res.range_used == 100
+        assert res.exclusive.S == (1, 2, 3, 19, 20)
+        res.exclusive.validate(g)
+    assert sl.exclusive_sum_number(g).exclusive.S == (1, 2, 3, 4, 6)
 
 
 def test_sum_number_escalates_out_of_small_range():
@@ -447,6 +452,11 @@ def test_budget_exhaustion_is_not_reported_as_range_exhaustion():
     for fn, g6 in ((sl.sum_number, "D~{"), (sl.exclusive_sum_number, "Dq{")):
         with pytest.raises(SolverError, match=r"node budget of 20 ran out after 21 nodes"):
             fn(sl.parse_graph6(g6), SearchConfig(node_budget=20))
+    # Ds{: a budget that runs out while the refutations look for the floor,
+    # in refuting 4 (11 nodes) or in passing 5 (9 more), raises the same error
+    for budget in (10, 19):
+        with pytest.raises(SolverError, match=rf"node budget of {budget} ran out after {budget + 1} nodes before any exclusive sum"):
+            sl.exclusive_sum_number(sl.parse_graph6("Ds{"), SearchConfig(node_budget=budget))
     # an exhausted range, searched to the end, still says so
     star = sl.Graph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(SolverError, match=r"within label range 1\.\.4; increase"):
