@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, degree_sequence, emit_graph6, count_cycles_of_length
+from .graphs import Graph, count_cycles_of_length, degree_sequence, emit_graph6, is_bipartite
 
 
 def odd_cycle_bound(g: Graph, k: int) -> float:
@@ -101,17 +101,24 @@ def best_sm_lower(g: Graph) -> int:
     2(2k+1) closed walks (a start and a direction), so there are at most
     tr(A^(2k+1)) / (2(2k+1)) of them, and the odd-cycle bound grows with the
     count: a length whose cap cannot beat the best bound so far is skipped.
-    Since tr(A^L) <= n * D^L (D the maximum degree), no length L or longer
-    gives more than floor(D * n^(1/L)) + 2, which never grows with L, so the
-    walks stop once that envelope cannot beat the best bound.
+    A bipartite graph has no odd cycle, so it builds no walks.  With D the
+    maximum degree, at most n * D^L and n * D * (D-1)^(L-2) (non-backtracking)
+    closed walks have length L, so no length L or longer gives more than
+    r + 2, r the floor of the L-th root of the smaller; r never grows with L,
+    as (D-1)^2 < n * D, so the walks stop once r + 2 cannot beat the bound.
     """
     best = _best_sm_lower(g, {})
+    if is_bipartite(g).bipartite:
+        return best
     n = g.n
     adj = g.adj
     top = max(map(len, adj), default=0)
     walks = [[int(v in adj[u]) for v in range(n)] for u in range(n)]  # A^(2k-1)
     for k in range(1, max(1, (n - 1) // 2) + 1):
-        if _iroot(n * top ** (2 * k + 1), 2 * k + 1) + 2 <= best:
+        length = 2 * k + 1
+        envelope = min(_iroot(n * top ** length, length),
+                       _iroot(n * top * (top - 1) ** (length - 2), length))
+        if envelope + 2 <= best:
             break
         for _ in range(2):
             walks = [[sum(row[w] for w in adj[v]) for v in range(n)] for row in walks]

@@ -1,19 +1,22 @@
-"""Range-free refutation of exclusive sum labellings by edge partitions.
+"""Range-free refutation of sum and exclusive sum labellings by edge
+partitions.
 
 A labelling f with at most t distinct edge sums splits the edges into at
 most t classes of equal sum.  In a class with representative edge ab, each
 edge cd gives the equation f(c) + f(d) - f(a) - f(b) = 0, and the rational
 labellings that satisfy a partition's equations form the null space V of
-their row space R.  Such a labelling is injective and exclusive (no
-non-adjacent pair sums to an edge sum) exactly when it avoids the
-hyperplanes with normals e_u - e_v, and e_u + e_v - e_a - e_b for each
-non-edge uv and each class representative ab.  V is not a finite union of
-proper subspaces, so it holds a point that avoids them all exactly when no
-forbidden normal lies in R.  The all-ones vector lies in V and is
-orthogonal to every normal, so that point scales to integers and translates
-to positive labels: a partition passes exactly when a labelling at some
-label range realises it, and no partition into at most t classes passing
-proves the exclusive sum number above t at every label range.
+their row space R.  Such a labelling is injective exactly when it avoids
+the hyperplanes with normals e_u - e_v, which is all the sum index needs;
+it is also exclusive (no non-adjacent pair sums to an edge sum) when it
+avoids e_u + e_v - e_a - e_b for each non-edge uv and class representative
+ab.  V is not a finite union of proper subspaces, so it holds a point that
+avoids them all exactly when no forbidden normal lies in R.  The all-ones
+vector lies in V and is orthogonal to every normal, so that point scales to
+integers and translates to positive labels, which adds the same amount to
+every sum and so keeps each class.  A partition therefore passes exactly
+when a labelling at some label range realises it, and no partition into at
+most t classes passing proves the sum index (or exclusive sum number) above
+t at every label range.
 
 The search assigns the edges, in breadth-first order, to classes numbered
 by first use.  A class is a matching, since two adjacent edges with equal
@@ -71,17 +74,20 @@ def _packed(forms: list[list[int]]) -> list[int]:
     return [sum(x << (shift * j) for j, x in enumerate(f) if x) for f in forms]
 
 
-def refute_exclusive(g: Graph, t: int, tick: Callable[[], None] = lambda: None) -> bool:
-    """True when no injective labelling of the connected graph g, at any
-    label range, is exclusive with at most t distinct edge sums; False when
-    one exists.
+def refute(g: Graph, t: int, exclusive: bool,
+           tick: Callable[[], None] = lambda: None) -> bool:
+    """True when no injective labelling of g, at any label range, has at
+    most t distinct edge sums (and, if ``exclusive``, is exclusive); False
+    when one exists.
 
     ``tick`` is called once per search node: each assignment of an edge to a
     class that passes the matching check.
     """
     n = g.n
     edges = _bfs_edges(g)
-    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    non_edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)
+    ] if exclusive else []
     reps: list[tuple[int, int]] = []  # each class's first edge
     masks: list[int] = []  # each class's ends
 
@@ -104,7 +110,7 @@ def refute_exclusive(g: Graph, t: int, tick: Callable[[], None] = lambda: None) 
                 if len(set(nlabels)) < n:
                     continue
                 nnsums = {nlabels[u] + nlabels[v] for u, v in non_edges}
-                if any(nlabels[x] + nlabels[y] in nnsums for x, y in reps):
+                if nnsums and any(nlabels[x] + nlabels[y] in nnsums for x, y in reps):
                     continue
             else:
                 nforms, nlabels, nnsums = forms, labels, nsums
@@ -128,3 +134,14 @@ def refute_exclusive(g: Graph, t: int, tick: Callable[[], None] = lambda: None) 
     forms = [[int(u == j) for j in range(n)] for u in range(n)]
     labels = _packed(forms)
     return not dfs(0, forms, labels, {labels[u] + labels[v] for u, v in non_edges})
+
+
+def floor(g: Graph, lower: int, limit: int, exclusive: bool,
+          tick: Callable[[], None] = lambda: None) -> int:
+    """The least t in lower..limit - 1 that ``refute`` does not rule out,
+    or limit when it rules out all of them (limit is a value some labelling
+    is known to reach, so it needs no search).  No labelling at any range
+    reaches a target below the result."""
+    while lower < limit and refute(g, lower, exclusive, tick):
+        lower += 1
+    return lower

@@ -5,9 +5,9 @@ sum number: labels range over {1..B} (the sum-graph definition requires
 positive integers).  The latter two are reported as upper bounds that are
 exhaustive within the range, since no finite label bound certifying global
 optimality is known.  A value that equals the lower bound its ascent starts
-from is exact at any range (``range_free``); the exclusive sum number's
-lower bound is the least target that the edge-partition refutation of
-``partition`` does not rule out.
+from is exact at any range (``range_free``); the sum index's and the
+exclusive sum number's lower bound is the least target that the
+edge-partition refutation of ``partition`` does not rule out.
 
 The sum index, difference index and exclusive sum number share one search
 kernel.  All three are invariant under translating the labels, under
@@ -58,28 +58,28 @@ labelling in label-ascending order, at the reported r, within the cap of the
 pass that found it; there is no canonical pass.
 
 All four invariants share one ascent-and-escalation driver.  It ascends
-targets from a lower bound: ``best_sm_lower`` (which includes the maximum
-degree) for the sum index, ``best_df_lower`` (which includes half the
-maximum degree) for the difference index, and ``min_degree_bound``, the
+targets from a lower bound: ``best_df_lower`` (which includes half the
+maximum degree) for the difference index and ``min_degree_bound``, the
 classical sigma(G) >= min degree (Bergstrand et al. 1989), for the sum
-number, all as ``bounds`` reports them.  The exclusive sum number ascends
-from its range-free floor: the least t >= ``best_sm_lower`` that
-``partition.refute_exclusive`` does not refute, found before the driver
-runs and on the same node counter.  Each round makes two passes.  A cheap
-pass at a small label cap (2n for the indices, 4n for the sum and exclusive
-sum numbers) ascends to a value quickly.  Only a full-range search proves a
-target infeasible, so the full range is then searched descending from just
-below that value, and only while each search finds a labelling: a
-labelling that reaches t also reaches t + 1, so the first target the full
-range cannot reach proves every smaller one infeasible too.  When the
-cheap value is optimal that is one search, a subset of those an ascent
-would run, so the descent never spends more nodes.  Index and exclusive witnesses are made canonical before
-the proofs and after each proof that finds a smaller value, so a node
-budget that runs out in the proofs still leaves a canonical witness.  The
-indices stop the cheap ascent at a greedy labelling's value, which is their
-result when nothing smaller is found.  With escalation the range doubles
-until the value is the same in two consecutive rounds; no search runs twice
-within one solve.
+number, both as ``bounds`` reports them.  The sum index and the exclusive
+sum number ascend from their range-free floors (``partition.floor``, run
+before the driver on the same node counter): the least t >=
+``best_sm_lower`` that the edge-partition refutation does not rule out.
+Each round makes two passes.  A cheap pass at a small label cap (2n for the
+indices, 4n for the sum and exclusive sum numbers) ascends to a value
+quickly.  Only a full-range search proves a target infeasible, so the full
+range is then searched descending from just below that value, and only
+while each search finds a labelling: a labelling that reaches t also
+reaches t + 1, so the first target the full range cannot reach proves every
+smaller one infeasible too.  When the cheap value is optimal that is one
+search, a subset of those an ascent would run, so the descent never spends
+more nodes.  Index and exclusive witnesses are made canonical before the
+proofs and after each proof that finds a smaller value, so a node budget
+that runs out in the proofs still leaves a canonical witness.  The indices
+stop the cheap ascent at a greedy labelling's value, which is their result
+when nothing smaller is found.  With escalation the range doubles until the
+value is the same in two consecutive rounds; no search runs twice within
+one solve.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from typing import Callable
 from .bounds import best_df_lower, best_sm_lower
 from .graphs import Graph, bfs_order, degree_sequence, is_connected, twins_below
 from .labelling import LabelKind, VertexLabelling
-from .partition import refute_exclusive
+from .partition import floor
 
 
 class SolverError(ValueError):
@@ -172,10 +172,10 @@ class IndexResult:
     """A computed invariant value with its witness and search provenance.
 
     range_free: the value is exact at any label range, since it equals the
-    lower bound the ascent starts from (for the exclusive sum number, the
-    least target the edge-partition refutation does not rule out).  With
-    exhaustive_within_range False it is still exact, but the node budget ran
-    out before the witness was made canonical.
+    lower bound the ascent starts from (for the sum index and the exclusive
+    sum number, the least target the edge-partition refutation does not rule
+    out).  With exhaustive_within_range False it is still exact, but the node
+    budget ran out before the witness was made canonical.
     """
 
     invariant: str
@@ -566,7 +566,12 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
                 round_labels = canonical(t, found)
         except _NodeBudgetExceeded:
             exhaustive = False
-        if round_labels is not None and (value is None or round_value <= value):
+        # a round cut short by the budget may tie an earlier round's value
+        # without having made its labelling canonical, so it replaces the
+        # earlier witness only with a smaller value
+        if round_labels is not None and (
+            value is None or round_value < value or (exhaustive and round_value == value)
+        ):
             value, labels = round_value, round_labels
         if value is not None:
             trace.append((bound, value))
@@ -612,10 +617,27 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
     search = _IndexSearch(g, kind, counter)
     is_sum = kind is LabelKind.SUM
     upper, labels = _greedy_upper(g, is_sum)
+    if is_sum:
+        try:
+            lower = floor(g, best_sm_lower(g), upper, False, counter.tick)
+        except _NodeBudgetExceeded:
+            # the greedy labelling stands, above every target refuted so far
+            return IndexResult(
+                invariant=name,
+                value=upper,
+                witness=VertexLabelling.from_dict(dict(enumerate(labels))),
+                range_used=bound,
+                escalation_trace=((bound, upper),),
+                exhaustive_within_range=False,
+                nodes_expanded=counter.nodes,
+                wall_ms=(time.perf_counter() - t0) * 1000.0,
+            )
+    else:
+        lower = best_df_lower(g)
     spec = _Ascent(
         invariant=name,
         find=search.search,
-        lower=best_sm_lower(g) if is_sum else best_df_lower(g),
+        lower=lower,
         limit=upper,
         cheap_cap=2 * n,
         fallback=labels,
@@ -626,7 +648,10 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
 
 
 def sum_index(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
-    """Minimum number of distinct edge sums over injective labellings in {0..B}."""
+    """Minimum number of distinct edge sums over injective labellings in {0..B}.
+
+    A node budget that runs out in the floor search (see ``partition``)
+    leaves the greedy labelling, flagged as not exhaustive."""
     return _solve_index(g, LabelKind.SUM, cfg, "sum_index")
 
 
@@ -660,9 +685,9 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     """Least |T| with the graph realised on vertex labels S, edges uv iff
     f(u)+f(v) in T, over injective assignments into {1..B}.
 
-    The search ascends from the least target t at or above the sum index's
-    lower bound that the edge-partition refutation (see ``partition``) does
-    not rule out: no labelling at any label range has fewer values, and
+    The search ascends from the least target t at or above ``best_sm_lower``
+    that the edge-partition refutation (see ``partition``) does not rule
+    out: no labelling at any label range has fewer values, and
     some labelling at some range has t.  A value at that floor is flagged
     ``range_free``; any other is an upper bound exhaustive within the range.
     A node budget that runs out before the floor is found raises
@@ -674,10 +699,8 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     t0 = time.perf_counter()
     counter = _NodeCounter(cfg.node_budget)
     search = _IndexSearch(g, LabelKind.SUM, counter, exclusive=True)
-    lower = best_sm_lower(g)
     try:
-        while refute_exclusive(g, lower, tick=counter.tick):
-            lower += 1
+        lower = floor(g, best_sm_lower(g), g.m + 1, True, counter.tick)
     except _NodeBudgetExceeded:
         raise _budget_error(counter, "exclusive sum", bound) from None
 

@@ -121,6 +121,9 @@ def test_criterion_7_soundness_sweep(connected_by_n):
             rep = sl.bound_report(g)
             if rep.best_sm_lower > sm.value or rep.best_df_lower > df.value:
                 violations.append(("bound", sl.emit_graph6(g)))
+            # every sum index is the partition floor, exact at any range
+            if not sm.range_free:
+                violations.append(("range_free", sl.emit_graph6(g)))
             if g.m == 0:
                 continue
             if sl.is_bipartite(g).bipartite and df.value < (sm.value + 1) // 2:

@@ -111,12 +111,21 @@ def test_best_sm_lower_skips_hopeless_cycle_lengths(monkeypatch):
     monkeypatch.setattr(bounds, "count_cycles_of_length", spy)
     # s triangles in 2s + 1 vertices: (6s)^(1/3) + 1 rounds up to 7 at
     # s = 21 and to 9 at s = 58, and no longer odd cycle exists, so only the
-    # triangles are counted; at s = 58 no length from 7 on can give more
-    # than floor(4 * 117^(1/7)) + 2 = 9, so the walks stop there
+    # triangles are counted; at s = 58 no length L from 5 on can give more
+    # than the non-backtracking envelope floor((117 * 4 * 3^(L-2))^(1/L)) + 2
+    # = 8 at L = 5, so the walks stop there
     for s, expect in ((21, 7), (58, 9)):
         counted.clear()
         assert sl.best_sm_lower(sl.chained_odd_cycles(1, s).graph) == expect
         assert counted == [3]
+    # K_{1,150} is bipartite, so no walk is built and the bound is its
+    # maximum degree; C_151 has at most 151 * 2 * 1^(L-2) / (2L) L-cycles,
+    # whose envelope floor(302^(1/L)) + 2 is 3 from L = 9 on, so the walks
+    # stop at L = 9 and no length is counted
+    counted.clear()
+    assert sl.best_sm_lower(sl.Graph(151, [(0, v) for v in range(1, 151)])) == 150
+    assert sl.best_sm_lower(sl.cycle_graph(151)) == 3
+    assert counted == []
 
 
 def test_bound_report_beyond_short_graph6():

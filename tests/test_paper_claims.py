@@ -13,8 +13,9 @@ from sumlab import LabelKind
 
 
 def test_df_exceeds_half_sm_by_one_at_any_range():
-    # Du[: the label searches give sm = 4 and df = 3, each equal to the
-    # lower bound its ascent starts from, so both are exact at any range
+    # Du[: sm = 4 is the partition floor and df = 3 equals best_df_lower,
+    # each the lower bound its ascent starts from, so both are exact at any
+    # range
     g = sl.parse_graph6("Du[")
     sm, df = sl.sum_index(g), sl.difference_index(g)
     assert (sm.value, df.value) == (4, 3)

@@ -107,12 +107,13 @@ def test_cli_index_sum_prism(tmp_path, capsys):
 
 
 def test_cli_index_exclusive_says_range_free(tmp_path, capsys):
-    # eps(Ds{) = 5 is the least target the partition refutation leaves, so
-    # it is exact at any range; sm(Eq~w) = 7 lies above its lower bound 5,
-    # so it is exact only within the range
+    # eps(Ds{) = 5 and sm(Eq~w) = 7 are the least targets the partition
+    # refutation leaves, so they are exact at any range; df(Es^w) = 4 lies
+    # above its lower bound 3, so it is exact only within the range
     for g6, invariant, printed_value, range_free in (
         ("Ds{", "exclusive", "exclusive_sum_number = 5", True),
-        ("Eq~w", "sum", "sum_index = 7", False),
+        ("Eq~w", "sum", "sum_index = 7", True),
+        ("Es^w", "diff", "difference_index = 4", False),
     ):
         infile = tmp_path / "g.g6"
         _write_g6(infile, [sl.parse_graph6(g6)])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, solvers
+from sumlab.partition import floor, refute
 
 
 def _observed(g, res, kind):
@@ -144,6 +145,33 @@ def test_budget_cut_round_keeps_earlier_better_value(connected_by_n):
                     assert res.value == values[-1]
 
 
+def test_budget_cut_round_keeps_earlier_canonical_witness():
+    # eps(Bo) = 2: round one (labels 1..4) finds (4, 1, 2) and makes it
+    # canonical, (1, 2, 3), after 8 nodes; round two (1..8) finds (8, 1, 2),
+    # also 2, and its budget runs out in the canonical pass, so the tie keeps
+    # round one's canonical witness
+    g = sl.parse_graph6("Bo")
+    res = sl.exclusive_sum_number(g, SearchConfig(label_bound=4, escalate=True, node_budget=11))
+    assert (res.value, res.exhaustive_within_range) == (2, False)
+    assert res.escalation_trace == ((4, 2), (8, 2))
+    assert res.witness.as_dict() == {0: 1, 1: 2, 2: 3}
+
+
+def test_sum_index_budget_never_raises():
+    # a budget that runs out in the partition refutation leaves the greedy
+    # labelling, flagged; none drops below the exact value or overruns by
+    # more than the tick that ran out
+    for g6 in ("Eq~w", "D]o", "Dhs", "E{Sw"):
+        g = sl.parse_graph6(g6)
+        exact = sl.sum_index(g)
+        for budget in range(0, exact.nodes_expanded, exact.nodes_expanded // 20 + 1):
+            res = sl.sum_index(g, SearchConfig(node_budget=budget))
+            assert not res.exhaustive_within_range
+            assert res.nodes_expanded <= budget + 1
+            assert res.value >= exact.value
+            assert _observed(g, res, LabelKind.SUM) == res.value
+
+
 def test_node_budget_yields_flagged_upper_bound():
     g = sl.prism(4).graph
     res = sl.sum_index(g, SearchConfig(node_budget=10))
@@ -221,15 +249,15 @@ def test_escalation_repeats_no_search():
 
 
 def test_budget_cut_keeps_canonical_witness():
-    # Eq~w: best_sm_lower 5, the cheap pass (cap 12) finds 7 with the raw
-    # labelling (2, 3, 1, 0, 5, 6) after 2,117 nodes and the canonical pass
-    # takes 2,533 more, so a budget of 5,000 runs out in the proof at t = 6
-    g = sl.parse_graph6("Eq~w")
-    res = sl.sum_index(g, SearchConfig(node_budget=5_000))
-    assert (res.value, res.nodes_expanded) == (7, 5_001)
+    # Es^w: best_df_lower 3, the cheap pass (cap 12) finds 4 with the raw
+    # labelling (2, 0, 6, 12, 8, 10) after 865 nodes and the canonical pass
+    # takes 7 more, so a budget of 2,000 runs out in the proof at t = 3
+    g = sl.parse_graph6("Es^w")
+    res = sl.difference_index(g, SearchConfig(node_budget=2_000))
+    assert (res.value, res.nodes_expanded) == (4, 2_001)
     assert not res.exhaustive_within_range
-    assert res.witness.as_dict() == {0: 0, 1: 3, 2: 5, 3: 1, 4: 2, 5: 4}
-    assert res.witness == sl.sum_index(g).witness
+    assert res.witness.as_dict() == {0: 0, 1: 1, 2: 2, 3: 3, 4: 5, 5: 4}
+    assert res.witness == sl.difference_index(g).witness
 
 
 def _twin_pairs(g):
@@ -373,14 +401,14 @@ def test_real_solvers_prove_only_value_minus_one(monkeypatch):
     res = sl.sum_number(sl.parse_graph6("C~"))
     assert (res.value, res.exhaustive_within_range) == (5, True)
     assert [c for c in calls if c[1] == 64] == [(4, 64)]
-    # Eq~w: best_sm_lower 5, the cheap pass (cap 12) finds 7, and the one
-    # full-range proof (cap n(n-1)/2 + n = 21) is t = 6, not 5 and then 6
+    # Es^w: best_df_lower 3, the cheap pass (cap 12) fails at 3 and finds 4,
+    # and the one full-range proof (cap n(n-1)/2 + n = 21) is t = 3
     calls = _spy(monkeypatch, solvers._IndexSearch)
-    g = sl.parse_graph6("Eq~w")
-    res = sl.sum_index(g)
-    assert sl.best_sm_lower(g) == 5
-    assert (res.value, res.exhaustive_within_range) == (7, True)
-    assert [c for c in calls if c[1] == 21] == [(6, 21)]
+    g = sl.parse_graph6("Es^w")
+    res = sl.difference_index(g)
+    assert sl.best_df_lower(g) == 3
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (4, True, False)
+    assert calls == [(3, 12), (4, 12), (3, 21)]
 
 
 @pytest.mark.parametrize(
@@ -396,6 +424,31 @@ def test_exclusive_searches_no_target_below_its_value(monkeypatch, text):
     assert res.value > sl.best_sm_lower(g)
     assert res.range_free
     assert min(t for t, _ in calls) == res.value
+
+
+def test_sum_refutation_matches_brute_force(connected_by_n):
+    # brute force over {0..2n} reaches best_sm_lower on every connected graph
+    # with n <= 4, so that range realises each minimum, and the refutation
+    # must hold exactly below it
+    for n in range(1, 5):
+        for g in connected_by_n[n]:
+            value, _ = _naive_min(g, True, 2 * n)
+            assert value == sl.best_sm_lower(g), sl.emit_graph6(g)
+            for t in range(g.m + 1):
+                assert refute(g, t, exclusive=False) == (t < value), (sl.emit_graph6(g), t)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sum_floor_invariant_under_relabelling(connected_by_n, data):
+    # the refutation assigns edges in a breadth-first order that follows the
+    # vertex numbering; the floor must not
+    n = data.draw(st.integers(2, 6), label="n")
+    g = data.draw(st.sampled_from(connected_by_n[n]), label="graph")
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    h = sl.Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    lower = sl.best_sm_lower(g)
+    assert floor(h, lower, h.m + 1, exclusive=False) == floor(g, lower, g.m + 1, exclusive=False)
 
 
 def _reference_ascent(g, kind, exclusive, bound):
@@ -444,23 +497,23 @@ def test_descent_matches_reference_ascent(connected_by_n):
 # at the default config and at node_budget=300 (301 when the budget runs out,
 # None when it runs out before any exclusive labelling is found).  These pin
 # the search trees, which a change to how candidates are computed must keep;
-# a change that alters a tree on purpose updates the pins.  The exclusive
-# counts include the partition refutations that find its floor.
+# a change that alters a tree on purpose updates the pins.  The sum index and
+# exclusive counts include the partition refutations that find their floors.
 _TREE_PINS = {
     # twins
     "K1,4": ("Ds_", (5, 5, 191, 191, 14, 14)),
     "K1,5": ("Esa?", (6, 6, 869, 301, 17, 17)),
     "K4-e": ("C}", (4, 4, 25, 25, 14, 14)),
-    "K2,3": ("D]o", (783, 301, 194, 194, 47, 47)),
-    "Dr{": ("Dr{", (402, 301, 84, 84, 2012, None)),
-    "Esxw": ("Esxw", (4775, 301, 952, 301, 9187, None)),
+    "K2,3": ("D]o", (15, 15, 194, 194, 47, 47)),
+    "Dr{": ("Dr{", (412, 301, 84, 84, 2012, None)),
+    "Esxw": ("Esxw", (2051, 301, 952, 301, 9187, None)),
     # twin-free
-    "C5": ("Dhc", (152, 152, 5, 5, 432, 301)),
-    "C6": ("EhEG", (65, 65, 6, 6, 83, 83)),
-    "P5": ("DhC", (42, 42, 5, 5, 72, 72)),
-    "house": ("Dhs", (1802, 301, 21, 21, 1298, 301)),
-    "prism3": ("E{Sw", (185, 185, 6, 6, 547, 301)),
-    "bull": ("DyG", (191, 191, 5, 5, 615, 301)),
+    "C5": ("Dhc", (157, 157, 5, 5, 432, 301)),
+    "C6": ("EhEG", (72, 72, 6, 6, 83, 83)),
+    "P5": ("DhC", (46, 46, 5, 5, 72, 72)),
+    "house": ("Dhs", (1809, 301, 21, 21, 1298, 301)),
+    "prism3": ("E{Sw", (196, 196, 6, 6, 547, 301)),
+    "bull": ("DyG", (196, 196, 5, 5, 615, 301)),
 }
 
 

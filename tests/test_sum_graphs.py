@@ -8,7 +8,7 @@ import pytest
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, solvers
-from sumlab.partition import refute_exclusive
+from sumlab.partition import refute
 
 
 def _check_sum_graph(g, res):
@@ -350,9 +350,9 @@ def test_refutation_spares_every_found_labelling(connected_by_n):
             lower = sl.best_sm_lower(g)
             for t in range(g.m + 1):
                 if t >= value:
-                    assert not refute_exclusive(g, t), (sl.emit_graph6(g), t)
+                    assert not refute(g, t, exclusive=True), (sl.emit_graph6(g), t)
                 elif t < lower:
-                    assert refute_exclusive(g, t), (sl.emit_graph6(g), t)
+                    assert refute(g, t, exclusive=True), (sl.emit_graph6(g), t)
 
 
 def _eps_by_label_search(g):
@@ -379,16 +379,16 @@ def test_refutation_proves_the_label_search_values(connected_by_n):
     above = 0
     for g in graphs:
         eps = _eps_by_label_search(g)
-        assert not refute_exclusive(g, eps), sl.emit_graph6(g)
+        assert not refute(g, eps, exclusive=True), sl.emit_graph6(g)
         if eps > sl.best_sm_lower(g):
             above += 1
-            assert refute_exclusive(g, eps - 1), sl.emit_graph6(g)
+            assert refute(g, eps - 1, exclusive=True), sl.emit_graph6(g)
         for _ in range(2):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = sl.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
             for t in (eps - 1, eps):
-                assert refute_exclusive(h, t) == refute_exclusive(g, t), (sl.emit_graph6(g), perm)
+                assert refute(h, t, True) == refute(g, t, True), (sl.emit_graph6(g), perm)
     assert above > 0
 
 
