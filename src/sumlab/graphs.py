@@ -492,9 +492,6 @@ def canonical_form(g: Graph) -> bytes:
     return bytes([n + 63, *body])
 
 
-_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-
-
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """Stream one representative per isomorphism class of connected graphs.
 

@@ -62,9 +62,9 @@ targets from a lower bound: ``best_df_lower`` (which includes half the
 maximum degree) for the difference index and ``min_degree_bound``, the
 classical sigma(G) >= min degree (Bergstrand et al. 1989), for the sum
 number, both as ``bounds`` reports them.  The sum index and the exclusive
-sum number ascend from their range-free floors (``partition.floor``, run
-before the driver on the same node counter): the least t >=
-``best_sm_lower`` that the edge-partition refutation does not rule out.
+sum number ascend from their range-free floors (``partition.floor``, run by
+the driver on the same node counter): the least t >= ``best_sm_lower`` that
+the edge-partition refutation does not rule out.
 Each round makes two passes.  A cheap pass at a small label cap (2n for the
 indices, 4n for the sum and exclusive sum numbers) ascends to a value
 quickly.  Only a full-range search proves a target infeasible, so the full
@@ -77,7 +77,9 @@ more nodes.  Index and exclusive witnesses are made canonical before the
 proofs and after each proof that finds a smaller value, so a node budget
 that runs out in the proofs still leaves a canonical witness.  The indices
 stop the cheap ascent at a greedy labelling's value, which is their result
-when nothing smaller is found.  With escalation the range doubles until the
+when nothing smaller is found.  A node budget that runs out, in the floor
+search too, leaves the least value found, flagged non-exhaustive, or raises
+SolverError if none was found.  With escalation the range doubles until the
 value is the same in two consecutive rounds; no search runs twice within
 one solve.
 """
@@ -124,9 +126,9 @@ class SearchConfig:
     difference indices and 4n^2 for the sum number and the exclusive sum
     number.  escalate doubles B until the value is stable across two
     consecutive rounds.  node_budget caps the total number of search-tree
-    nodes; exceeding it yields a result flagged non-exhaustive, except that
-    a sum-number or exclusive sum number search whose budget runs out before
-    it has found any labelling raises SolverError.  A single solve is
+    nodes; exceeding it yields the least value found, flagged
+    non-exhaustive, or SolverError when none was found (only the sum number
+    and exclusive sum number have no greedy labelling).  A single solve is
     sequential; corpus scans take their parallel width from
     ``scan_conjectures(workers=)``.
     """
@@ -473,10 +475,11 @@ class _Ascent:
     find(t, cap) returns the first labelling with labels up to cap that
     reaches target t (at most t distinct values, or at most t isolated
     labels), or None; it is monotone in t, as a labelling that reaches t
-    also reaches t + 1.  The cheap pass tries t = lower, lower + 1, ...
-    below limit, and the full-range pass descends from below the cheap value
-    to lower at most; fallback, if given, is a labelling known to reach
-    limit.
+    also reaches t + 1.  lower() returns the lower bound; the driver calls
+    it once per solve, under the node budget, as it may search.  The cheap
+    pass tries t = lower, lower + 1, ... below limit, and the full-range
+    pass descends from below the cheap value to lower at most; fallback, if
+    given, is a labelling known to reach limit.
     canonical(t, cap), if given, returns the lexicographically least
     labelling with labels up to cap that reaches t; the driver asks for it
     at the deterministic cap min(bound, max(2n, max(labels))) of the
@@ -490,7 +493,7 @@ class _Ascent:
 
     invariant: str
     find: Callable[[int, int], list[int] | None]
-    lower: int
+    lower: Callable[[], int]
     limit: int
     cheap_cap: int
     fallback: list[int] | None = None
@@ -499,21 +502,14 @@ class _Ascent:
     what: str = ""
 
 
-def _budget_error(counter: _NodeCounter, what: str, bound: int) -> SolverError:
-    return SolverError(
-        f"node budget of {counter.budget} ran out after {counter.nodes} nodes "
-        f"before any {what} labelling within label range 1..{bound} was found; "
-        "raise the node budget"
-    )
-
-
 def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
            counter: _NodeCounter, t0: float) -> IndexResult:
     """Least target reached within label range ``bound``, escalated on request.
 
-    Each round makes two passes over the targets: a cheap pass at
-    min(bound, cheap cap) ascending from the lower bound to its least value
-    v, whose labelling survives as an upper bound if the node budget later
+    The first round starts by calling spec.lower().  Each round then makes
+    two passes over the targets: a cheap pass at min(bound, cheap cap)
+    ascending from the lower bound to its least value v, whose labelling
+    (or the fallback) survives as an upper bound if the node budget later
     runs out, then a full-bound pass, which alone can prove a target
     infeasible, descending from v - 1 while each search finds a labelling.
     Since find is monotone in t, its first None proves every smaller target
@@ -530,7 +526,7 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     unchanged, their canonical search.
     """
     trace: list[tuple[int, int]] = []
-    value = labels = None
+    value = labels = lower = None
     exhaustive = True
     outcomes: dict[tuple, object] = {}
 
@@ -548,8 +544,10 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     while True:
         round_value, round_labels = spec.limit, spec.fallback
         try:
+            if lower is None:
+                lower = spec.lower()
             cheap_cap = min(bound, spec.cheap_cap)
-            for t in range(spec.lower, round_value):
+            for t in range(lower, round_value):
                 found = run(spec.find, t, cheap_cap)
                 if found is not None:
                     round_value, round_labels = t, found
@@ -558,7 +556,7 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
                 round_labels = canonical(round_value, round_labels)
             # find is monotone in t, so the first None proves every smaller
             # target infeasible as well
-            for t in range(round_value - 1, spec.lower - 1, -1):
+            for t in range(round_value - 1, lower - 1, -1):
                 found = run(spec.find, t, bound)
                 if found is None:
                     break
@@ -577,7 +575,11 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
             trace.append((bound, value))
         if value is None:
             if not exhaustive:
-                raise _budget_error(counter, spec.what, bound)
+                raise SolverError(
+                    f"node budget of {counter.budget} ran out after {counter.nodes} nodes "
+                    f"before any {spec.what} labelling within label range 1..{bound} "
+                    "was found; raise the node budget"
+                )
             if not cfg.escalate:
                 raise SolverError(
                     f"no {spec.what} labelling within label range 1..{bound}; "
@@ -597,7 +599,7 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
         exhaustive_within_range=exhaustive,
         nodes_expanded=counter.nodes,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
-        range_free=value == spec.lower,
+        range_free=value == lower,
         **(spec.extra(labels) if spec.extra is not None else {}),
     )
 
@@ -617,27 +619,11 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
     search = _IndexSearch(g, kind, counter)
     is_sum = kind is LabelKind.SUM
     upper, labels = _greedy_upper(g, is_sum)
-    if is_sum:
-        try:
-            lower = floor(g, best_sm_lower(g), upper, False, counter.tick)
-        except _NodeBudgetExceeded:
-            # the greedy labelling stands, above every target refuted so far
-            return IndexResult(
-                invariant=name,
-                value=upper,
-                witness=VertexLabelling.from_dict(dict(enumerate(labels))),
-                range_used=bound,
-                escalation_trace=((bound, upper),),
-                exhaustive_within_range=False,
-                nodes_expanded=counter.nodes,
-                wall_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-    else:
-        lower = best_df_lower(g)
     spec = _Ascent(
         invariant=name,
         find=search.search,
-        lower=lower,
+        lower=(lambda: floor(g, best_sm_lower(g), upper, False, counter.tick))
+        if is_sum else lambda: best_df_lower(g),
         limit=upper,
         cheap_cap=2 * n,
         fallback=labels,
@@ -650,8 +636,8 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
 def sum_index(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     """Minimum number of distinct edge sums over injective labellings in {0..B}.
 
-    A node budget that runs out in the floor search (see ``partition``)
-    leaves the greedy labelling, flagged as not exhaustive."""
+    The search ascends from the floor of ``partition``; a node budget that
+    runs out before it is found leaves the greedy labelling, flagged."""
     return _solve_index(g, LabelKind.SUM, cfg, "sum_index")
 
 
@@ -690,7 +676,7 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     out: no labelling at any label range has fewer values, and
     some labelling at some range has t.  A value at that floor is flagged
     ``range_free``; any other is an upper bound exhaustive within the range.
-    A node budget that runs out before the floor is found raises
+    A node budget that runs out before any labelling is found raises
     SolverError.  Disjointness of S and T is not required.
     """
     _require_connected(g, "exclusive_sum_number")
@@ -699,10 +685,6 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     t0 = time.perf_counter()
     counter = _NodeCounter(cfg.node_budget)
     search = _IndexSearch(g, LabelKind.SUM, counter, exclusive=True)
-    try:
-        lower = floor(g, best_sm_lower(g), g.m + 1, True, counter.tick)
-    except _NodeBudgetExceeded:
-        raise _budget_error(counter, "exclusive sum", bound) from None
 
     def extra(labels: list[int]) -> dict:
         return {"exclusive": ExclusiveWitness(
@@ -714,7 +696,7 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     spec = _Ascent(
         invariant="exclusive_sum_number",
         find=search.search,
-        lower=lower,
+        lower=lambda: floor(g, best_sm_lower(g), g.m + 1, True, counter.tick),
         limit=g.m + 1,
         cheap_cap=4 * g.n,
         canonical=partial(search.search, lexicographic=True),
@@ -936,7 +918,7 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
         find=_AscendingSumSearch(g, counter).search,
         # sigma(G) >= min degree: the vertex labelled last has all its edge
         # sums above every vertex label (Bergstrand et al. 1989)
-        lower=degree_sequence(g).min_degree,
+        lower=lambda: degree_sequence(g).min_degree,
         limit=g.m + 1,
         cheap_cap=4 * g.n,
         extra=lambda labels: {

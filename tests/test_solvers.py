@@ -343,7 +343,7 @@ def _scripted_solve(cheap_value, value, budget=None, bound=50):
     counter = solvers._NodeCounter(budget)
     oracle = _Oracle(counter, 8, cheap_value, value)
     spec = solvers._Ascent(
-        invariant="scripted", find=oracle.find, lower=1, limit=8, cheap_cap=8,
+        invariant="scripted", find=oracle.find, lower=lambda: 1, limit=8, cheap_cap=8,
         canonical=oracle.canonical,
     )
     res = solvers._solve(spec, SearchConfig(node_budget=budget), bound,
@@ -379,6 +379,73 @@ def test_proof_pass_stops_at_the_first_infeasible_target():
     res, full, canonical = _scripted_solve(cheap_value=3, value=1)
     assert full == [(2, 50), (1, 50)]
     assert (res.value, res.exhaustive_within_range, res.range_free) == (1, True, True)
+
+
+def _lower_solve(ticks, fallback, budget=None, escalate=False):
+    """_solve on the scripted oracles (value 4 at every cap) with a lower
+    bound that spends ``ticks`` nodes before it returns 1; also the number
+    of times the driver called it."""
+    counter = solvers._NodeCounter(budget)
+    oracle = _Oracle(counter, 8, 4, 4)
+    calls = []
+
+    def lower():
+        calls.append(None)
+        for _ in range(ticks):
+            counter.tick()
+        return 1
+
+    spec = solvers._Ascent(
+        invariant="scripted", find=oracle.find, lower=lower, limit=8, cheap_cap=8,
+        fallback=fallback, canonical=oracle.canonical, what="scripted",
+    )
+    res = solvers._solve(spec, SearchConfig(escalate=escalate, node_budget=budget), 50,
+                         counter, time.perf_counter())
+    return res, len(calls)
+
+
+def test_budget_in_the_lower_bound_follows_the_driver_rule():
+    # a lower bound that searches (the partition floor) runs under the
+    # driver's one budget rule: with a fallback, the result is limit, flagged
+    for escalate in (False, True):
+        res, calls = _lower_solve(10, [0, 1, 3], budget=5, escalate=escalate)
+        assert (res.value, res.exhaustive_within_range, res.range_free) == (8, False, False)
+        assert res.escalation_trace == ((50, 8),)
+        assert (res.range_used, res.nodes_expanded, calls) == (50, 6, 1)
+        assert res.witness.as_dict() == {0: 0, 1: 1, 2: 3}
+    # without one, the budget error names the nodes spent
+    with pytest.raises(SolverError, match="node budget of 5 ran out after 6 nodes"):
+        _lower_solve(10, None, budget=5)
+    # escalation rounds reuse the lower bound of the first
+    res, calls = _lower_solve(10, None, escalate=True)
+    assert res.escalation_trace == ((50, 4), (100, 4))
+    assert calls == 1
+
+
+def test_partition_floor_runs_once_per_escalated_solve(monkeypatch):
+    calls = []
+    real = solvers.floor
+
+    def spy(*args):
+        calls.append(args[1:4])
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "floor", spy)
+    for fn, g6, bound in ((sl.sum_index, "E{Sw", 7), (sl.exclusive_sum_number, "Bo", 4)):
+        calls.clear()
+        res = fn(sl.parse_graph6(g6), SearchConfig(label_bound=bound, escalate=True))
+        assert len(res.escalation_trace) >= 2
+        assert len(calls) == 1, (fn, calls)
+
+
+def test_sum_index_budget_out_in_the_floor():
+    # Eq~w: the floor search takes 485 nodes, so a budget of 10 runs out in
+    # it; the greedy labelling's 7 stands for one round, not range-free
+    g = sl.parse_graph6("Eq~w")
+    res = sl.sum_index(g, SearchConfig(label_bound=7, escalate=True, node_budget=10))
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (7, False, False)
+    assert (res.escalation_trace, res.range_used, res.nodes_expanded) == (((7, 7),), 7, 11)
+    assert _observed(g, res, LabelKind.SUM) == 7
 
 
 def _spy(monkeypatch, cls):
