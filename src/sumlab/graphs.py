@@ -434,10 +434,9 @@ def twins_below(adj: list[int]) -> list[int]:
 _CANONICAL_MAX_N = 8
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Isomorphism-invariant key: the lexicographically least adjacency
-    bit-string over all vertex permutations, in graph6 column-major order,
-    returned as the graph6 encoding of the canonical relabelling.
+def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """The least adjacency bit-string over all vertex orders, in graph6
+    column-major order, and generators of the automorphism group.
 
     Exact search over vertex orders; supports n <= 8.  Placing a vertex at
     position j appends its column (its adjacency to positions 0..j-1) to the
@@ -447,32 +446,56 @@ def canonical_form(g: Graph) -> bytes:
     far is cut.  Of a twin class (N(u) - {v} = N(v) - {u}) only the
     least-index unplaced vertex may be placed next, since swapping two twins
     is an automorphism that fixes the placed prefix.  Columns and the string
-    are Python ints, and the string, already in graph6 order, is written out
-    as graph6 bytes directly.
+    are Python ints.
+
+    Two orders that give the same string differ by an automorphism, so each
+    leaf that ties the best string yields one, mapping the order that first
+    reached it onto the leaf's.  Every twin-sorted order of the least string
+    is a leaf, so these maps and the swap of each vertex with its nearest
+    twin below generate the whole automorphism group.  A permutation p maps
+    vertex v to p[v].
     """
     n = g.n
     if n > _CANONICAL_MAX_N:
         raise UnsupportedSizeError(f"canonical_form supports n <= {_CANONICAL_MAX_N}")
     if n <= 1:
-        return bytes([n + 63])
+        return 0, []
     adj = [0] * n
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     below = twins_below(adj)
+    gens = []
+    for v, twins in enumerate(below):
+        if twins:
+            swap = list(range(n))
+            u = twins.bit_length() - 1
+            swap[u], swap[v] = v, u
+            gens.append(tuple(swap))
     total = n * (n - 1) // 2
     # above every string of total bits, so nothing is cut before the first leaf
     best = 1 << total
+    first: tuple[int, ...] = ()
 
-    def place(depth: int, prefix: int, rest: list[tuple[int, int]]) -> None:
-        # rest holds (vertex, column against the placed prefix) per unplaced vertex
-        nonlocal best
+    def place(
+        depth: int, prefix: int, rest: list[tuple[int, int]], order: tuple[int, ...]
+    ) -> None:
+        # rest holds (vertex, column against the placed prefix) per unplaced
+        # vertex, and order the vertices placed so far
+        nonlocal best, first
         low = min(col for _, col in rest)
         prefix = (prefix << depth) | low
         if prefix > best >> (total - depth * (depth + 1) // 2):
             return
         if len(rest) == 1:
-            best = prefix
+            order += (rest[0][0],)
+            if prefix < best:
+                best, first = prefix, order
+            else:
+                perm = [0] * n
+                for u, w in zip(first, order):
+                    perm[u] = w
+                gens.append(tuple(perm))
             return
         unplaced = 0
         for v, _ in rest:
@@ -483,21 +506,66 @@ def canonical_form(g: Graph) -> bytes:
                     depth + 1,
                     prefix,
                     [(u, c << 1 | adj[u] >> v & 1) for u, c in rest if u != v],
+                    order + (v,),
                 )
 
-    place(0, 0, [(v, 0) for v in range(n)])
+    place(0, 0, [(v, 0) for v in range(n)], ())
+    return best, gens
+
+
+def canonical_form(g: Graph) -> bytes:
+    """Isomorphism-invariant key: the lexicographically least adjacency
+    bit-string over all vertex permutations, in graph6 column-major order,
+    returned as the graph6 encoding of the canonical relabelling.
+
+    The string comes from ``_canonical_search`` (supports n <= 8), the one
+    search that ``enumerate_connected`` also reads automorphisms from; it is
+    already in graph6 order, so it is written out as graph6 bytes directly.
+    """
+    n = g.n
+    best, _ = _canonical_search(g)
+    total = n * (n - 1) // 2
     pad = -total % 6
     bits = best << pad
     body = [(bits >> shift & 63) + 63 for shift in range(total + pad - 6, -1, -6)]
     return bytes([n + 63, *body])
 
 
+def _orbit_least_masks(k: int, gens: list[tuple[int, ...]]) -> list[int]:
+    """The nonempty subsets of 0..k-1, as bitmasks in increasing order, that
+    are least in their orbit under the group generated by ``gens``."""
+    reached = bytearray(1 << k)
+    least = []
+    for mask in range(1, 1 << k):
+        if reached[mask]:
+            continue
+        least.append(mask)
+        reached[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for p in gens:
+                y = 0
+                for i in range(k):
+                    if x >> i & 1:
+                        y |= 1 << p[i]
+                if not reached[y]:
+                    reached[y] = 1
+                    stack.append(y)
+    return least
+
+
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """Stream one representative per isomorphism class of connected graphs.
 
-    Builds n-vertex graphs by attaching a new vertex to every nonempty
-    subset of each connected (n-1)-vertex graph; every connected graph
-    arises this way because it has a non-cut vertex.  Supports 1 <= n <= 7.
+    Builds n-vertex graphs by attaching a new vertex to nonempty subsets of
+    each connected (n-1)-vertex graph; every connected graph arises this way
+    because it has a non-cut vertex.  Supports 1 <= n <= 7.  The subsets are
+    taken in increasing bitmask order, and only those least in their orbit
+    under the parent's automorphisms (read off ``_canonical_search``): a
+    skipped subset has an earlier one in its orbit whose graph is isomorphic
+    and already seen, so it would not have been yielded anyway.  The output
+    is the same for any subgroup; it is the one of trying every subset.
     """
     if not 1 <= n <= 7:
         raise UnsupportedSizeError("enumerate_connected supports 1 <= n <= 7")
@@ -506,7 +574,8 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
         return
     seen: set[bytes] = set()
     for parent in enumerate_connected(n - 1):
-        for mask in range(1, 1 << (n - 1)):
+        _, gens = _canonical_search(parent)
+        for mask in _orbit_least_masks(n - 1, gens):
             extra = [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
             g = Graph(n, parent.edges + tuple(extra))
             key = canonical_form(g)

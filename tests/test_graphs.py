@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -5,6 +6,7 @@ import pytest
 
 import sumlab as sl
 from sumlab import Graph, Graph6Error, EdgeListError, UnsupportedSizeError
+from sumlab import graphs
 from sumlab.graphs import bfs_order
 
 
@@ -395,6 +397,95 @@ def test_enumerate_connected_census(connected_by_n, connected_7):
         assert all(sl.is_connected(g) for g in graphs)
         forms = {sl.canonical_form(g) for g in graphs}
         assert len(forms) == count
+
+
+def _every_subset_census(top):
+    """Test-local reference without orbit pruning: every nonempty subset of
+    every parent, level by level, deduplicated by canonical_form."""
+    levels = {1: [Graph(1)]}
+    for n in range(2, top + 1):
+        seen, out = set(), []
+        for parent in levels[n - 1]:
+            for mask in range(1, 1 << (n - 1)):
+                extra = tuple((i, n - 1) for i in range(n - 1) if mask >> i & 1)
+                g = Graph(n, parent.edges + extra)
+                key = sl.canonical_form(g)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(g)
+        levels[n] = out
+    return levels
+
+
+def test_enumerate_connected_yield_order(connected_by_n, connected_7):
+    """The scan reports follow the yield order, so pruning must not move it:
+    the same graphs in the same order as trying every subset (n <= 6), and
+    the pinned order at n = 7."""
+    assert _every_subset_census(6) == connected_by_n
+    text = "\n".join(sl.emit_graph6(g) for g in connected_7)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c8e1cca3fdec9f27faddabd4eca8b34ad4db427ef26073aed433b8874a2bea34"
+    )
+
+
+def test_enumerate_connected_searches_one_child_per_orbit(monkeypatch):
+    """One canonical_form call per orbit-least subset, per level; at n = 7
+    that is the orbit count under the parents' full automorphism groups."""
+    calls: dict[int, int] = {}
+    canonical_form = graphs.canonical_form
+
+    def counted(g):
+        calls[g.n] = calls.get(g.n, 0) + 1
+        return canonical_form(g)
+
+    monkeypatch.setattr(graphs, "canonical_form", counted)
+    assert sum(1 for _ in sl.enumerate_connected(7)) == 853
+    assert calls == {2: 1, 3: 2, 4: 8, 5: 44, 6: 333, 7: 3771}
+
+
+def _group_order(n, gens):
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for s in gens:
+            q = tuple(s[v] for v in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
+
+
+def _maps_edges_onto_edges(g, p):
+    return {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == set(g.edges)
+
+
+def _image(mask, p):
+    return sum(1 << p[i] for i in range(len(p)) if mask >> i & 1)
+
+
+def test_search_generates_the_automorphism_group(connected_by_n):
+    for n, gs in connected_by_n.items():
+        for g in gs:
+            _, gens = graphs._canonical_search(g)
+            assert all(_maps_edges_onto_edges(g, p) for p in gens), g.edges
+            autos = [p for p in permutations(range(n)) if _maps_edges_onto_edges(g, p)]
+            assert _group_order(n, gens) == len(autos), g.edges
+            least = [m for m in range(1, 1 << n) if all(_image(m, p) >= m for p in autos)]
+            assert graphs._orbit_least_masks(n, gens) == least, g.edges
+
+
+def test_search_automorphisms_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    cube = nx.convert_node_labels_to_integers(nx.hypercube_graph(3))
+    for h in (cube, nx.cycle_graph(8), nx.complete_bipartite_graph(4, 4)):
+        g = Graph(8, h.edges())
+        _, gens = graphs._canonical_search(g)
+        assert all(_maps_edges_onto_edges(g, p) for p in gens)
+        want = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+        assert _group_order(8, gens) == want
 
 
 def test_seven_vertex_stream_invariants(connected_7):
