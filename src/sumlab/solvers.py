@@ -38,11 +38,15 @@ the fewest new edge values first, then smallest label.  ``nodes_expanded``
 counts the placements that survive these mask filters.
 
 Witnesses are canonicalised to the lexicographically least optimal labelling
-(by vertex order) within a deterministic label cap, found by the same DFS
-over the fixed window {floor..cap} in vertex order 0..n-1, so results are
-reproducible regardless of scheduling.  That DFS keeps twins in order too,
-which loses nothing: the least labelling is twin-sorted, since swapping an
-out-of-order twin pair would give a smaller one.
+(by vertex order) within a deterministic label cap, so results are
+reproducible regardless of scheduling.  Its first label is settled first:
+feasibility queries, in a branch order grown from vertex 0, find the least
+d for which some labelling has f(0) - min f <= d, querying only below the
+bound that the labelling in hand gives.  The same DFS over the fixed window
+{floor..cap}, in vertex order 0..n-1 with f(0) pinned at floor + d, then
+finds the rest.  That DFS keeps twins in order too, which loses nothing:
+the least labelling is twin-sorted, since swapping an out-of-order twin
+pair would give a smaller one.
 
 The sum number has its own search, which places labels in increasing order
 and picks at each step the vertex that takes the next label.  An edge sum
@@ -88,7 +92,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from .bounds import best_df_lower, best_sm_lower
@@ -219,17 +222,19 @@ class IndexResult:
 # Search machinery
 # ---------------------------------------------------------------------------
 
-def _branch_order(g: Graph) -> list[int]:
-    """Static assignment order: seed at a maximum-degree vertex, then grow by
-    (most ordered neighbours, degree, lowest index) so propagation bites early.
-    Twins tie on both of the first keys while unplaced, so they come in index
-    order.
+def _branch_order(g: Graph, start: int | None = None) -> list[int]:
+    """Static assignment order: seed at ``start``, by default the least-index
+    vertex of maximum degree, then grow by (most ordered neighbours, degree,
+    lowest index) so propagation bites early.  Twins tie on both of the first
+    keys while unplaced, so they come in index order, provided the seed is
+    the least index of its twin class, as both the default and vertex 0 are.
     """
     n = g.n
     if n == 0:
         return []
     degs = [len(a) for a in g.adj]
-    start = max(range(n), key=lambda v: (degs[v], -v))
+    if start is None:
+        start = max(range(n), key=lambda v: (degs[v], -v))
     order = [start]
     placed = [False] * n
     placed[start] = True
@@ -292,8 +297,8 @@ class _IndexSearch:
         self.counter = counter
         self.twins_below = twins_below([sum(1 << u for u in a) for a in g.adj])
 
-    def search(self, target: int, cap: int,
-               lexicographic: bool = False) -> list[int] | None:
+    def search(self, target: int, cap: int, lexicographic: bool = False,
+               first: int | None = None) -> list[int] | None:
         """First labelling with at most ``target`` distinct edge values and
         labels in {floor..cap}, or None when that space is empty.
 
@@ -308,7 +313,7 @@ class _IndexSearch:
         taken instead.  Lexicographic mode is the same DFS over the fixed
         window {floor..cap}, in vertex order 0..n-1 with ascending labels,
         so the first solution is the lexicographically least labelling using
-        the floor label.
+        the floor label; ``least`` runs it with f(0) already settled.
 
         Swapping the labels of twins u, v (N(u) - {v} = N(v) - {u}) keeps
         the edge values and the exclusive condition, so both modes keep
@@ -324,6 +329,15 @@ class _IndexSearch:
         and sort again, giving -f(b) > -f(a).  Translation preserves both
         cuts.  With fewer than two twin-free vertices there is no reflection
         cut; a twin-free graph is searched exactly as without the twin order.
+
+        ``first`` = d holds vertex 0 at d above the least label, for
+        ``least``.  In lexicographic mode it pins f(0) = floor + d.  In
+        feasibility mode the branch order grows from vertex 0, which sits at
+        relative label 0, and every other label lies at most d below it, so
+        the search finds a labelling with f(0) - min f <= d if there is one.
+        Vertex 0 is the least index of its twin class, so sorting twins
+        never raises f(0) and the twin order stays; reflection does not keep
+        f(0) - min f, so there is no reflection cut.
         """
         g = self.g
         n = g.n
@@ -331,7 +345,10 @@ class _IndexSearch:
         width = cap - floor
         if width + 1 < n:
             return None
-        order = list(range(n)) if lexicographic else _branch_order(g)
+        if lexicographic:
+            order = list(range(n))
+        else:
+            order = _branch_order(g, None if first is None else 0)
         step = [0] * n
         for i, v in enumerate(order):
             step[v] = i
@@ -342,7 +359,7 @@ class _IndexSearch:
         # theirs); both orders place them earlier
         below = self.twins_below
         twin_lo = [[step[u] for u in range(v) if below[v] >> u & 1] for v in order]
-        if not lexicographic:
+        if not lexicographic and first is None:
             # the reflection cut: the second twin-free vertex lies above the
             # first, one more lower bound of the same kind as a twin's
             twinned = 0
@@ -379,6 +396,8 @@ class _IndexSearch:
             if lexicographic:
                 if i == n - 1 and not used >> floor & 1:
                     base &= 1 << floor
+                elif i == 0 and first is not None:
+                    base &= 1 << (floor + first)
             elif i == 0:
                 base &= 1 << width
             for j in twin_lo[i]:
@@ -461,7 +480,41 @@ class _IndexSearch:
 
         if lexicographic:
             return dfs(0, 0, 0, 0, 0, floor, cap)
+        if first is not None:
+            # the lower edge of the window, hi - width, starts at width - d:
+            # no label lies more than d below vertex 0's
+            return dfs(0, 0, 0, 0, 0, width, 2 * width - first)
         return dfs(0, 0, 0, 0, 0, width, width)
+
+    def least(self, target: int, cap: int, known: list[int]) -> list[int]:
+        """The lexicographically least labelling with at most ``target``
+        distinct edge values and labels in {floor..cap} that uses the floor
+        label; ``known`` is one labelling with at most ``target`` values and
+        a span of at most cap - floor.
+
+        Its first label is settled before the lexicographic DFS runs.  Let d
+        be the least value of f(0) - min f over the labellings with at most
+        ``target`` values and span at most cap - floor.  Translating such a
+        labelling so that its least label is the floor gives one in the
+        window with f(0) = floor + d, so the least labelling has
+        f(0) <= floor + d; it is itself such a labelling, so f(0) = floor + d
+        exactly.  Feasibility queries (``search`` with ``first``) for
+        d = 0, 1, ... find d; they run in a branch order grown from vertex 0,
+        which propagates far better than the fixed order 0..n-1 in which the
+        lexicographic DFS would otherwise refute each smaller f(0).
+        ``known`` bounds d without a query: sorting vertex 0's twin class,
+        which keeps the values and the exclusive condition, makes f(0) - min f
+        the least label of the class less min f, and reflecting it makes it
+        max f less the greatest label of the class.  d is at most the
+        smaller, c, so only d < c is queried, and d = c when no query finds
+        a labelling.  The lexicographic DFS then runs with f(0) pinned at
+        floor + d.  The answer does not depend on ``known``.
+        """
+        below = self.twins_below
+        twins = [x for v, x in enumerate(known) if v == 0 or below[v] & 1]
+        c = min(min(twins) - min(known), max(known) - max(twins))
+        d = next((d for d in range(c) if self.search(target, cap, first=d) is not None), c)
+        return self.search(target, cap, lexicographic=True, first=d)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +533,17 @@ class _Ascent:
     pass tries t = lower, lower + 1, ... below limit, and the full-range
     pass descends from below the cheap value to lower at most; fallback, if
     given, is a labelling known to reach limit.
-    canonical(t, cap), if given, returns the lexicographically least
+    canonical(t, cap, known), if given, returns the lexicographically least
     labelling with labels up to cap that reaches t; the driver asks for it
     at the deterministic cap min(bound, max(2n, max(labels))) of the
     labelling found, which uses the least label and fits under that cap, so
-    one always exists.  No labelling at any cap reaches a target below
-    lower, so a value at lower is reported range_free.  extra(labels)
-    gives the invariant's own IndexResult fields.  what names the labelling
-    in the SolverError raised when no round finds one (only the
-    positive-label invariants, whose ascent has no fallback, can get there).
+    one always exists, and passes that labelling as known.  The answer does
+    not depend on known, which only bounds the work.  No labelling at any
+    cap reaches a target below lower, so a value at lower is reported
+    range_free.  extra(labels) gives the invariant's own IndexResult
+    fields.  what names the labelling in the SolverError raised when no
+    round finds one (only the positive-label invariants, whose ascent has
+    no fallback, can get there).
     """
 
     invariant: str
@@ -497,7 +552,7 @@ class _Ascent:
     limit: int
     cheap_cap: int
     fallback: list[int] | None = None
-    canonical: Callable[[int, int], list[int]] | None = None
+    canonical: Callable[[int, int, list[int]], list[int]] | None = None
     extra: Callable[[list[int]], dict] | None = None
     what: str = ""
 
@@ -521,25 +576,26 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     With cfg.escalate the bound doubles until the value is the same in two
     consecutive rounds; a round cut short by the budget keeps an earlier
     round's smaller value and witness.  A search's outcome depends only on
-    its target and cap, so no search runs twice within one solve: a later
-    round reuses the earlier rounds' cheap pass and, while its cap is
-    unchanged, their canonical search.
+    its target and cap, not on the labelling a canonical search is given,
+    so no search runs twice within one solve: a later round reuses the
+    earlier rounds' cheap pass and, while its cap is unchanged, their
+    canonical search.
     """
     trace: list[tuple[int, int]] = []
     value = labels = lower = None
     exhaustive = True
     outcomes: dict[tuple, object] = {}
 
-    def run(fn: Callable, *args: int):
-        key = (fn, *args)
+    def run(fn: Callable, t: int, cap: int, *known: list[int]):
+        key = (fn, t, cap)
         if key not in outcomes:
-            outcomes[key] = fn(*args)
+            outcomes[key] = fn(t, cap, *known)
         return outcomes[key]
 
     def canonical(t: int, labels: list[int]) -> list[int]:
         if spec.canonical is None:
             return labels
-        return run(spec.canonical, t, min(bound, max(2 * len(labels), max(labels))))
+        return run(spec.canonical, t, min(bound, max(2 * len(labels), max(labels))), labels)
 
     while True:
         round_value, round_labels = spec.limit, spec.fallback
@@ -628,7 +684,7 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
         cheap_cap=2 * n,
         fallback=labels,
         # an edgeless graph's value 0 needs no search, not even a canonical one
-        canonical=partial(search.search, lexicographic=True) if g.m else None,
+        canonical=search.least if g.m else None,
     )
     return _solve(spec, cfg, bound, counter, t0)
 
@@ -699,7 +755,7 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
         lower=lambda: floor(g, best_sm_lower(g), g.m + 1, True, counter.tick),
         limit=g.m + 1,
         cheap_cap=4 * g.n,
-        canonical=partial(search.search, lexicographic=True),
+        canonical=search.least,
         extra=extra,
         what="exclusive sum",
     )

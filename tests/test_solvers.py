@@ -1,6 +1,7 @@
 import random
 import time
-from itertools import permutations
+from dataclasses import replace
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,7 +334,7 @@ class _Oracle:
         reached = self.cheap_value if cap <= self.cheap_cap else self.value
         return [0, 1, 10 + t] if t >= reached else None
 
-    def canonical(self, t, cap):
+    def canonical(self, t, cap, known):
         self.calls.append(("canonical", t, cap))
         self.counter.tick()
         return [0, 1, 2 + t]
@@ -448,29 +449,38 @@ def test_sum_index_budget_out_in_the_floor():
     assert _observed(g, res, LabelKind.SUM) == 7
 
 
-def _spy(monkeypatch, cls):
+def _spy(monkeypatch, field="find"):
+    """The (target, cap) of every call the ascent driver makes to the
+    invariant's ``field`` search, find or canonical; the searches that a
+    canonical pass runs itself are not recorded as finds."""
     calls = []
-    real = cls.search
+    real = solvers._solve
 
-    def search(self, t, cap, **kwargs):
-        if not kwargs.get("lexicographic"):
+    def solve(spec, *args):
+        fn = getattr(spec, field)
+        if fn is None:
+            return real(spec, *args)
+
+        def spied(t, cap, *known):
             calls.append((t, cap))
-        return real(self, t, cap, **kwargs)
+            return fn(t, cap, *known)
 
-    monkeypatch.setattr(cls, "search", search)
+        return real(replace(spec, **{field: spied}), *args)
+
+    monkeypatch.setattr(solvers, "_solve", solve)
     return calls
 
 
 def test_real_solvers_prove_only_value_minus_one(monkeypatch):
     # K4: sigma >= min degree 3, the cheap pass (cap 16) finds 5, and the
     # one full-range proof (cap 4n^2 = 64) is r = 4
-    calls = _spy(monkeypatch, solvers._AscendingSumSearch)
+    calls = _spy(monkeypatch)
     res = sl.sum_number(sl.parse_graph6("C~"))
     assert (res.value, res.exhaustive_within_range) == (5, True)
     assert [c for c in calls if c[1] == 64] == [(4, 64)]
     # Es^w: best_df_lower 3, the cheap pass (cap 12) fails at 3 and finds 4,
     # and the one full-range proof (cap n(n-1)/2 + n = 21) is t = 3
-    calls = _spy(monkeypatch, solvers._IndexSearch)
+    calls.clear()
     g = sl.parse_graph6("Es^w")
     res = sl.difference_index(g)
     assert sl.best_df_lower(g) == 3
@@ -485,7 +495,7 @@ def test_exclusive_searches_no_target_below_its_value(monkeypatch, text):
     # eps exceeds best_sm_lower on these graphs (test_sum_graphs pins the
     # values), and the partition refutation rules out every target below
     # eps, so the ascent starts at eps and no label search runs below it
-    calls = _spy(monkeypatch, solvers._IndexSearch)
+    calls = _spy(monkeypatch)
     g = sl.parse_graph6(text)
     res = sl.exclusive_sum_number(g)
     assert res.value > sl.best_sm_lower(g)
@@ -560,6 +570,92 @@ def test_descent_matches_reference_ascent(connected_by_n):
                     assert got == expect, (sl.emit_graph6(g), fn, bound)
 
 
+def _first_in_product_order(g, value, floor, cap, is_sum, exclusive):
+    """The first injective labelling in itertools.product order over
+    {floor..cap}^n with at most ``value`` distinct edge values (sums or
+    differences) and, if exclusive, no non-adjacent pair summing onto an
+    edge sum; None when there is none."""
+    n = g.n
+    edges = set(g.edges)
+    for f in product(range(floor, cap + 1), repeat=n):
+        if len(set(f)) < n:
+            continue
+        vals = {f[u] + f[v] if is_sum else abs(f[u] - f[v]) for u, v in edges}
+        if len(vals) > value:
+            continue
+        if exclusive and any(
+            f[u] + f[v] in vals
+            for u in range(n) for v in range(u + 1, n) if (u, v) not in edges
+        ):
+            continue
+        return f
+    return None
+
+
+def test_canonical_witnesses_are_first_in_product_order(connected_by_n, monkeypatch):
+    # the driver's canonical cap is read off its canonical calls; the last
+    # one, at the value, made the witness
+    calls = _spy(monkeypatch, "canonical")
+    checked = 0
+    for n in range(2, 6):
+        for g in connected_by_n[n]:
+            for fn, is_sum, exclusive in (
+                (sl.sum_index, True, False),
+                (sl.difference_index, False, False),
+                (sl.exclusive_sum_number, True, True),
+            ):
+                if exclusive and n > 4:
+                    continue
+                calls.clear()
+                res = fn(g)
+                t, cap = calls[-1]
+                assert t == res.value
+                got = tuple(res.witness.as_dict()[v] for v in range(n))
+                expect = _first_in_product_order(g, res.value, 1 if exclusive else 0, cap,
+                                                 is_sum, exclusive)
+                assert got == expect, (sl.emit_graph6(g), fn, cap)
+                checked += 1
+    assert checked == 2 * (1 + 2 + 6 + 21) + (1 + 2 + 6)
+
+
+def test_least_matches_the_unpinned_lexicographic_search(connected_by_n, monkeypatch):
+    # least settles f(0) by feasibility queries that start from the known
+    # labelling's bound; it must agree with the plain lexicographic DFS
+    # whichever of the witness and its reflection it is given
+    calls = _spy(monkeypatch, "canonical")
+    for n in range(2, 7):
+        for g in connected_by_n[n]:
+            for fn, kind, exclusive in (
+                (sl.sum_index, LabelKind.SUM, False),
+                (sl.difference_index, LabelKind.DIFF, False),
+                (sl.exclusive_sum_number, LabelKind.SUM, True),
+            ):
+                if exclusive and n > 5:
+                    continue
+                calls.clear()
+                res = fn(g)
+                t, cap = calls[-1]
+                w = [res.witness.as_dict()[v] for v in range(n)]
+                lo, hi = min(w), max(w)
+                search = solvers._IndexSearch(g, kind, solvers._NodeCounter(None), exclusive)
+                expect = search.search(t, cap, lexicographic=True)
+                assert expect == w
+                for known in (w, [lo + hi - x for x in w]):
+                    assert search.least(t, cap, known) == expect, (sl.emit_graph6(g), fn, known)
+
+
+def test_least_settles_the_first_label_of_a_dense_exclusive_witness():
+    # FsOfW (eps 5 at n = 7): the lexicographic DFS alone took 7,139,691
+    # nodes at (5, 28), refuting f(0) = 1 in the order 0..6
+    g = sl.parse_graph6("FsOfW")
+    counter = solvers._NodeCounter(None)
+    search = solvers._IndexSearch(g, LabelKind.SUM, counter, exclusive=True)
+    known = search.search(5, 28)
+    counter.nodes = 0
+    assert search.least(5, 28, known) == [2, 4, 7, 10, 3, 1, 5]
+    assert counter.nodes == 558_117
+
+
 # nodes_expanded of sum_index, difference_index and exclusive_sum_number, each
 # at the default config and at node_budget=300 (301 when the budget runs out,
 # None when it runs out before any exclusive labelling is found).  These pin
@@ -568,18 +664,18 @@ def test_descent_matches_reference_ascent(connected_by_n):
 # exclusive counts include the partition refutations that find their floors.
 _TREE_PINS = {
     # twins
-    "K1,4": ("Ds_", (5, 5, 191, 191, 14, 14)),
-    "K1,5": ("Esa?", (6, 6, 869, 301, 17, 17)),
+    "K1,4": ("Ds_", (5, 5, 213, 213, 14, 14)),
+    "K1,5": ("Esa?", (6, 6, 936, 301, 17, 17)),
     "K4-e": ("C}", (4, 4, 25, 25, 14, 14)),
-    "K2,3": ("D]o", (15, 15, 194, 194, 47, 47)),
+    "K2,3": ("D]o", (15, 15, 201, 201, 47, 47)),
     "Dr{": ("Dr{", (412, 301, 84, 84, 2012, None)),
-    "Esxw": ("Esxw", (2051, 301, 952, 301, 9187, None)),
+    "Esxw": ("Esxw", (2051, 301, 496, 301, 9187, None)),
     # twin-free
-    "C5": ("Dhc", (157, 157, 5, 5, 432, 301)),
-    "C6": ("EhEG", (72, 72, 6, 6, 83, 83)),
-    "P5": ("DhC", (46, 46, 5, 5, 72, 72)),
-    "house": ("Dhs", (1809, 301, 21, 21, 1298, 301)),
-    "prism3": ("E{Sw", (196, 196, 6, 6, 547, 301)),
+    "C5": ("Dhc", (253, 253, 5, 5, 694, 301)),
+    "C6": ("EhEG", (102, 102, 6, 6, 133, 133)),
+    "P5": ("DhC", (73, 73, 5, 5, 117, 117)),
+    "house": ("Dhs", (484, 301, 21, 21, 455, 301)),
+    "prism3": ("E{Sw", (317, 301, 6, 6, 1036, 301)),
     "bull": ("DyG", (196, 196, 5, 5, 615, 301)),
 }
 
