@@ -5,8 +5,10 @@ index, two degree-sequence bounds (one per index), and the maximum-degree
 bounds (the edges at one vertex carry pairwise distinct sums, and their
 differences coincide only in pairs symmetric about it).  ``best_sm_lower``
 and ``best_df_lower`` combine them into the best integer lower bounds for a
-graph; the solvers start their ascent from exactly these values, and
-``bound_report`` prints them.
+graph, and ``bound_report`` prints them.  The difference index ascends
+from ``best_df_lower`` itself; the sum index and the exclusive sum number
+ascend from the range-free floor of ``partition``, whose refutations start
+at ``best_sm_lower``.
 """
 
 from __future__ import annotations
@@ -166,8 +168,10 @@ class BoundReport:
 def bound_report(g: Graph, max_k_cycles: int | None = None) -> BoundReport:
     """Evaluate every bound for one graph.
 
-    ``best_sm_lower`` and ``best_df_lower`` are the values the solvers
-    ascend from.  ``min_degree_bound`` is the classical sum-number bound
+    ``best_df_lower`` is the value the difference index ascends from;
+    ``best_sm_lower`` is where the edge-partition refutations that give
+    the sum index's and exclusive sum number's starting floor begin.
+    ``min_degree_bound`` is the classical sum-number bound
     sigma >= min degree (Bergstrand et al. 1989), which the sum number's
     ascent starts from; it is also a difference-index bound, which the k=1
     term of diff_degree_bound always dominates.

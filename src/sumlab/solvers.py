@@ -10,19 +10,12 @@ exclusive sum number's lower bound is the least target that the
 edge-partition refutation of ``partition`` does not rule out.
 
 The sum index, difference index and exclusive sum number share one search
-kernel.  All three are invariant under translating the labels, under
-reflecting them (f -> -f) and under swapping the labels of twins (vertices
-u, v with N(u) - {v} = N(v) - {u}).  A feasibility search therefore pins the
-first vertex of its branch order at relative label 0, gives twins u < v
-labels f(u) < f(v), places the second twin-free vertex of the branch order
-above the first (the reflection cut; there is none with fewer than two
-twin-free vertices), and offers each vertex only the labels in
-[hi - W, lo + W], where lo/hi are the least and greatest placed labels and
-W = B - floor.  The witness is translated so that its least label is the
-floor; the minimum over that quotient equals the minimum over all
-labellings that fit the range.  A twin-free graph's reflection cut falls on
-the second vertex of the branch order, and its search is the one without
-the twin order.
+kernel, ``_IndexSearch``: a DFS that pins its first vertex at relative
+label 0, keeps the span of the placed labels within B - floor, and cuts the
+twin and reflection symmetries the three invariants share.  Its callers
+differ only in the data they pass: the vertex order, the starting window,
+whether candidates are grouped by new edge values, and whether the
+reflection cut applies.
 
 Candidate labels are generated as Python-int bitmasks, after the shift-
 register bitmaps of optimal Golomb ruler search (Rankin 1993): the labels a
@@ -33,20 +26,14 @@ the target number of distinct values, so a vertex may add at most its slack
 s (the target less the values so far) new ones.  Its candidates' misses
 (edges onto no old value) are therefore counted in s + 1 masks only, one
 per usable level, which with no slack is a chain of ANDs; a vertex with no
-candidate ends its branch before any level is built.  Candidates come with
-the fewest new edge values first, then smallest label.  ``nodes_expanded``
+candidate ends its branch before any level is built.  ``nodes_expanded``
 counts the placements that survive these mask filters.
 
 Witnesses are canonicalised to the lexicographically least optimal labelling
 (by vertex order) within a deterministic label cap, so results are
-reproducible regardless of scheduling.  Its first label is settled first:
-feasibility queries, in a branch order grown from vertex 0, find the least
-d for which some labelling has f(0) - min f <= d, querying only below the
-bound that the labelling in hand gives.  The same DFS over the fixed window
-{floor..cap}, in vertex order 0..n-1 with f(0) pinned at floor + d, then
-finds the rest.  That DFS keeps twins in order too, which loses nothing:
-the least labelling is twin-sorted, since swapping an out-of-order twin
-pair would give a smaller one.
+reproducible regardless of scheduling.  ``_IndexSearch.least`` finds it
+with the same DFS: feasibility queries settle the first label, and a walk
+in vertex order finds the rest.
 
 The sum number has its own search, which places labels in increasing order
 and picks at each step the vertex that takes the next label.  An edge sum
@@ -261,11 +248,12 @@ def _labelling_value(g: Graph, f: list[int], is_sum: bool) -> int:
     return len(vals)
 
 
-def _greedy_upper(g: Graph, is_sum: bool) -> tuple[int, list[int]]:
-    """Cheap upper bound: best of a few order-based labellings (labels 0..n-1)."""
+def _greedy_upper(g: Graph, is_sum: bool, branch: list[int]) -> tuple[int, list[int]]:
+    """Cheap upper bound: best of a few order-based labellings (labels 0..n-1),
+    ``branch`` being the branch order."""
     n = g.n
     candidates = [list(range(n))]
-    for order in (_branch_order(g), bfs_order(g)):
+    for order in (branch, bfs_order(g)):
         f = [0] * n
         for i, v in enumerate(order):
             f[v] = i
@@ -278,6 +266,25 @@ class _IndexSearch:
     number of distinct edge values.  In exclusive mode, sums of non-adjacent
     pairs must additionally avoid the edge-sum set, and labels are positive.
 
+    The three invariants it serves are invariant under translating the
+    labels, under reflecting them (f -> -f) and under swapping the labels of
+    twins u, v (N(u) - {v} = N(v) - {u}), which keeps the edge values and
+    the exclusive condition.  So the DFS places the first vertex of its
+    order at relative label 0 and offers each later vertex only the labels
+    that keep the span within W = cap - floor; the labelling found is
+    translated so that its least label is the floor.  Twins u < v get
+    f(u) < f(v): a placed twin's label bounds the candidates from below,
+    and every order the DFS runs in places lower-index twins first.  The
+    feasibility search also cuts reflection, which reverses every twin
+    order, so the cut is placed between the first two twin-free vertices
+    a, b of the branch order: f(b) > f(a).  The two cuts are compatible.
+    Sort each twin class of any labelling, which leaves a and b alone; if
+    now f(b) < f(a), reflect and sort again, giving -f(b) > -f(a).
+    Translation preserves both cuts.  With fewer than two twin-free vertices
+    there is no reflection cut; a twin-free graph's cut falls on the second
+    vertex of the branch order, and its search is the one without the twin
+    order.
+
     Labels are held as bit positions and every set the search consults is a
     Python int: the placed labels, the edge values, and in exclusive mode the
     non-edge sums.  Candidate labels for a vertex come from shifting those
@@ -286,6 +293,9 @@ class _IndexSearch:
     are kept for e = 0..slack only, where slack is the number of new values
     the target still allows; a vertex with none left ends its branch there,
     before the candidate groups and the masks a placement needs are built.
+    A candidate's number of new values is its miss count, except in
+    difference mode at the midpoint of two placed neighbours' labels, where
+    their two differences coincide and the exact count is taken instead.
     """
 
     def __init__(self, g: Graph, kind: LabelKind, counter: _NodeCounter,
@@ -296,59 +306,81 @@ class _IndexSearch:
         self.floor = 1 if exclusive else 0
         self.counter = counter
         self.twins_below = twins_below([sum(1 << u for u in a) for a in g.adj])
+        self.order = _branch_order(g)
 
-    def search(self, target: int, cap: int, lexicographic: bool = False,
-               first: int | None = None) -> list[int] | None:
+    def search(self, target: int, cap: int) -> list[int] | None:
         """First labelling with at most ``target`` distinct edge values and
-        labels in {floor..cap}, or None when that space is empty.
+        labels in {floor..cap}, or None when that space is empty: the DFS in
+        the branch order, with the span its only window, candidates by
+        fewest new edge values, then smallest label, and the reflection
+        cut."""
+        width = cap - self.floor
+        return self._dfs(target, width, self.order, width, width, grouped=True, cut=True)
 
-        Feasibility mode (lexicographic=False) pins the first vertex of a
-        propagation-friendly order at relative label 0 and offers each later
-        vertex only the labels that keep the span within cap - floor.
-        Candidates come in order of fewest new edge values, then smallest
-        label, and the witness is translated so that its least label is the
-        floor.  A candidate's number of new values is its miss count,
-        except in difference mode at the midpoint of two placed neighbours'
-        labels, where their two differences coincide and the exact count is
-        taken instead.  Lexicographic mode is the same DFS over the fixed
-        window {floor..cap}, in vertex order 0..n-1 with ascending labels,
-        so the first solution is the lexicographically least labelling using
-        the floor label; ``least`` runs it with f(0) already settled.
+    def least(self, target: int, cap: int, known: list[int]) -> list[int]:
+        """The lexicographically least labelling with at most ``target``
+        distinct edge values and labels in {floor..cap}; ``known`` is one
+        such labelling.  The answer does not depend on ``known``.
 
-        Swapping the labels of twins u, v (N(u) - {v} = N(v) - {u}) keeps
-        the edge values and the exclusive condition, so both modes keep
-        twins u < v in index order, f(u) < f(v): a placed twin's label
-        bounds the candidates from below; both orders place lower-index
-        twins first.  In lexicographic mode that loses nothing: swapping an
-        out-of-order twin pair gives a smaller labelling, so the least one
-        is twin-sorted.  Feasibility mode also cuts reflection (f -> -f),
-        which reverses every twin order, so the cut is placed between the
-        first two twin-free vertices a, b of the branch order: f(b) > f(a).
-        The two cuts are compatible.  Sort each twin class of any
-        labelling, which leaves a and b alone; if now f(b) < f(a), reflect
-        and sort again, giving -f(b) > -f(a).  Translation preserves both
-        cuts.  With fewer than two twin-free vertices there is no reflection
-        cut; a twin-free graph is searched exactly as without the twin order.
+        Its first label is settled before the rest.  Let d be the least
+        value of f(0) - min f over the labellings with at most ``target``
+        values and span at most cap - floor.  Every labelling in the window
+        has f(0) >= min f + d >= floor + d, and translating one that attains
+        d so that its least label is the floor gives f(0) = floor + d; so
+        the least labelling has f(0) = floor + d.  Feasibility queries for
+        d = 0, 1, ... find d.  Each places vertex 0 at relative label 0, in
+        a branch order grown from vertex 0 that propagates far better than
+        the order 0..n-1, and every other label at most d below it.  Vertex
+        0 is the least index of its twin class, so sorting twins never
+        raises f(0) - min f and the twin order stays; reflection does not
+        keep f(0) - min f, so the queries have no reflection cut.  ``known``
+        bounds d without a query: sorting vertex 0's twin class makes
+        f(0) - min f the least label of the class less min f, and reflecting
+        it makes it max f less the greatest label of the class.  d is at
+        most the smaller, c, so only d < c is queried, and d = c when no
+        query finds a labelling.
 
-        ``first`` = d holds vertex 0 at d above the least label, for
-        ``least``.  In lexicographic mode it pins f(0) = floor + d.  In
-        feasibility mode the branch order grows from vertex 0, which sits at
-        relative label 0, and every other label lies at most d below it, so
-        the search finds a labelling with f(0) - min f <= d if there is one.
-        Vertex 0 is the least index of its twin class, so sorting twins
-        never raises f(0) and the twin order stays; reflection does not keep
-        f(0) - min f, so there is no reflection cut.
+        ``lexicographic`` then walks the window with f(0) = floor + d.  It
+        needs no test that the least label is the floor: every labelling in
+        the window with f(0) = floor + d has f(0) - min f <= d, so by the
+        least choice of d its min is the floor.  The walk keeps twins in
+        order too, which loses nothing: the least labelling is twin-sorted,
+        since swapping an out-of-order twin pair gives a smaller one.
+        """
+        below = self.twins_below
+        twins = [x for v, x in enumerate(known) if v == 0 or below[v] & 1]
+        c = min(min(twins) - min(known), max(known) - max(twins))
+        width = cap - self.floor
+        order = _branch_order(self.g, 0)
+        d = next((d for d in range(c)
+                  if self._dfs(target, width, order, width, 2 * width - d,
+                               grouped=True, cut=False) is not None), c)
+        return self.lexicographic(target, cap, d)
+
+    def lexicographic(self, target: int, cap: int, d: int) -> list[int] | None:
+        """The lexicographically least labelling with at most ``target``
+        distinct edge values, labels in {floor..cap} and f(0) = floor + d,
+        or None: the DFS in vertex order 0..n-1, candidates by label alone.
+        Vertex 0 sits at position width, so the fixed window of positions
+        width - d..2 width - d holds the labels floor..cap."""
+        width = cap - self.floor
+        return self._dfs(target, width, list(range(self.g.n)), width - d, 2 * width - d,
+                         grouped=False, cut=False)
+
+    def _dfs(self, target: int, width: int, order: list[int], lo: int, hi: int,
+             grouped: bool, cut: bool) -> list[int] | None:
+        """First labelling of span at most ``width`` with at most ``target``
+        distinct edge values, translated so that its least label is the
+        floor, or None.  Vertices are placed in ``order``, the first at
+        position ``width``, each later one in [hi - width, lo + width] with
+        lo/hi the least/greatest of the placed positions and the given ones
+        (lo <= width <= hi).  Candidates come by fewest new edge values if
+        ``grouped``, then by position; ``cut`` adds the reflection cut.
         """
         g = self.g
         n = g.n
-        floor = self.floor
-        width = cap - floor
         if width + 1 < n:
             return None
-        if lexicographic:
-            order = list(range(n))
-        else:
-            order = _branch_order(g, None if first is None else 0)
         step = [0] * n
         for i, v in enumerate(order):
             step[v] = i
@@ -356,10 +388,10 @@ class _IndexSearch:
             tuple(step[u] for u in g.adj[v] if step[u] < i) for i, v in enumerate(order)
         ]
         # per step, the steps of its lower-index twins (its label lies above
-        # theirs); both orders place them earlier
+        # theirs); every order places them earlier
         below = self.twins_below
         twin_lo = [[step[u] for u in range(v) if below[v] >> u & 1] for v in order]
-        if not lexicographic and first is None:
+        if cut:
             # the reflection cut: the second twin-free vertex lies above the
             # first, one more lower bound of the same kind as a twin's
             twinned = 0
@@ -375,12 +407,12 @@ class _IndexSearch:
             ]
         else:
             non_steps = [()] * n
-        # Bit positions: labels themselves in lexicographic mode; in
-        # feasibility mode relative labels -width..width shifted by width.
-        # Edge sums are held as sums of positions, differences as themselves
-        # in ``vals`` and mirrored at ``top`` (above every position) in
-        # ``rvals``, so that both shifts of a hit mask are nonnegative.
-        top = 2 * cap
+        # Positions lie in 0..2 width.  Edge sums are held as sums of
+        # positions, differences as themselves in ``vals`` and mirrored at
+        # ``top`` (above every position) in ``rvals``, so that both shifts
+        # of a hit mask are nonnegative.
+        top = 2 * width
+        floor = self.floor
         is_sum = self.is_sum
         exclusive = self.exclusive
         counter = self.counter
@@ -393,13 +425,6 @@ class _IndexSearch:
                 return [p[step[v]] - least + floor for v in range(n)]
             nbl = [p[j] for j in nbr_steps[i]]
             base = ((1 << (lo + width + 1)) - (1 << (hi - width))) & ~used
-            if lexicographic:
-                if i == n - 1 and not used >> floor & 1:
-                    base &= 1 << floor
-                elif i == 0 and first is not None:
-                    base &= 1 << (floor + first)
-            elif i == 0:
-                base &= 1 << width
             for j in twin_lo[i]:
                 base &= -(2 << p[j])
             if exclusive:
@@ -432,12 +457,11 @@ class _IndexSearch:
                     break
             if not (within[slack] | mids):
                 return None
-            # candidate groups: one per number of new edge values in
-            # feasibility mode, all of them at once in lexicographic mode
-            if lexicographic:
-                groups = [within[slack]]
-            else:
+            # candidate groups: one per number of new edge values, or one
+            if grouped:
                 groups = [within[0]] + [within[e] & ~within[e - 1] for e in range(1, slack + 1)]
+            else:
+                groups = [within[slack]]
             if mids:
                 # each midpoint moves to the group of its exact count, and
                 # joins one if that count fits the slack
@@ -448,7 +472,7 @@ class _IndexSearch:
                     x = low.bit_length() - 1
                     e = sum(1 for d in {abs(x - q) for q in nbl} if not vals >> d & 1)
                     if e <= slack:
-                        groups[0 if lexicographic else e] |= low
+                        groups[e if grouped else 0] |= low
             nbr_mask = non_mask = 0
             if is_sum:
                 for q in nbl:
@@ -478,43 +502,9 @@ class _IndexSearch:
                         return hit
             return None
 
-        if lexicographic:
-            return dfs(0, 0, 0, 0, 0, floor, cap)
-        if first is not None:
-            # the lower edge of the window, hi - width, starts at width - d:
-            # no label lies more than d below vertex 0's
-            return dfs(0, 0, 0, 0, 0, width, 2 * width - first)
-        return dfs(0, 0, 0, 0, 0, width, width)
-
-    def least(self, target: int, cap: int, known: list[int]) -> list[int]:
-        """The lexicographically least labelling with at most ``target``
-        distinct edge values and labels in {floor..cap} that uses the floor
-        label; ``known`` is one labelling with at most ``target`` values and
-        a span of at most cap - floor.
-
-        Its first label is settled before the lexicographic DFS runs.  Let d
-        be the least value of f(0) - min f over the labellings with at most
-        ``target`` values and span at most cap - floor.  Translating such a
-        labelling so that its least label is the floor gives one in the
-        window with f(0) = floor + d, so the least labelling has
-        f(0) <= floor + d; it is itself such a labelling, so f(0) = floor + d
-        exactly.  Feasibility queries (``search`` with ``first``) for
-        d = 0, 1, ... find d; they run in a branch order grown from vertex 0,
-        which propagates far better than the fixed order 0..n-1 in which the
-        lexicographic DFS would otherwise refute each smaller f(0).
-        ``known`` bounds d without a query: sorting vertex 0's twin class,
-        which keeps the values and the exclusive condition, makes f(0) - min f
-        the least label of the class less min f, and reflecting it makes it
-        max f less the greatest label of the class.  d is at most the
-        smaller, c, so only d < c is queried, and d = c when no query finds
-        a labelling.  The lexicographic DFS then runs with f(0) pinned at
-        floor + d.  The answer does not depend on ``known``.
-        """
-        below = self.twins_below
-        twins = [x for v, x in enumerate(known) if v == 0 or below[v] & 1]
-        c = min(min(twins) - min(known), max(known) - max(twins))
-        d = next((d for d in range(c) if self.search(target, cap, first=d) is not None), c)
-        return self.search(target, cap, lexicographic=True, first=d)
+        counter.tick()
+        p[0] = width
+        return dfs(1, 0, 0, 0, 1 << width, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +524,16 @@ class _Ascent:
     pass descends from below the cheap value to lower at most; fallback, if
     given, is a labelling known to reach limit.
     canonical(t, cap, known), if given, returns the lexicographically least
-    labelling with labels up to cap that reaches t; the driver asks for it
-    at the deterministic cap min(bound, max(2n, max(labels))) of the
-    labelling found, which uses the least label and fits under that cap, so
-    one always exists, and passes that labelling as known.  The answer does
-    not depend on known, which only bounds the work.  No labelling at any
-    cap reaches a target below lower, so a value at lower is reported
-    range_free.  extra(labels) gives the invariant's own IndexResult
-    fields.  what names the labelling in the SolverError raised when no
-    round finds one (only the positive-label invariants, whose ascent has
-    no fallback, can get there).
+    labelling with labels up to cap that reaches t (for the index searches,
+    ``_IndexSearch.least``).  The driver asks for it at the deterministic
+    cap min(bound, max(2n, max(labels))) of the labelling found, which fits
+    under that cap, so one always exists, and passes that labelling as
+    known.  The answer does not depend on known, which only bounds the
+    work.  No labelling at any cap reaches a target below lower, so a value
+    at lower is reported range_free.  extra(labels) gives the invariant's
+    own IndexResult fields.  what names the labelling in the SolverError
+    raised when no round finds one (only the positive-label invariants,
+    whose ascent has no fallback, can get there).
     """
 
     invariant: str
@@ -674,7 +664,7 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
     counter = _NodeCounter(cfg.node_budget)
     search = _IndexSearch(g, kind, counter)
     is_sum = kind is LabelKind.SUM
-    upper, labels = _greedy_upper(g, is_sum)
+    upper, labels = _greedy_upper(g, is_sum, search.order)
     spec = _Ascent(
         invariant=name,
         find=search.search,
