@@ -104,10 +104,10 @@ def best_sm_lower(g: Graph) -> int:
     tr(A^(2k+1)) / (2(2k+1)) of them, and the odd-cycle bound grows with the
     count: a length whose cap cannot beat the best bound so far is skipped.
     A bipartite graph has no odd cycle, so it builds no walks.  With D the
-    maximum degree, at most n * D^L and n * D * (D-1)^(L-2) (non-backtracking)
-    closed walks have length L, so no length L or longer gives more than
-    r + 2, r the floor of the L-th root of the smaller; r never grows with L,
-    as (D-1)^2 < n * D, so the walks stop once r + 2 cannot beat the bound.
+    maximum degree, at most n * D * (D-1)^(L-2) non-backtracking closed walks
+    have length L, so no length L or longer gives more than r + 2, r the
+    floor of the L-th root of that cap; r never grows with L, as
+    (D-1)^2 < n * D, so the walks stop once r + 2 cannot beat the bound.
     """
     best = _best_sm_lower(g, {})
     if is_bipartite(g).bipartite:
@@ -118,8 +118,7 @@ def best_sm_lower(g: Graph) -> int:
     walks = [[int(v in adj[u]) for v in range(n)] for u in range(n)]  # A^(2k-1)
     for k in range(1, max(1, (n - 1) // 2) + 1):
         length = 2 * k + 1
-        envelope = min(_iroot(n * top ** length, length),
-                       _iroot(n * top * (top - 1) ** (length - 2), length))
+        envelope = _iroot(n * top * (top - 1) ** (length - 2), length)
         if envelope + 2 <= best:
             break
         for _ in range(2):

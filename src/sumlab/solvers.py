@@ -12,10 +12,10 @@ edge-partition refutation of ``partition`` does not rule out.
 The sum index, difference index and exclusive sum number share one search
 kernel, ``_IndexSearch``: a DFS that pins its first vertex at relative
 label 0, keeps the span of the placed labels within B - floor, and cuts the
-twin and reflection symmetries the three invariants share.  Its callers
-differ only in the data they pass: the vertex order, the starting window,
-whether candidates are grouped by new edge values, and whether the
-reflection cut applies.
+twin and reflection symmetries the three invariants share.  It offers
+each vertex its candidate labels in increasing order.  Its callers differ
+only in the data they pass: the vertex order, the starting window, and
+whether the reflection cut applies.
 
 Candidate labels are generated as Python-int bitmasks, after the shift-
 register bitmaps of optimal Golomb ruler search (Rankin 1993): the labels a
@@ -26,8 +26,10 @@ the target number of distinct values, so a vertex may add at most its slack
 s (the target less the values so far) new ones.  Its candidates' misses
 (edges onto no old value) are therefore counted in s + 1 masks only, one
 per usable level, which with no slack is a chain of ANDs; a vertex with no
-candidate ends its branch before any level is built.  ``nodes_expanded``
-counts the placements that survive these mask filters.
+candidate ends its branch before any level is built.  Only a
+difference-mode midpoint of two placed neighbours' labels is counted
+exactly.  ``nodes_expanded`` counts the placements that survive these mask
+filters.
 
 Witnesses are canonicalised to the lexicographically least optimal labelling
 (by vertex order) within a deterministic label cap, so results are
@@ -292,10 +294,12 @@ class _IndexSearch:
     Per vertex, the candidates that miss the old edge values at most e times
     are kept for e = 0..slack only, where slack is the number of new values
     the target still allows; a vertex with none left ends its branch there,
-    before the candidate groups and the masks a placement needs are built.
-    A candidate's number of new values is its miss count, except in
-    difference mode at the midpoint of two placed neighbours' labels, where
-    their two differences coincide and the exact count is taken instead.
+    before the masks a placement needs are built.  A candidate's number of
+    new values is at most its miss count, and below it only in difference
+    mode at the midpoint of two placed neighbours' labels, where their two
+    differences coincide; so the exact count is taken only for a midpoint
+    that misses more than slack times.  The candidates are then offered in
+    increasing label order.
     """
 
     def __init__(self, g: Graph, kind: LabelKind, counter: _NodeCounter,
@@ -311,11 +315,10 @@ class _IndexSearch:
     def search(self, target: int, cap: int) -> list[int] | None:
         """First labelling with at most ``target`` distinct edge values and
         labels in {floor..cap}, or None when that space is empty: the DFS in
-        the branch order, with the span its only window, candidates by
-        fewest new edge values, then smallest label, and the reflection
+        the branch order, with the span its only window, and the reflection
         cut."""
         width = cap - self.floor
-        return self._dfs(target, width, self.order, width, width, grouped=True, cut=True)
+        return self._dfs(target, width, self.order, width, width, cut=True)
 
     def least(self, target: int, cap: int, known: list[int]) -> list[int]:
         """The lexicographically least labelling with at most ``target``
@@ -354,28 +357,29 @@ class _IndexSearch:
         order = _branch_order(self.g, 0)
         d = next((d for d in range(c)
                   if self._dfs(target, width, order, width, 2 * width - d,
-                               grouped=True, cut=False) is not None), c)
+                               cut=False) is not None), c)
         return self.lexicographic(target, cap, d)
 
     def lexicographic(self, target: int, cap: int, d: int) -> list[int] | None:
         """The lexicographically least labelling with at most ``target``
         distinct edge values, labels in {floor..cap} and f(0) = floor + d,
-        or None: the DFS in vertex order 0..n-1, candidates by label alone.
-        Vertex 0 sits at position width, so the fixed window of positions
-        width - d..2 width - d holds the labels floor..cap."""
+        or None: the DFS in vertex order 0..n-1, whose candidates come by
+        label, so the first labelling it finds is the least.  Vertex 0 sits
+        at position width, so the fixed window of positions width - d..
+        2 width - d holds the labels floor..cap."""
         width = cap - self.floor
         return self._dfs(target, width, list(range(self.g.n)), width - d, 2 * width - d,
-                         grouped=False, cut=False)
+                         cut=False)
 
     def _dfs(self, target: int, width: int, order: list[int], lo: int, hi: int,
-             grouped: bool, cut: bool) -> list[int] | None:
+             cut: bool) -> list[int] | None:
         """First labelling of span at most ``width`` with at most ``target``
         distinct edge values, translated so that its least label is the
         floor, or None.  Vertices are placed in ``order``, the first at
         position ``width``, each later one in [hi - width, lo + width] with
         lo/hi the least/greatest of the placed positions and the given ones
-        (lo <= width <= hi).  Candidates come by fewest new edge values if
-        ``grouped``, then by position; ``cut`` adds the reflection cut.
+        (lo <= width <= hi).  Candidates come in increasing position;
+        ``cut`` adds the reflection cut.
         """
         g = self.g
         n = g.n
@@ -433,17 +437,6 @@ class _IndexSearch:
                 for j in non_steps[i]:
                     base &= ~(vals >> p[j])
             slack = min(target - vals.bit_count(), len(nbl))
-            # Two new differences coincide exactly at a midpoint of two placed
-            # neighbours' labels, where the miss count below counts one new
-            # value twice.  With no slack the correction changes nothing: a
-            # candidate adds no new value exactly when it misses nothing.
-            mids = 0
-            if not is_sum and slack:
-                for s, q in enumerate(nbl):
-                    for r in nbl[s + 1:]:
-                        if not (q + r) & 1:
-                            mids |= 1 << ((q + r) >> 1)
-                mids &= base
             # within[e]: candidates whose edges miss the old values at most e
             # times; one that misses more than slack times cannot be placed.
             # within[slack] only shrinks, so the count stops once it is empty.
@@ -455,24 +448,26 @@ class _IndexSearch:
                 within[0] &= hit
                 if not within[slack]:
                     break
-            if not (within[slack] | mids):
-                return None
-            # candidate groups: one per number of new edge values, or one
-            if grouped:
-                groups = [within[0]] + [within[e] & ~within[e - 1] for e in range(1, slack + 1)]
-            else:
-                groups = [within[slack]]
-            if mids:
-                # each midpoint moves to the group of its exact count, and
-                # joins one if that count fits the slack
-                groups = [c & ~mids for c in groups]
+            cands = within[slack]
+            # At a midpoint two new differences coincide, so the miss count
+            # can only overcount it: a midpoint it rejects is counted exactly.
+            # With no slack nothing changes: a candidate adds no new value
+            # exactly when it misses nothing.
+            if not is_sum and slack:
+                mids = 0
+                for s, q in enumerate(nbl):
+                    for r in nbl[s + 1:]:
+                        if not (q + r) & 1:
+                            mids |= 1 << ((q + r) >> 1)
+                mids &= base & ~cands
                 while mids:
                     low = mids & -mids
                     mids ^= low
                     x = low.bit_length() - 1
-                    e = sum(1 for d in {abs(x - q) for q in nbl} if not vals >> d & 1)
-                    if e <= slack:
-                        groups[e if grouped else 0] |= low
+                    if sum(1 for d in {abs(x - q) for q in nbl} if not vals >> d & 1) <= slack:
+                        cands |= low
+            if not cands:
+                return None
             nbr_mask = non_mask = 0
             if is_sum:
                 for q in nbl:
@@ -480,26 +475,25 @@ class _IndexSearch:
             if exclusive:
                 for j in non_steps[i]:
                     non_mask |= 1 << p[j]
-            for cands in groups:
-                while cands:
-                    low = cands & -cands
-                    cands ^= low
-                    x = low.bit_length() - 1
-                    counter.tick()
-                    if is_sum:
-                        nvals = vals | (nbr_mask << x)
-                        nrvals = rvals
-                    else:
-                        nvals, nrvals = vals, rvals
-                        for q in nbl:
-                            d = x - q if x > q else q - x
-                            nvals |= 1 << d
-                            nrvals |= 1 << (top - d)
-                    p[i] = x
-                    hit = dfs(i + 1, nvals, nrvals, nes | (non_mask << x), used | low,
-                              min(lo, x), max(hi, x))
-                    if hit is not None:
-                        return hit
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                x = low.bit_length() - 1
+                counter.tick()
+                if is_sum:
+                    nvals = vals | (nbr_mask << x)
+                    nrvals = rvals
+                else:
+                    nvals, nrvals = vals, rvals
+                    for q in nbl:
+                        d = x - q if x > q else q - x
+                        nvals |= 1 << d
+                        nrvals |= 1 << (top - d)
+                p[i] = x
+                hit = dfs(i + 1, nvals, nrvals, nes | (non_mask << x), used | low,
+                          min(lo, x), max(hi, x))
+                if hit is not None:
+                    return hit
             return None
 
         counter.tick()

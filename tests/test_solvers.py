@@ -582,25 +582,31 @@ def test_descent_matches_reference_ascent(connected_by_n):
                     assert got == expect, (sl.emit_graph6(g), fn, bound)
 
 
+def _value_count(g, f, is_sum, exclusive):
+    """The number of distinct edge values (sums or differences) of the
+    labelling f, or None when exclusive and a non-adjacent pair sums onto an
+    edge sum."""
+    edges = set(g.edges)
+    vals = {f[u] + f[v] if is_sum else abs(f[u] - f[v]) for u, v in edges}
+    if exclusive and any(
+        f[u] + f[v] in vals
+        for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in edges
+    ):
+        return None
+    return len(vals)
+
+
 def _first_in_product_order(g, value, floor, cap, is_sum, exclusive):
     """The first injective labelling in itertools.product order over
-    {floor..cap}^n with at most ``value`` distinct edge values (sums or
-    differences) and, if exclusive, no non-adjacent pair summing onto an
-    edge sum; None when there is none."""
-    n = g.n
-    edges = set(g.edges)
-    for f in product(range(floor, cap + 1), repeat=n):
-        if len(set(f)) < n:
+    {floor..cap}^n with at most ``value`` distinct edge values and, if
+    exclusive, no non-adjacent pair summing onto an edge sum; None when
+    there is none."""
+    for f in product(range(floor, cap + 1), repeat=g.n):
+        if len(set(f)) < g.n:
             continue
-        vals = {f[u] + f[v] if is_sum else abs(f[u] - f[v]) for u, v in edges}
-        if len(vals) > value:
-            continue
-        if exclusive and any(
-            f[u] + f[v] in vals
-            for u in range(n) for v in range(u + 1, n) if (u, v) not in edges
-        ):
-            continue
-        return f
+        count = _value_count(g, f, is_sum, exclusive)
+        if count is not None and count <= value:
+            return f
     return None
 
 
@@ -657,6 +663,62 @@ def test_least_matches_the_first_pinned_walk_that_finds_one(connected_by_n, monk
                     assert search.least(t, cap, known) == expect, (sl.emit_graph6(g), fn, known)
 
 
+def _search_by_brute_force(g, order, width, is_sum, exclusive):
+    """target -> the labelling that the feasibility search at cap = floor +
+    width must return, read off every position vector p (p[i] the position
+    of order[i]) in product order: the least one with p[0] = width,
+    injective positions of span at most width, each twin above its
+    lower-index twins, the second twin-free vertex of ``order`` above the
+    first, at most target distinct edge values and, if exclusive, no
+    non-adjacent pair summing onto an edge sum; translated so that its least
+    label is the floor.  A target with no such vector is absent."""
+    n = g.n
+    floor = 1 if exclusive else 0
+    pairs = _twin_pairs(g)
+    twinned = {v for pair in pairs for v in pair}
+    free = [v for v in order if v not in twinned]
+    first = {}
+    best = g.m + 1
+    for rest in product(range(2 * width + 1), repeat=n - 1):
+        pos = (width, *rest)
+        least = min(pos)
+        if len(set(pos)) < n or max(pos) - least > width:
+            continue
+        f = [0] * n
+        for i, v in enumerate(order):
+            f[v] = pos[i] - least + floor
+        if any(f[u] > f[v] for u, v in pairs):
+            continue
+        if len(free) >= 2 and f[free[1]] < f[free[0]]:
+            continue
+        count = _value_count(g, f, is_sum, exclusive)
+        if count is not None and count < best:
+            first.update(dict.fromkeys(range(count, best), f))
+            best = count
+    return first
+
+
+def test_search_finds_the_least_position_vector(connected_by_n):
+    # every vertex takes its candidates in increasing position, so the
+    # feasibility search returns the least position vector its cuts allow;
+    # K1,3, C4 and K4 take difference-mode candidates at midpoints, where
+    # two new differences coincide
+    checked = 0
+    for n in range(2, 5):
+        for g in connected_by_n[n]:
+            for kind, exclusive in ((LabelKind.SUM, False), (LabelKind.DIFF, False),
+                                    (LabelKind.SUM, True)):
+                search = solvers._IndexSearch(g, kind, solvers._NodeCounter(None), exclusive)
+                for cap in range(n - 1 + search.floor, 2 * n + 1):
+                    expect = _search_by_brute_force(g, search.order, cap - search.floor,
+                                                    kind is LabelKind.SUM, exclusive)
+                    for t in range(g.m + 1):
+                        assert search.search(t, cap) == expect.get(t), (
+                            sl.emit_graph6(g), kind, exclusive, cap, t)
+                        checked += 1
+    assert checked == 647
+
+
 def test_least_settles_the_first_label_of_a_dense_exclusive_witness():
     # FsOfW (eps 5 at n = 7): the lexicographic DFS alone took 7,139,691
     # nodes at (5, 28), refuting f(0) = 1 in the order 0..6
@@ -666,7 +728,7 @@ def test_least_settles_the_first_label_of_a_dense_exclusive_witness():
     known = search.search(5, 28)
     counter.nodes = 0
     assert search.least(5, 28, known) == [2, 4, 7, 10, 3, 1, 5]
-    assert counter.nodes == 558_117
+    assert counter.nodes == 558_118
 
 
 # nodes_expanded of sum_index, difference_index and exclusive_sum_number, each
@@ -677,18 +739,18 @@ def test_least_settles_the_first_label_of_a_dense_exclusive_witness():
 # exclusive counts include the partition refutations that find their floors.
 _TREE_PINS = {
     # twins
-    "K1,4": ("Ds_", (5, 5, 213, 213, 14, 14)),
-    "K1,5": ("Esa?", (6, 6, 936, 301, 17, 17)),
+    "K1,4": ("Ds_", (5, 5, 205, 205, 14, 14)),
+    "K1,5": ("Esa?", (6, 6, 935, 301, 17, 17)),
     "K4-e": ("C}", (4, 4, 25, 25, 14, 14)),
     "K2,3": ("D]o", (15, 15, 201, 201, 47, 47)),
-    "Dr{": ("Dr{", (412, 301, 84, 84, 2012, None)),
-    "Esxw": ("Esxw", (2051, 301, 496, 301, 9187, None)),
+    "Dr{": ("Dr{", (411, 301, 82, 82, 2012, None)),
+    "Esxw": ("Esxw", (2051, 301, 504, 301, 9187, None)),
     # twin-free
     "C5": ("Dhc", (253, 253, 5, 5, 694, 301)),
     "C6": ("EhEG", (102, 102, 6, 6, 133, 133)),
     "P5": ("DhC", (73, 73, 5, 5, 117, 117)),
     "house": ("Dhs", (484, 301, 21, 21, 455, 301)),
-    "prism3": ("E{Sw", (317, 301, 6, 6, 1036, 301)),
+    "prism3": ("E{Sw", (307, 301, 6, 6, 1016, 301)),
     "bull": ("DyG", (196, 196, 5, 5, 615, 301)),
 }
 
