@@ -46,7 +46,11 @@ edge sums, so at least the least degree of the unplaced vertices.  At the
 placement that leaves one vertex unplaced, a look-ahead counts how many free
 sums that last vertex can still cover or reuse, which the next-to-last label
 decides through simple thresholds, and drops the labels that would leave too
-many isolated.  Twins take labels in vertex order.  Its witness is the first
+many isolated.  The vertex labelled last also cuts labels earlier: the
+sums of its label y and its neighbours' labels are all isolated, so no two
+of those labels may differ by a label or an edge sum, and once a neighbour
+takes label x, every such difference below x is already known.  Twins take
+labels in vertex order.  Its witness is the first
 labelling in label-ascending order, at the reported r, within the cap of the
 pass that found it; there is no canonical pass.
 
@@ -782,8 +786,23 @@ class _AscendingSumSearch:
     y + q may hit for every x when q < M and only for x < F - q when
     q >= M.  These threshold masks join the at-least-k count, which runs
     again over the labels that the second count keeps.  Twins
-    (N(u)\\{v} = N(v)\\{u}) take labels in index order.  ``nodes_expanded``
-    counts the placements that survive the candidate masks.
+    (N(u)\\{v} = N(v)\\{u}) take labels in index order.
+
+    A last cut comes from condition (ii) at the vertex w labelled last, with
+    label y.  Each edge sum y + q, q the label of a neighbour of w, lies
+    above every label, so it is isolated.  If two such labels q < q' had
+    q' - q in W, then (y + q) + (q' - q) = y + q' would lie in W, with
+    q' - q < y + q, against (ii).  When v takes label x, every element of W
+    below x is final: a smaller label is placed, and a smaller sum is a sum
+    of two placed labels.  So if v ~ w, x - q in W for a placed neighbour q
+    of w already rules x out.  w is unknown, but it is unplaced, not v, has
+    no higher-index twin (twins are labelled in index order) and has degree
+    at most r; x is dropped when every such w is adjacent to v and rules it
+    out, that is, x lies in the AND over them of the OR of W << q over
+    their placed neighbours' labels q.  ``make_layer`` keeps these vertices'
+    placed neighbours per mover, and none when the cut cannot fire, and the
+    cut runs last, on the labels the counts keep.  ``nodes_expanded`` counts
+    the placements that survive the candidate masks.
     """
 
     def __init__(self, g: Graph, counter: _NodeCounter):
@@ -794,6 +813,10 @@ class _AscendingSumSearch:
         self.deg = [len(a) for a in g.adj]
         # a twin waits for every lower-index twin, which breaks their symmetry
         self.twins_before = twins_below(adj)
+        # the vertices with a higher-index twin, which are never labelled last
+        self.lower_twins = 0
+        for below in self.twins_before:
+            self.lower_twins |= below
         self.counter = counter
 
     def search(self, r: int, cap: int) -> list[int] | None:
@@ -803,21 +826,24 @@ class _AscendingSumSearch:
         if cap < n:
             return None
         adj, deg, twins_before = self.adj, self.deg, self.twins_before
+        lower_twins = self.lower_twins
         counter = self.counter
         everyone = (1 << n) - 1
         labels_mask = (1 << (cap + 1)) - 2
         seq: list[tuple[int, int]] = []  # (vertex bit, label) in placement order
-        layers: dict[int, tuple[int, list[tuple[int, int, int]]]] = {}  # see make_layer
+        layers: dict[int, tuple[int, list[tuple]]] = {}  # see make_layer
 
         def make_layer(placed: int):
             """How many vertices stay unplaced after the next placement, and
             the vertices that may take the next label (a twin waits for its
             lower-index twins), each with its adjacency, how many free sums
-            may lie below its label, and the adjacency of the one vertex
-            left unplaced after it (0 unless exactly one is left): the free
-            sums below the new label stay isolated for good, and the vertex
-            labelled last adds its degree, at least the least degree among
-            the others unplaced."""
+            may lie below its label, the adjacency of the one vertex left
+            unplaced after it (0 unless exactly one is left), and the placed
+            neighbours of each vertex that can still be labelled last (none
+            unless each is adjacent to it and has one, as the cut needs):
+            the free sums below the new label stay isolated for good, and
+            the vertex labelled last adds its degree, at least the least
+            degree among the others unplaced."""
             unplaced = [v for v in range(n) if not placed >> v & 1]
             movers = []
             for v in unplaced:
@@ -827,7 +853,13 @@ class _AscendingSumSearch:
                 last_deg = min((deg[u] for u in others), default=deg[v])
                 if last_deg <= r:
                     last_adj = adj[others[0]] if len(others) == 1 else 0
-                    movers.append((v, adj[v], r - last_deg, last_adj))
+                    lasts = [u for u in others
+                             if not lower_twins >> u & 1 and deg[u] <= r]
+                    if all(adj[v] >> u & 1 and adj[u] & placed for u in lasts):
+                        lasts = [adj[u] & placed for u in lasts]
+                    else:
+                        lasts = []
+                    movers.append((v, adj[v], r - last_deg, last_adj, lasts))
             return len(unplaced) - 1, movers
 
         def at_least(c: int, masks: list[int], k: int) -> int:
@@ -868,7 +900,7 @@ class _AscendingSumSearch:
             blocked = [(low, 1 << q, nes >> q, w_set >> q, t_set >> q) for low, q in seq]
             cands = []
             union = 0
-            for v, av, spare, aw in movers:
+            for v, av, spare, aw, lasts in movers:
                 bad = nbr = 0
                 hits = [free]  # bit x: label x covers a free sum
                 for low, q, n_shift, w_shift, t_shift in blocked:
@@ -915,6 +947,20 @@ class _AscendingSumSearch:
                                 hits.append((1 << (top - q)) - 1)
                     if need > 0:
                         c = at_least(c, hits, need)
+                if c and lasts:
+                    # Drop x when each vertex w that can be labelled last has
+                    # a placed neighbour q with x - q in W: w's isolated sum
+                    # y + q plus x - q is its edge sum y + x (class docstring).
+                    cut = c
+                    for nbrs in lasts:
+                        diffs = 0
+                        for low, q in seq:
+                            if nbrs & low:
+                                diffs |= w_set << q
+                        cut &= diffs
+                        if not cut:
+                            break
+                    c &= ~cut
                 if c:
                     cands.append((v, c, nbr, s_set ^ nbr))
                     union |= c

@@ -473,11 +473,14 @@ def _spy(monkeypatch, field="find"):
 
 def test_real_solvers_prove_only_value_minus_one(monkeypatch):
     # K4: sigma >= min degree 3, the cheap pass (cap 16) finds 5, and the
-    # one full-range proof (cap 4n^2 = 64) is r = 4
+    # one full-range proof (cap 4n^2 = 64) is r = 4; nodes_expanded pins the
+    # sum-number search tree
     calls = _spy(monkeypatch)
     res = sl.sum_number(sl.parse_graph6("C~"))
     assert (res.value, res.exhaustive_within_range) == (5, True)
     assert [c for c in calls if c[1] == 64] == [(4, 64)]
+    assert [res.witness.as_dict()[v] for v in range(4)] == [1, 4, 7, 10]
+    assert res.nodes_expanded == 40_479
     # Es^w: best_df_lower 3, the cheap pass (cap 12) fails at 3 and finds 4,
     # and the one full-range proof (cap n(n-1)/2 + n = 21) is t = 3
     calls.clear()

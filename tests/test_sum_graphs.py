@@ -199,14 +199,12 @@ def test_sum_number_matches_label_set_enumeration():
         assert oracle == solver
 
 
-def _sigma_by_assignments(g, bound):
-    """Independent route to the sum number: try every injective assignment
-    into {1..bound}, take the isolated labels I = T \\ S, and check the
-    sum-graph conditions directly.  Returns the least |I|, or None when no
-    assignment realises the graph."""
+def _sum_labellings(g, bound):
+    """Independent route to the sum number: every injective assignment into
+    {1..bound} that realises the graph, with its isolated labels I = T \\ S
+    and W = S u T, the sum-graph conditions checked directly."""
     n = g.n
     non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
-    best = None
     for assign in permutations(range(1, bound + 1), n):
         S = set(assign)
         T = {assign[u] + assign[v] for u, v in g.edges}
@@ -214,20 +212,29 @@ def _sigma_by_assignments(g, bound):
         if any(assign[u] + assign[v] in W for u, v in non_edges):
             continue
         I = T - S
-        if best is not None and len(I) >= best:
-            continue
         # an isolated vertex is adjacent to nothing, graph vertex or isolated
         if any(w + z in W for w in I for z in W if z != w):
             continue
-        best = len(I)
-    return best
+        yield assign, I, W
+
+
+def _sigma_by_assignments(g, bound):
+    """The least |I| over ``_sum_labellings``, or None when no assignment
+    realises the graph."""
+    return min((len(I) for _, I, _ in _sum_labellings(g, bound)), default=None)
 
 
 def test_sum_number_matches_assignment_enumeration(connected_by_n):
+    # The optimal labellings found also bear out the lemma behind the cut of
+    # _AscendingSumSearch: with y the greatest label, y + q is isolated for
+    # each neighbour label q of its vertex, so q < q' with q' - q in W would
+    # give (y + q) + (q' - q) = y + q' in W.
+    checked = 0
     for n in range(2, 6):
         bound = 2 * n + 2 if n < 5 else 9
         for g in connected_by_n[n]:
-            value = _sigma_by_assignments(g, bound)
+            found = list(_sum_labellings(g, bound))
+            value = min((len(I) for _, I, _ in found), default=None)
             cfg = SearchConfig(label_bound=bound)
             if value is None:
                 with pytest.raises(SolverError, match=r"no sum labelling within label range"):
@@ -237,6 +244,34 @@ def test_sum_number_matches_assignment_enumeration(connected_by_n):
             assert res.exhaustive_within_range
             assert res.value == value
             _check_sum_graph(g, res)
+            for assign, I, W in found:
+                if len(I) == value:
+                    last = max(range(n), key=assign.__getitem__)
+                    nbrs = sorted(assign[u] for u in g.adj[last])
+                    assert not any(q - p in W for p, q in combinations(nbrs, 2))
+                    checked += len(nbrs) > 1
+    assert checked == 746
+
+
+def test_ascending_search_returns_the_least_labelling(connected_by_n):
+    # search(r, cap) returns the labelling whose (label, vertex) pairs, in
+    # label order, come first among those with labels in 1..cap and at most
+    # r isolated labels, so its cuts drop only subtrees without one, at every
+    # target and not only at sigma
+    checked = 0
+    for n in range(2, 5):
+        for g in connected_by_n[n]:
+            top = 2 * n + 2
+            found = [(sorted((x, v) for v, x in enumerate(assign)), len(I), list(assign))
+                     for assign, I, _ in _sum_labellings(g, top)]
+            search = solvers._AscendingSumSearch(g, solvers._NodeCounter(None))
+            for cap in range(1, top + 1):
+                for r in range(min(len(a) for a in g.adj), g.m + 1):
+                    _, expect = min(((pairs, f) for pairs, k, f in found
+                                     if k <= r and pairs[-1][0] <= cap), default=(None, None))
+                    assert search.search(r, cap) == expect, (sl.emit_graph6(g), r, cap)
+                    checked += 1
+    assert checked == 248
 
 
 @pytest.mark.parametrize(
@@ -283,6 +318,13 @@ def test_sum_number_closed_forms(graph, cfg, expect):
     assert res.exhaustive_within_range
     assert res.value == expect
     _check_sum_graph(graph, res)
+
+
+def test_sum_number_search_tree_of_k5_is_pinned():
+    # proving r = 6 impossible in 1..40 dominates; a change that cuts the tree
+    # on purpose updates the pin
+    res = sl.sum_number(sl.complete_graph(5), SearchConfig(label_bound=40))
+    assert (res.value, res.exhaustive_within_range, res.nodes_expanded) == (7, True, 15_865)
 
 
 def test_sum_number_budget_in_full_range_proof_flags_upper_bound():
