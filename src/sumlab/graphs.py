@@ -133,21 +133,38 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def bfs_order(g: Graph) -> list[int]:
-    """The vertices in breadth-first order from the least-index vertex of
-    maximum degree, neighbours in index order, then the vertices that search
-    did not reach, in index order."""
-    if g.n == 0:
+def branch_order(g: Graph, start: int | None = None) -> list[int]:
+    """Static assignment order of the index search, which the partition
+    refutation's edge order follows: seed at ``start``, by default the
+    least-index vertex of maximum degree, then grow by (most ordered
+    neighbours, degree, lowest index) so propagation bites early.  Twins tie
+    on both of the first keys while unplaced, so they come in index order,
+    provided the seed is the least index of its twin class, as both the
+    default and vertex 0 are.
+    """
+    n = g.n
+    if n == 0:
         return []
-    start = max(range(g.n), key=lambda v: (len(g.adj[v]), -v))
+    degs = [len(a) for a in g.adj]
+    if start is None:
+        start = max(range(n), key=lambda v: (degs[v], -v))
     order = [start]
-    seen = {start}
-    for v in order:
-        for w in g.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    return order + [v for v in range(g.n) if v not in seen]
+    placed = [False] * n
+    placed[start] = True
+    cnt = [0] * n
+    for w in g.adj[start]:
+        cnt[w] += 1
+    for _ in range(n - 1):
+        nxt = max(
+            (v for v in range(n) if not placed[v]),
+            key=lambda v: (cnt[v], degs[v], -v),
+        )
+        order.append(nxt)
+        placed[nxt] = True
+        for w in g.adj[nxt]:
+            if not placed[w]:
+                cnt[w] += 1
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,21 @@ when a labelling at some label range realises it, and no partition into at
 most t classes passing proves the sum index (or exclusive sum number) above
 t at every label range.
 
-The search assigns the edges, in breadth-first order, to classes numbered
-by first use.  A class is a matching, since two adjacent edges with equal
-sums would give two vertices equal labels, so that is checked before any
-algebra.  V is kept as each label's integer linear form in free
-coordinates x_j, which parametrise it; a normal w lies in R exactly when
-the form sum_u w_u f_u is zero.  Setting x_j = B^j, with B above
-four times every coefficient, gives labels that tell the forbidden normals
-apart: two sums of two labels are equal exactly when their difference is
-a normal in R.  Adding an edge either adds an equation the forms already
-satisfy, or one that is solved for a coordinate, substituted into every
-form, and checked on the new labels; opening a class checks its
-representative's sum against the non-edge sums.  A prefix that fails fails
-in every extension, as extensions only add equations and normals.
+The search assigns the edges to classes numbered by first use, in the
+order in which the label search of ``solvers`` fixes their values: by the
+``branch_order`` positions of their later and then their earlier end.  A
+class is a matching, since two adjacent edges with equal sums would give
+two vertices equal labels, so that is checked before any algebra.  V is
+kept as each label's integer linear form in free coordinates x_j, which
+parametrise it; a normal w lies in R exactly when the form sum_u w_u f_u
+is zero.  Setting x_j = B^j, with B above four times every coefficient,
+gives labels that tell the forbidden normals apart: two sums of two labels
+are equal exactly when their difference is a normal in R.  Adding an edge
+either adds an equation the forms already satisfy, or one that is solved
+for a coordinate, substituted into every form, and checked on the new
+labels; opening a class checks its representative's sum against the
+non-edge sums.  A prefix that fails fails in every extension, as
+extensions only add equations and normals.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ from __future__ import annotations
 from math import gcd
 from typing import Callable
 
-from .graphs import Graph, bfs_order
+from .graphs import Graph, branch_order
 
 
-def _bfs_edges(g: Graph) -> list[tuple[int, int]]:
-    """The edges of g by the breadth-first positions of their later and then
-    their earlier end, so that edges sharing an end come close together."""
-    pos = {v: i for i, v in enumerate(bfs_order(g))}
+def _branch_edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges of g by the ``branch_order`` positions of their later and
+    then their earlier end: the order in which the label search fixes each
+    edge's value, so that edges sharing an end come close together."""
+    pos = {v: i for i, v in enumerate(branch_order(g))}
     return sorted(g.edges, key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]])))
 
 
@@ -84,7 +87,7 @@ def refute(g: Graph, t: int, exclusive: bool,
     class that passes the matching check.
     """
     n = g.n
-    edges = _bfs_edges(g)
+    edges = _branch_edges(g)
     non_edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)
     ] if exclusive else []

@@ -15,7 +15,10 @@ label 0, keeps the span of the placed labels within B - floor, and cuts the
 twin and reflection symmetries the three invariants share.  It offers
 each vertex its candidate labels in increasing order.  Its callers differ
 only in the data they pass: the vertex order, the starting window, and
-whether the reflection cut applies.
+whether the reflection cut applies.  Its feasibility search places the
+vertices in ``graphs.branch_order``; the edge-partition refutation fixes
+edge values in the same order, and the greedy bound numbers the vertices
+in it.
 
 Candidate labels are generated as Python-int bitmasks, after the shift-
 register bitmaps of optimal Golomb ruler search (Rankin 1993): the labels a
@@ -73,8 +76,9 @@ search, a subset of those an ascent would run, so the descent never spends
 more nodes.  Index and exclusive witnesses are made canonical before the
 proofs and after each proof that finds a smaller value, so a node budget
 that runs out in the proofs still leaves a canonical witness.  The indices
-stop the cheap ascent at a greedy labelling's value, which is their result
-when nothing smaller is found.  A node budget that runs out, in the floor
+stop the cheap ascent at a greedy labelling's value, the better of the
+identity and the branch-order numbering, which is their result when
+nothing smaller is found.  A node budget that runs out, in the floor
 search too, leaves the least value found, flagged non-exhaustive, or raises
 SolverError if none was found.  With escalation the range doubles until the
 value is the same in two consecutive rounds; no search runs twice within
@@ -88,7 +92,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bounds import best_df_lower, best_sm_lower
-from .graphs import Graph, bfs_order, degree_sequence, is_connected, twins_below
+from .graphs import Graph, branch_order, degree_sequence, is_connected, twins_below
 from .labelling import LabelKind, VertexLabelling
 from .partition import floor
 
@@ -215,38 +219,6 @@ class IndexResult:
 # Search machinery
 # ---------------------------------------------------------------------------
 
-def _branch_order(g: Graph, start: int | None = None) -> list[int]:
-    """Static assignment order: seed at ``start``, by default the least-index
-    vertex of maximum degree, then grow by (most ordered neighbours, degree,
-    lowest index) so propagation bites early.  Twins tie on both of the first
-    keys while unplaced, so they come in index order, provided the seed is
-    the least index of its twin class, as both the default and vertex 0 are.
-    """
-    n = g.n
-    if n == 0:
-        return []
-    degs = [len(a) for a in g.adj]
-    if start is None:
-        start = max(range(n), key=lambda v: (degs[v], -v))
-    order = [start]
-    placed = [False] * n
-    placed[start] = True
-    cnt = [0] * n
-    for w in g.adj[start]:
-        cnt[w] += 1
-    for _ in range(n - 1):
-        nxt = max(
-            (v for v in range(n) if not placed[v]),
-            key=lambda v: (cnt[v], degs[v], -v),
-        )
-        order.append(nxt)
-        placed[nxt] = True
-        for w in g.adj[nxt]:
-            if not placed[w]:
-                cnt[w] += 1
-    return order
-
-
 def _labelling_value(g: Graph, f: list[int], is_sum: bool) -> int:
     vals = set()
     for u, v in g.edges:
@@ -255,16 +227,14 @@ def _labelling_value(g: Graph, f: list[int], is_sum: bool) -> int:
 
 
 def _greedy_upper(g: Graph, is_sum: bool, branch: list[int]) -> tuple[int, list[int]]:
-    """Cheap upper bound: best of a few order-based labellings (labels 0..n-1),
-    ``branch`` being the branch order."""
-    n = g.n
-    candidates = [list(range(n))]
-    for order in (branch, bfs_order(g)):
-        f = [0] * n
-        for i, v in enumerate(order):
-            f[v] = i
-        candidates.append(f)
-    return min(((_labelling_value(g, f, is_sum), f) for f in candidates), key=lambda c: c[0])
+    """Cheap upper bound: the better of two labellings with labels 0..n-1,
+    the identity and the one that numbers the vertices in ``branch``, the
+    branch order; the identity on a tie."""
+    f = [0] * g.n
+    for i, v in enumerate(branch):
+        f[v] = i
+    return min(((_labelling_value(g, h, is_sum), h) for h in (list(range(g.n)), f)),
+               key=lambda c: c[0])
 
 
 class _IndexSearch:
@@ -314,7 +284,7 @@ class _IndexSearch:
         self.floor = 1 if exclusive else 0
         self.counter = counter
         self.twins_below = twins_below([sum(1 << u for u in a) for a in g.adj])
-        self.order = _branch_order(g)
+        self.order = branch_order(g)
 
     def search(self, target: int, cap: int) -> list[int] | None:
         """First labelling with at most ``target`` distinct edge values and
@@ -358,7 +328,7 @@ class _IndexSearch:
         twins = [x for v, x in enumerate(known) if v == 0 or below[v] & 1]
         c = min(min(twins) - min(known), max(known) - max(twins))
         width = cap - self.floor
-        order = _branch_order(self.g, 0)
+        order = branch_order(self.g, 0)
         d = next((d for d in range(c)
                   if self._dfs(target, width, order, width, 2 * width - d,
                                cut=False) is not None), c)

@@ -7,7 +7,7 @@ import pytest
 import sumlab as sl
 from sumlab import Graph, Graph6Error, EdgeListError, UnsupportedSizeError
 from sumlab import graphs
-from sumlab.graphs import bfs_order
+from sumlab.graphs import branch_order
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +198,19 @@ def test_handshake(connected_by_n):
             assert sum(sl.degree_sequence(g).degrees) == 2 * g.m
 
 
-def test_bfs_order():
-    assert bfs_order(Graph(0)) == []
-    # 0, 2 and 4 tie at maximum degree 2, so the search starts at 0
-    assert bfs_order(Graph(5, [(2, 4), (2, 0), (4, 1), (0, 3)])) == [0, 2, 3, 4, 1]
-    # stars at 1 and 4 tie at degree 3; the unreached star follows in index
-    # order, not breadth-first from its centre
+def test_branch_order():
+    assert branch_order(Graph(0)) == []
+    # 0, 2 and 4 tie at maximum degree 2, so the order starts at 0; then
+    # 2 and 3 each have one ordered neighbour and 2 has the higher degree,
+    # and 4 (degree 2) comes before 3 and 1 (degree 1), which tie on both
+    g = Graph(5, [(2, 4), (2, 0), (4, 1), (0, 3)])
+    assert branch_order(g) == [0, 2, 4, 1, 3]
+    assert branch_order(g, 1) == [1, 4, 2, 0, 3]
+    # stars at 1 and 4 tie at degree 3; the unreached star follows from its
+    # centre, its degree beating the leaves' once no vertex has an ordered
+    # neighbour, and every vertex appears exactly once
     stars = Graph(8, [(1, 7), (1, 3), (1, 5), (4, 6), (4, 0), (4, 2)])
-    assert bfs_order(stars) == [1, 3, 5, 7, 0, 2, 4, 6]
+    assert branch_order(stars) == [1, 3, 5, 7, 4, 0, 2, 6]
 
 
 # ---------------------------------------------------------------------------

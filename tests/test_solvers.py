@@ -1,13 +1,13 @@
 import random
 import time
 from dataclasses import replace
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
-from sumlab import LabelKind, SearchConfig, SolverError, solvers
+from sumlab import LabelKind, SearchConfig, SolverError, graphs, solvers
 from sumlab.partition import floor, refute
 
 
@@ -79,15 +79,21 @@ def _naive_min(g, is_sum, bound):
 
 
 def test_solver_matches_naive_enumeration(connected_by_n):
-    for n in range(1, 5):
-        for g in connected_by_n[n]:
-            bound = 2 * g.n
-            cfg = SearchConfig(label_bound=bound)
-            for is_sum, fn in ((True, sl.sum_index), (False, sl.difference_index)):
-                res = fn(g, cfg)
-                value, witness = _naive_min(g, is_sum, bound)
-                assert res.value == value
-                assert tuple(res.witness.as_dict()[v] for v in range(g.n)) == witness
+    # every labelled graph on 4 vertices joins the connected classes, so the
+    # edgeless and disconnected graphs reach the vertex order too
+    pairs = list(combinations(range(4), 2))
+    labelled4 = [
+        sl.Graph(4, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        for mask in range(1 << len(pairs))
+    ]
+    for g in [g for n in range(1, 5) for g in connected_by_n[n]] + labelled4:
+        bound = 2 * g.n
+        cfg = SearchConfig(label_bound=bound)
+        for is_sum, fn in ((True, sl.sum_index), (False, sl.difference_index)):
+            res = fn(g, cfg)
+            value, witness = _naive_min(g, is_sum, bound)
+            assert res.value == value, (g.edges, fn)
+            assert tuple(res.witness.as_dict()[v] for v in range(g.n)) == witness, (g.edges, fn)
 
 
 def test_solver_matches_naive_enumeration_n5(connected_by_n):
@@ -297,7 +303,7 @@ def test_branch_order_places_lower_index_twins_first(connected_by_n):
                 if k:
                     rng.shuffle(perm)
                 h = sl.Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
-                step = {v: i for i, v in enumerate(solvers._branch_order(h))}
+                step = {v: i for i, v in enumerate(graphs.branch_order(h))}
                 for u, v in _twin_pairs(h):
                     assert step[u] < step[v], (sl.emit_graph6(h), u, v)
                     pairs += 1
@@ -440,7 +446,7 @@ def test_partition_floor_runs_once_per_escalated_solve(monkeypatch):
 
 
 def test_sum_index_budget_out_in_the_floor():
-    # Eq~w: the floor search takes 485 nodes, so a budget of 10 runs out in
+    # Eq~w: the floor search takes 263 nodes, so a budget of 10 runs out in
     # it; the greedy labelling's 7 stands for one round, not range-free
     g = sl.parse_graph6("Eq~w")
     res = sl.sum_index(g, SearchConfig(label_bound=7, escalate=True, node_budget=10))
@@ -521,8 +527,8 @@ def test_sum_refutation_matches_brute_force(connected_by_n):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_sum_floor_invariant_under_relabelling(connected_by_n, data):
-    # the refutation assigns edges in a breadth-first order that follows the
-    # vertex numbering; the floor must not
+    # the refutation assigns edges in the branch order, whose ties fall to
+    # the lower vertex index; the floor must not follow the numbering
     n = data.draw(st.integers(2, 6), label="n")
     g = data.draw(st.sampled_from(connected_by_n[n]), label="graph")
     perm = data.draw(st.permutations(range(n)), label="perm")
@@ -745,14 +751,14 @@ _TREE_PINS = {
     "K1,4": ("Ds_", (5, 5, 205, 205, 14, 14)),
     "K1,5": ("Esa?", (6, 6, 935, 301, 17, 17)),
     "K4-e": ("C}", (4, 4, 25, 25, 14, 14)),
-    "K2,3": ("D]o", (15, 15, 201, 201, 47, 47)),
+    "K2,3": ("D]o", (16, 16, 201, 201, 48, 48)),
     "Dr{": ("Dr{", (411, 301, 82, 82, 2012, None)),
-    "Esxw": ("Esxw", (2051, 301, 504, 301, 9187, None)),
+    "Esxw": ("Esxw", (2056, 301, 504, 301, 9194, None)),
     # twin-free
     "C5": ("Dhc", (253, 253, 5, 5, 694, 301)),
     "C6": ("EhEG", (102, 102, 6, 6, 133, 133)),
     "P5": ("DhC", (73, 73, 5, 5, 117, 117)),
-    "house": ("Dhs", (484, 301, 21, 21, 455, 301)),
+    "house": ("Dhs", (483, 301, 21, 21, 454, 301)),
     "prism3": ("E{Sw", (307, 301, 6, 6, 1016, 301)),
     "bull": ("DyG", (196, 196, 5, 5, 615, 301)),
 }
