@@ -49,13 +49,14 @@ edge sums, so at least the least degree of the unplaced vertices.  At the
 placement that leaves one vertex unplaced, a look-ahead counts how many free
 sums that last vertex can still cover or reuse, which the next-to-last label
 decides through simple thresholds, and drops the labels that would leave too
-many isolated.  The vertex labelled last also cuts labels earlier: the
-sums of its label y and its neighbours' labels are all isolated, so no two
-of those labels may differ by a label or an edge sum, and once a neighbour
-takes label x, every such difference below x is already known.  Twins take
-labels in vertex order.  Its witness is the first
-labelling in label-ascending order, at the reported r, within the cap of the
-pass that found it; there is no canonical pass.
+many isolated; when two or more labels are left, one further count settles
+the last vertex for all of them at once.  The vertex labelled last also
+cuts labels earlier: the sums of its label y and its neighbours' labels are
+all isolated, so no two of those labels may differ by a label or an edge
+sum, and once a neighbour takes label x, every such difference below x is
+already known.  Twins take labels in vertex order.  Its witness is the
+first labelling in label-ascending order, at the reported r, within the cap
+of the pass that found it; there is no canonical pass.
 
 All four invariants share one ascent-and-escalation driver.  It ascends
 targets from a lower bound: ``best_df_lower`` (which includes half the
@@ -88,6 +89,7 @@ one solve.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -743,20 +745,37 @@ class _AscendingSumSearch:
     (an edge sum on a non-edge sum) and minus W shifted by each placed
     non-neighbour's label (a non-edge sum in W).  The vertex placed last has
     all its edge sums above every label, so at least its degree joins the
-    isolated labels.  Three counts bound r, all applied to the candidate
+    isolated labels.  Four counts bound r, all applied to the candidate
     masks: the free sums (T \\ S) left below the new label plus the last
     vertex's degree; all free sums after the placement less one per vertex
     still to come, where at-least-k masks count how many of the new edge
-    sums land on free sums; and a look-ahead at the placement of label x
-    that leaves one vertex w unplaced.  w's label y > x covers at most one
-    free sum, one above x, and its edge sum y + q (q a placed neighbour's
-    label) can reuse a free sum only below the greatest free sum after x,
-    max(F, x + M), with F the greatest free sum before x and M the greatest
-    label of the placing vertex's placed neighbours; x + y never can.  So
-    y + q may hit for every x when q < M and only for x < F - q when
-    q >= M.  These threshold masks join the at-least-k count, which runs
-    again over the labels that the second count keeps.  Twins
-    (N(u)\\{v} = N(v)\\{u}) take labels in index order.
+    sums land on free sums; and two at the placement of label x by v that
+    leaves one vertex w unplaced.  The first is a look-ahead: w's label
+    y > x covers at most one free sum, one above x, and its edge sum y + q
+    (q a placed neighbour's label) can reuse a free sum only below the
+    greatest free sum after x, max(F, x + M), with F the greatest free sum
+    before x and M the greatest label of the placing vertex's placed
+    neighbours; x + y never can.  So y + q may hit for every x when q < M
+    and only for x < F - q when q >= M.  These threshold masks join the
+    at-least-k count, which runs again over the labels that the second
+    count keeps.  Twins (N(u)\\{v} = N(v)\\{u}) take labels in index order.
+
+    The fourth count settles w for every label x at once.  Write P_v and P_w
+    for the labels of the placed neighbours of v and w, U for the free sums
+    and h(x) for the hits of x (x in U, x + p in T for p in P_v).  After
+    x, T' = T u (x + P_v), and the free sums U' lie in U u (x + P_v); x + y
+    is never an old sum, as x and y are the two greatest labels.  So w's
+    label y leaves |I| = |U| + |P_v| - h(x) + |P_w| + [v ~ w] - [y in U']
+    - |(y + P_w) n T'| isolated labels, and the last two terms are at most
+    A(y) + B(y - x): A(y) counts y in U and y + q in T for q in P_w, over
+    the labels that w's placed vertices allow; B(d) counts d in P_v and the
+    pairs p - q = d with p in P_v, q in P_w, the ways a new sum x + p can
+    be y or y + q.  x keeps its label only if some y > x has A(y) +
+    B(y - x) >= need - h(x), need = |U| + |P_v| + |P_w| + [v ~ w] - r:
+    at-least-k masks over x and over y give the test for all x at once,
+    y = x + d where B(d) > 0.  It is skipped when one label x is left,
+    where w's child call makes the same test with the exact sets and the
+    count would only add its cost.
 
     A last cut comes from condition (ii) at the vertex w labelled last, with
     label y.  Each edge sum y + q, q the label of a neighbour of w, lies
@@ -771,8 +790,9 @@ class _AscendingSumSearch:
     out, that is, x lies in the AND over them of the OR of W << q over
     their placed neighbours' labels q.  ``make_layer`` keeps these vertices'
     placed neighbours per mover, and none when the cut cannot fire, and the
-    cut runs last, on the labels the counts keep.  ``nodes_expanded`` counts
-    the placements that survive the candidate masks.
+    cut runs on the labels the first three counts keep, before the fourth.
+    ``nodes_expanded`` counts the placements that survive the candidate
+    masks.
     """
 
     def __init__(self, g: Graph, counter: _NodeCounter):
@@ -832,13 +852,13 @@ class _AscendingSumSearch:
                     movers.append((v, adj[v], r - last_deg, last_adj, lasts))
             return len(unplaced) - 1, movers
 
-        def at_least(c: int, masks: list[int], k: int) -> int:
-            # the bits of c set in at least k of the masks
+        def levels(c: int, masks: list[int], k: int) -> list[int]:
+            # entry j: the bits of c set in at least j of the masks, j <= k
             counts = [c] + [0] * k
             for h in masks:
                 for j in range(k, 0, -1):
                     counts[j] |= counts[j - 1] & h
-            return counts[k]
+            return counts
 
         def isolated_ok(iso: int, w_set: int) -> bool:
             # no isolated label w has w + z in W for some z in W other than w
@@ -892,7 +912,7 @@ class _AscendingSumSearch:
                 # vertex, must fit in r: at least ``need`` of ``hits`` must hit.
                 need = n_free + len(hits) - 1 - remaining - r
                 if need > 0:
-                    c = at_least(c, hits, need)
+                    c = levels(c, hits, need)[need]
                 if c and remaining == 1:
                     # Look ahead to the last vertex w, labelled y > x (see the
                     # class docstring), on the labels the count above keeps.
@@ -916,7 +936,7 @@ class _AscendingSumSearch:
                             if top > q:
                                 hits.append((1 << (top - q)) - 1)
                     if need > 0:
-                        c = at_least(c, hits, need)
+                        c = levels(c, hits, need)[need]
                 if c and lasts:
                     # Drop x when each vertex w that can be labelled last has
                     # a placed neighbour q with x - q in W: w's isolated sum
@@ -931,6 +951,40 @@ class _AscendingSumSearch:
                         if not cut:
                             break
                     c &= ~cut
+                if remaining == 1 and c & (c - 1):
+                    # Settle w for every label x left at once (class
+                    # docstring): w's label y > x makes at most A(y) +
+                    # B(y - x) hits.  a[k] holds the labels y that w's placed
+                    # vertices allow with A(y) >= k; b[d] = B(d) counts d in
+                    # P_v, the labels of v's placed neighbours, and the pairs
+                    # p - q = d with p in P_v, q in P_w, the labels of w's.
+                    ys = [free]
+                    y0 = labels_mask & ~nes
+                    pv, pw = [], []
+                    for low, bit, n_shift, w_shift, t_shift in blocked:
+                        q = bit.bit_length() - 1
+                        if av & low:
+                            pv.append(q)
+                        if aw & low:
+                            pw.append(q)
+                            ys.append(t_shift)
+                            y0 &= ~n_shift
+                        else:
+                            y0 &= ~w_shift
+                    b = Counter(pv)
+                    b.update(p - q for p in pv for q in pw if p > q)
+                    need = max(n_free + len(pv) + len(pw) + (aw >> v & 1) - r, 0)
+                    a = levels(y0, ys, len(ys)) + [0] * need
+                    keep = 0
+                    # x with j hits of its own keeps its label when some y > x
+                    # has A(y) + B(y - x) >= need - j
+                    for j, xs in enumerate(levels(c, hits[:len(pv) + 1], min(need, len(pv) + 1))):
+                        k = need - j
+                        ok = (1 << max(a[k].bit_length() - 1, 0)) - 1
+                        for d, bd in b.items():
+                            ok |= a[max(k - bd, 0)] >> d
+                        keep |= xs & ok
+                    c = keep
                 if c:
                     cands.append((v, c, nbr, s_set ^ nbr))
                     union |= c

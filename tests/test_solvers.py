@@ -486,7 +486,7 @@ def test_real_solvers_prove_only_value_minus_one(monkeypatch):
     assert (res.value, res.exhaustive_within_range) == (5, True)
     assert [c for c in calls if c[1] == 64] == [(4, 64)]
     assert [res.witness.as_dict()[v] for v in range(4)] == [1, 4, 7, 10]
-    assert res.nodes_expanded == 40_479
+    assert res.nodes_expanded == 2_417
     # Es^w: best_df_lower 3, the cheap pass (cap 12) fails at 3 and finds 4,
     # and the one full-range proof (cap n(n-1)/2 + n = 21) is t = 3
     calls.clear()

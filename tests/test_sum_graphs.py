@@ -257,11 +257,12 @@ def test_ascending_search_returns_the_least_labelling(connected_by_n):
     # search(r, cap) returns the labelling whose (label, vertex) pairs, in
     # label order, come first among those with labels in 1..cap and at most
     # r isolated labels, so its cuts drop only subtrees without one, at every
-    # target and not only at sigma
+    # target and not only at sigma; n = 5 adds the placements before a last
+    # vertex that has no placed neighbour yet
     checked = 0
-    for n in range(2, 5):
+    for n in range(2, 6):
         for g in connected_by_n[n]:
-            top = 2 * n + 2
+            top = 2 * n + 2 if n < 5 else 9
             found = [(sorted((x, v) for v, x in enumerate(assign)), len(I), list(assign))
                      for assign, I, _ in _sum_labellings(g, top)]
             search = solvers._AscendingSumSearch(g, solvers._NodeCounter(None))
@@ -271,7 +272,7 @@ def test_ascending_search_returns_the_least_labelling(connected_by_n):
                                      if k <= r and pairs[-1][0] <= cap), default=(None, None))
                     assert search.search(r, cap) == expect, (sl.emit_graph6(g), r, cap)
                     checked += 1
-    assert checked == 248
+    assert checked == 1283
 
 
 @pytest.mark.parametrize(
@@ -280,9 +281,11 @@ def test_ascending_search_returns_the_least_labelling(connected_by_n):
     # thresholds x < F - q - 1 (Dso, Esb_); sure reuses below M counted as
     # thresholds (Cu, DsW); a last label never covering a free sum when the
     # leaf before it has no placed neighbour (EqHO: 6 on the leaf, 7 = 2 + 5
-    # on its neighbour); no cover term at all, or need one higher (Bo, Bw)
+    # on its neighbour); no cover term at all, or need one higher (Bo, Bw);
+    # the count over every label x blind to the last vertex's edge sums that
+    # reuse an old sum (Esrw)
     [("Dso", 6), ("Dso", 7), ("Esb_", 7), ("Cu", 5), ("DsW", 6), ("EqHO", 7),
-     ("Bo", 4), ("Bw", 4)],
+     ("Bo", 4), ("Bw", 4), ("Esrw", 11)],
 )
 def test_sum_number_last_vertex_look_ahead_cases(text, bound):
     g = sl.parse_graph6(text)
@@ -324,14 +327,14 @@ def test_sum_number_search_tree_of_k5_is_pinned():
     # proving r = 6 impossible in 1..40 dominates; a change that cuts the tree
     # on purpose updates the pin
     res = sl.sum_number(sl.complete_graph(5), SearchConfig(label_bound=40))
-    assert (res.value, res.exhaustive_within_range, res.nodes_expanded) == (7, True, 15_865)
+    assert (res.value, res.exhaustive_within_range, res.nodes_expanded) == (7, True, 15_824)
 
 
 def test_sum_number_budget_in_full_range_proof_flags_upper_bound():
-    # the cheap pass at cap 16 finds sigma(C4) = 3; proving 2 infeasible over
-    # the default range 1..64 needs far more than 20k nodes
+    # the cheap pass at cap 16 finds sigma(C4) = 3 within 700 nodes; proving
+    # 2 infeasible over the default range 1..64 brings the total to 9,122
     c4 = sl.cycle_graph(4)
-    res = sl.sum_number(c4, SearchConfig(node_budget=20_000))
+    res = sl.sum_number(c4, SearchConfig(node_budget=5_000))
     assert res.value == 3
     assert not res.exhaustive_within_range
     _check_sum_graph(c4, res)
