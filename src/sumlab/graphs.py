@@ -140,7 +140,8 @@ def branch_order(g: Graph, start: int | None = None) -> list[int]:
     neighbours, degree, lowest index) so propagation bites early.  Twins tie
     on both of the first keys while unplaced, so they come in index order,
     provided the seed is the least index of its twin class, as both the
-    default and vertex 0 are.
+    default and vertex 0 are; the index search's canonical queries, grown
+    from vertex 0, keep twins in index order and rely on it.
     """
     n = g.n
     if n == 0:

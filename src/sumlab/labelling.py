@@ -110,13 +110,24 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "Certificate":
+        """Raises LabellingError naming a missing or unreadable field."""
+        if not isinstance(record, dict):
+            raise LabellingError(f"record is not a JSON object: {record!r}")
+
+        def field(key, read):
+            if key not in record:
+                raise LabellingError(f"record has no {key!r} field")
+            try:
+                return read(record[key])
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise LabellingError(f"field {key!r}: {exc}") from None
+
         return cls(
-            graph=parse_graph6(record["graph6"]),
-            labelling=VertexLabelling.from_dict(
-                {int(v): int(x) for v, x in record["labelling"].items()}
-            ),
-            claim_kind=LabelKind(record["kind"]),
-            claimed_value=int(record["claimed"]),
+            graph=field("graph6", parse_graph6),
+            labelling=field("labelling", lambda values: VertexLabelling.from_dict(
+                {int(v): int(x) for v, x in values.items()})),
+            claim_kind=field("kind", LabelKind),
+            claimed_value=field("claimed", int),
         )
 
 
@@ -144,7 +155,12 @@ def certificates_to_json(certs: list[Certificate]) -> str:
 
 
 def certificates_from_json(text: str) -> list[Certificate]:
+    """A malformed record raises LabellingError naming its index."""
     data = json.loads(text)
-    if isinstance(data, dict):
-        data = [data]
-    return [Certificate.from_json_dict(rec) for rec in data]
+    certs = []
+    for i, rec in enumerate(data if isinstance(data, list) else [data]):
+        try:
+            certs.append(Certificate.from_json_dict(rec))
+        except LabellingError as exc:
+            raise LabellingError(f"certificate {i}: {exc}") from None
+    return certs

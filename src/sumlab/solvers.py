@@ -11,11 +11,11 @@ edge-partition refutation of ``partition`` does not rule out.
 
 The sum index, difference index and exclusive sum number share one search
 kernel, ``_IndexSearch``: a DFS that pins its first vertex at relative
-label 0, keeps the span of the placed labels within B - floor, and cuts the
-twin and reflection symmetries the three invariants share.  It offers
-each vertex its candidate labels in increasing order.  Its callers differ
-only in the data they pass: the vertex order, the starting window, and
-whether the reflection cut applies.  Its feasibility search places the
+label 0 and keeps the span of the placed labels within B - floor.  The
+feasibility search cuts reflection; the canonical pass keeps the twin
+order.  It offers each vertex its candidate labels in increasing order, and
+its callers differ only in the data they pass: the vertex order, the
+starting window, and which cut applies.  Its feasibility search places the
 vertices in ``graphs.branch_order``; the edge-partition refutation fixes
 edge values in the same order, and the greedy bound numbers the vertices
 in it.
@@ -250,18 +250,11 @@ class _IndexSearch:
     the exclusive condition.  So the DFS places the first vertex of its
     order at relative label 0 and offers each later vertex only the labels
     that keep the span within W = cap - floor; the labelling found is
-    translated so that its least label is the floor.  Twins u < v get
-    f(u) < f(v): a placed twin's label bounds the candidates from below,
-    and every order the DFS runs in places lower-index twins first.  The
-    feasibility search also cuts reflection, which reverses every twin
-    order, so the cut is placed between the first two twin-free vertices
-    a, b of the branch order: f(b) > f(a).  The two cuts are compatible.
-    Sort each twin class of any labelling, which leaves a and b alone; if
-    now f(b) < f(a), reflect and sort again, giving -f(b) > -f(a).
-    Translation preserves both cuts.  With fewer than two twin-free vertices
-    there is no reflection cut; a twin-free graph's cut falls on the second
-    vertex of the branch order, and its search is the one without the twin
-    order.
+    translated so that its least label is the floor.  The feasibility
+    search cuts reflection: the second vertex of the branch order lies
+    above the first.  The canonical pass, whose lexicographic order
+    reflection does not keep, keeps the twin order: twins u < v get
+    f(u) < f(v), read when v is placed, after u in every order it runs.
 
     Labels are held as bit positions and every set the search consults is a
     Python int: the placed labels, the edge values, and in exclusive mode the
@@ -326,8 +319,7 @@ class _IndexSearch:
         order too, which loses nothing: the least labelling is twin-sorted,
         since swapping an out-of-order twin pair gives a smaller one.
         """
-        below = self.twins_below
-        twins = [x for v, x in enumerate(known) if v == 0 or below[v] & 1]
+        twins = [x for v, x in enumerate(known) if v == 0 or self.twins_below[v] & 1]
         c = min(min(twins) - min(known), max(known) - max(twins))
         width = cap - self.floor
         order = branch_order(self.g, 0)
@@ -355,7 +347,7 @@ class _IndexSearch:
         position ``width``, each later one in [hi - width, lo + width] with
         lo/hi the least/greatest of the placed positions and the given ones
         (lo <= width <= hi).  Candidates come in increasing position;
-        ``cut`` adds the reflection cut.
+        ``cut`` takes the reflection cut in place of the twin order.
         """
         g = self.g
         n = g.n
@@ -367,20 +359,10 @@ class _IndexSearch:
         nbr_steps = [
             tuple(step[u] for u in g.adj[v] if step[u] < i) for i, v in enumerate(order)
         ]
-        # per step, the steps of its lower-index twins (its label lies above
-        # theirs); every order places them earlier
-        below = self.twins_below
-        twin_lo = [[step[u] for u in range(v) if below[v] >> u & 1] for v in order]
-        if cut:
-            # the reflection cut: the second twin-free vertex lies above the
-            # first, one more lower bound of the same kind as a twin's
-            twinned = 0
-            for v in range(n):
-                if below[v]:
-                    twinned |= below[v] | 1 << v
-            free = [i for i, v in enumerate(order) if not twinned >> v & 1]
-            if len(free) >= 2:
-                twin_lo[free[1]].append(free[0])
+        # per step, the earlier steps its label must lie above: the first for
+        # the second (the reflection cut), or else its lower-index twins
+        above = [[0] if i == 1 else [] for i in range(n)] if cut else [
+            [step[u] for u in range(v) if self.twins_below[v] >> u & 1] for v in order]
         if self.exclusive:
             non_steps = [
                 tuple(j for j in range(i) if j not in nbr_steps[i]) for i in range(n)
@@ -405,7 +387,7 @@ class _IndexSearch:
                 return [p[step[v]] - least + floor for v in range(n)]
             nbl = [p[j] for j in nbr_steps[i]]
             base = ((1 << (lo + width + 1)) - (1 << (hi - width))) & ~used
-            for j in twin_lo[i]:
+            for j in above[i]:
                 base &= -(2 << p[j])
             if exclusive:
                 for q in nbl:

@@ -199,6 +199,34 @@ def test_cli_verify_fails_on_bad_claim(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+_K2_CERT = {"graph6": "A_", "labelling": {"0": 0, "1": 1}, "kind": "SUM", "claimed": 1}
+
+
+@pytest.mark.parametrize("records, message", [
+    ([{"labelling": {"0": 1}}], "certificate 0: record has no 'graph6' field"),
+    ([1, 2], "certificate 0: record is not a JSON object: 1"),
+    ([_K2_CERT, dict(_K2_CERT, labelling=[0, 1])],
+     "certificate 1: field 'labelling': 'list' object has no attribute 'items'"),
+])
+def test_cli_verify_rejects_malformed_certificates(tmp_path, capsys, records, message):
+    # a malformed file is an input error (2), not a failed certificate (1)
+    g6 = tmp_path / "k2.g6"
+    cert = tmp_path / "k2.json"
+    g6.write_text("A_\n")
+    cert.write_text(json.dumps(records))
+    assert main(["verify", "--graph", str(g6), "--cert", str(cert)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_verify_reports_graph_mismatch(tmp_path, capsys):
+    g6 = tmp_path / "k3.g6"
+    cert = tmp_path / "k2.json"
+    g6.write_text("Bw\n")
+    cert.write_text(json.dumps([_K2_CERT]))
+    assert main(["verify", "--graph", str(g6), "--cert", str(cert)]) == 1
+    assert capsys.readouterr().out == "certificate 0: graph mismatch\n"
+
+
 def test_cli_scan_exit_codes(tmp_path, connected_by_n):
     infile = tmp_path / "corpus.g6"
     _write_g6(infile, connected_by_n[4] + [sl.subdivided_complete(4).graph])
@@ -268,16 +296,35 @@ def test_cli_bounds_prints_max_degree_floor(tmp_path, capsys):
 
 
 def test_cli_stanchescu(capsys):
+    # with elements up to 10 the hypothesis holds in 19 of the 500 trials,
+    # so the conclusion is checked; at 30 it held in none
     rc = main(["sumset", "stanchescu", "--trials", "500", "--seed", "7",
-               "--max-elem", "30", "--max-size", "8"])
+               "--max-elem", "10", "--max-size", "8"])
     assert rc == 0
-    assert "0 violation(s)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out == "500 trials, 19 with the hypothesis true, 0 violation(s)\n"
 
 
 def test_cli_usage_errors(tmp_path):
     assert main(["nosuchcommand"]) == 2
     assert main(["index", "sum", "--in", str(tmp_path / "missing.g6")]) == 2
     assert main(["index", "sum", "--in", __file__]) == 2  # not graph6
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["index", "sum"], "B@\n", "nonzero padding bits"),
+    (["index", "sum", "--format", "edges"], "\n", "missing 'n <count>' header"),
+    (["index", "sum", "--format", "edges"], "n x\n0 1\n", "bad vertex count 'x'"),
+    (["index", "sum", "--format", "edges"], "n -1\n", "vertex count must be nonnegative"),
+    (["family", "prism"], None, "family prism requires --n"),
+])
+def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text, message):
+    if text is not None:
+        infile = tmp_path / "input"
+        infile.write_text(text)
+        argv = argv + ["--in", str(infile)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_sumnumber_rejects_disconnected(tmp_path):

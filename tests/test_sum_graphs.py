@@ -491,9 +491,8 @@ def test_exclusive_escalates_out_of_small_range():
 
 
 def test_budget_exhaustion_is_not_reported_as_range_exhaustion():
-    # K5's five vertices are twins, so the exclusive search, which keeps
-    # twins in index order, finds a labelling of K5 in 10 nodes; its half
-    # runs on the twin-free Dq{ instead
+    # the exclusive half runs on Dq{, which has no twins, so its count does
+    # not depend on the twin order
     for fn, g6 in ((sl.sum_number, "D~{"), (sl.exclusive_sum_number, "Dq{")):
         with pytest.raises(SolverError, match=r"node budget of 20 ran out after 21 nodes"):
             fn(sl.parse_graph6(g6), SearchConfig(node_budget=20))
