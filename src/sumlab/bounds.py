@@ -98,7 +98,7 @@ def best_sm_lower(g: Graph) -> int:
     """Best sum-index lower bound: maximum degree, sum_degree_bound and
     every odd-cycle bound.  0 on an edgeless graph.
 
-    Equals ``bound_report(g).best_sm_lower``, but counts the cycles of a
+    ``bound_report`` takes its field from it.  It counts the cycles of a
     length only when they could raise the bound.  A cycle of length 2k+1 is
     2(2k+1) closed walks (a start and a direction), so there are at most
     tr(A^(2k+1)) / (2(2k+1)) of them, and the odd-cycle bound grows with the
@@ -109,7 +109,7 @@ def best_sm_lower(g: Graph) -> int:
     floor of the L-th root of that cap; r never grows with L, as
     (D-1)^2 < n * D, so the walks stop once r + 2 cannot beat the bound.
     """
-    best = _best_sm_lower(g, {})
+    best = max(max(map(len, g.adj), default=0), sum_degree_bound(g))
     if is_bipartite(g).bipartite:
         return best
     n = g.n
@@ -126,13 +126,6 @@ def best_sm_lower(g: Graph) -> int:
         cap = sum(walks[v][v] for v in range(n)) // (4 * k + 2)
         if _odd_cycle_int(k, cap) > best:
             best = max(best, _odd_cycle_int(k, count_cycles_of_length(g, 2 * k + 1)))
-    return best
-
-
-def _best_sm_lower(g: Graph, cycle_counts: dict[int, int]) -> int:
-    best = max(max(map(len, g.adj), default=0), sum_degree_bound(g))
-    for k, s in cycle_counts.items():
-        best = max(best, _odd_cycle_int(k, s))
     return best
 
 
@@ -169,7 +162,9 @@ def bound_report(g: Graph, max_k_cycles: int | None = None) -> BoundReport:
 
     ``best_df_lower`` is the value the difference index ascends from;
     ``best_sm_lower`` is where the edge-partition refutations that give
-    the sum index's and exclusive sum number's starting floor begin.
+    the sum index's and exclusive sum number's starting floor begin; it
+    comes from ``best_sm_lower`` over every cycle length, as
+    ``max_k_cycles`` limits only ``odd_cycle_bounds``.
     ``min_degree_bound`` is the classical sum-number bound
     sigma >= min degree (Bergstrand et al. 1989), which the sum number's
     ascent starts from; it is also a difference-index bound, which the k=1
@@ -182,6 +177,6 @@ def bound_report(g: Graph, max_k_cycles: int | None = None) -> BoundReport:
         diff_degree_bound=diff_degree_bound(g),
         sum_degree_bound=sum_degree_bound(g),
         min_degree_bound=degree_sequence(g).min_degree,
-        best_sm_lower=_best_sm_lower(g, counts),
+        best_sm_lower=best_sm_lower(g),
         best_df_lower=best_df_lower(g),
     )

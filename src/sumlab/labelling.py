@@ -110,7 +110,8 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "Certificate":
-        """Raises LabellingError naming a missing or unreadable field."""
+        """Raises LabellingError naming a missing or unreadable field; the
+        labels and the claim must be JSON integers."""
         if not isinstance(record, dict):
             raise LabellingError(f"record is not a JSON object: {record!r}")
 
@@ -125,10 +126,18 @@ class Certificate:
         return cls(
             graph=field("graph6", parse_graph6),
             labelling=field("labelling", lambda values: VertexLabelling.from_dict(
-                {int(v): int(x) for v, x in values.items()})),
+                {int(v): _json_int(x) for v, x in values.items()})),
             claim_kind=field("kind", LabelKind),
-            claimed_value=field("claimed", int),
+            claimed_value=field("claimed", _json_int),
         )
+
+
+def _json_int(x) -> int:
+    """x itself if it is a JSON integer; a float or a boolean (a Python int
+    subclass) raises ValueError rather than being truncated or read as 0/1."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{x!r} is not an integer")
+    return x
 
 
 @dataclass(frozen=True)

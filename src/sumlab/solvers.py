@@ -67,23 +67,23 @@ sum number ascend from their range-free floors (``partition.floor``, run by
 the driver on the same node counter): the least t >= ``best_sm_lower`` that
 the edge-partition refutation does not rule out.
 Each round makes two passes.  A cheap pass at a small label cap (2n for the
-indices, 4n for the sum and exclusive sum numbers) ascends to a value
-quickly.  Only a full-range search proves a target infeasible, so the full
-range is then searched descending from just below that value, and only
-while each search finds a labelling: a labelling that reaches t also
-reaches t + 1, so the first target the full range cannot reach proves every
-smaller one infeasible too.  When the cheap value is optimal that is one
-search, a subset of those an ascent would run, so the descent never spends
-more nodes.  Index and exclusive witnesses are made canonical before the
-proofs and after each proof that finds a smaller value, so a node budget
-that runs out in the proofs still leaves a canonical witness.  The indices
-stop the cheap ascent at a greedy labelling's value, the better of the
-identity and the branch-order numbering, which is their result when
-nothing smaller is found.  A node budget that runs out, in the floor
-search too, leaves the least value found, flagged non-exhaustive, or raises
-SolverError if none was found.  With escalation the range doubles until the
-value is the same in two consecutive rounds; no search runs twice within
-one solve.
+sum index, the difference index and the exclusive sum number, 4n for the
+sum number) ascends to a value quickly.  Only a full-range search proves a
+target infeasible, so the full range is then searched descending from just
+below that value, and only while each search finds a labelling: a labelling
+that reaches t also reaches t + 1, so the first target the full range
+cannot reach proves every smaller one infeasible too.  When the cheap value
+is optimal that is one search, a subset of those an ascent would run, so
+the descent never spends more nodes.  Index and exclusive witnesses are
+made canonical before the proofs and after each proof that finds a smaller
+value, so a node budget that runs out in the proofs still leaves a
+canonical witness.  The indices stop the cheap ascent at a greedy
+labelling's value, the better of the identity and the branch-order
+numbering, which is their result when nothing smaller is found.  A node
+budget that runs out, in the floor search too, leaves the least value
+found, flagged non-exhaustive, or raises SolverError if none was found.
+With escalation the range doubles until the value is the same in two
+consecutive rounds; no search runs twice within one solve.
 """
 
 from __future__ import annotations
@@ -478,14 +478,17 @@ class _Ascent:
     canonical(t, cap, known), if given, returns the lexicographically least
     labelling with labels up to cap that reaches t (for the index searches,
     ``_IndexSearch.least``).  The driver asks for it at the deterministic
-    cap min(bound, max(2n, max(labels))) of the labelling found, which fits
-    under that cap, so one always exists, and passes that labelling as
-    known.  The answer does not depend on known, which only bounds the
-    work.  No labelling at any cap reaches a target below lower, so a value
-    at lower is reported range_free.  extra(labels) gives the invariant's
-    own IndexResult fields.  what names the labelling in the SolverError
-    raised when no round finds one (only the positive-label invariants,
-    whose ascent has no fallback, can get there).
+    cap min(bound, max(cheap_cap, max(labels))) of the labelling found,
+    which fits under that cap, so one always exists, and passes that
+    labelling as known.  The answer does not depend on known, which only
+    bounds the work.  cheap_cap is the canonical cap's lower limit, so a
+    labelling of the cheap pass, whose labels lie within it, is always made
+    canonical at min(bound, cheap_cap), whichever labelling find returned.
+    No labelling at any cap reaches a target below lower, so a value at
+    lower is reported range_free.  extra(labels) gives the invariant's own
+    IndexResult fields.  what names the labelling in the SolverError raised
+    when no round finds one (only the positive-label invariants, whose
+    ascent has no fallback, can get there).
     """
 
     invariant: str
@@ -537,7 +540,7 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     def canonical(t: int, labels: list[int]) -> list[int]:
         if spec.canonical is None:
             return labels
-        return run(spec.canonical, t, min(bound, max(2 * len(labels), max(labels))), labels)
+        return run(spec.canonical, t, min(bound, max(spec.cheap_cap, max(labels))), labels)
 
     while True:
         round_value, round_labels = spec.limit, spec.fallback
@@ -696,7 +699,7 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
         find=search.search,
         lower=lambda: floor(g, best_sm_lower(g), g.m + 1, True, counter.tick),
         limit=g.m + 1,
-        cheap_cap=4 * g.n,
+        cheap_cap=2 * g.n,
         canonical=search.least,
         extra=extra,
         what="exclusive sum",

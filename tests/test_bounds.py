@@ -94,10 +94,15 @@ def test_degree_bounds_leave_gap_on_subdivided_clique_pair():
 
 def test_best_sm_lower_matches_bound_report(connected_by_n):
     # best_sm_lower skips the cycle lengths whose closed-walk cap cannot
-    # raise the bound; bound_report counts every length
+    # raise the bound; it must match the bound over every length that
+    # bound_report lists
     for graphs in connected_by_n.values():
         for g in graphs:
-            assert sl.best_sm_lower(g) == sl.bound_report(g).best_sm_lower
+            rep = sl.bound_report(g)
+            every = max([max(map(len, g.adj), default=0), rep.sum_degree_bound] + [
+                _odd_cycle_int(k, sl.count_cycles_of_length(g, 2 * k + 1))
+                for k in rep.odd_cycle_bounds])
+            assert sl.best_sm_lower(g) == rep.best_sm_lower == every
 
 
 def test_best_sm_lower_skips_hopeless_cycle_lengths(monkeypatch):
@@ -134,6 +139,13 @@ def test_bound_report_beyond_short_graph6():
     rep = sl.bound_report(sl.chained_odd_cycles(1, 58).graph, max_k_cycles=1)
     assert rep.graph_id.startswith("~?@t")
     assert rep.best_sm_lower == 9
+    # max_k_cycles limits only the listed odd-cycle bounds: 25 five-cycles
+    # give (10 * 25)^(1/5) + 1 = 4.02, so best_sm_lower is 5, the value the
+    # sum index starts from, although the k = 1 bound alone is vacuous
+    g = sl.chained_odd_cycles(2, 25).graph
+    rep = sl.bound_report(g, max_k_cycles=1)
+    assert rep.odd_cycle_bounds == {1: 1.0}
+    assert rep.best_sm_lower == sl.best_sm_lower(g) == 5
 
 
 def test_bounds_sound_vs_exact(connected_by_n):

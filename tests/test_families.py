@@ -123,6 +123,24 @@ def test_gnk_parameter_errors():
         sl.gnk(6, 2)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sl.odd_cycle_bound(sl.complete_graph(3), 0), ValueError, "k must be at least 1"),
+    (lambda: sl.chained_odd_cycles(0, 1), FamilyError,
+     "chained_odd_cycles requires k >= 1 and s >= 1"),
+    (lambda: sl.prism(2), FamilyError, "prism requires n >= 3"),
+    (lambda: sl.cycle_graph(2), sl.GraphError, "cycle needs at least 3 vertices"),
+    (lambda: sl.VertexLabelling(((0, 1), (0, 2))).validate(), sl.LabellingError,
+     "repeated vertex in labelling"),
+    (lambda: sl.VertexLabelling.from_dict({0: 1}).scaled(0), sl.LabellingError,
+     "scale factor must be nonzero"),
+    (lambda: sl.shift_equivalence_check([1, 2], [3], -1), sl.SolverError,
+     "shift must be nonnegative"),
+])
+def test_invalid_arguments_are_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_all_bundled_certificates_verify():
     instances = [
         sl.chained_odd_cycles(2, 3),

@@ -207,6 +207,12 @@ _K2_CERT = {"graph6": "A_", "labelling": {"0": 0, "1": 1}, "kind": "SUM", "claim
     ([1, 2], "certificate 0: record is not a JSON object: 1"),
     ([_K2_CERT, dict(_K2_CERT, labelling=[0, 1])],
      "certificate 1: field 'labelling': 'list' object has no attribute 'items'"),
+    ([{"graph6": "A_", "labelling": {"0": 0.9, "1": 1.5}, "kind": "SUM", "claimed": 1.7}],
+     "certificate 0: field 'labelling': 0.9 is not an integer"),
+    ([dict(_K2_CERT, labelling={"0": True, "1": 5})],
+     "certificate 0: field 'labelling': True is not an integer"),
+    ([dict(_K2_CERT, claimed=1.7)], "certificate 0: field 'claimed': 1.7 is not an integer"),
+    ([dict(_K2_CERT, claimed=True)], "certificate 0: field 'claimed': True is not an integer"),
 ])
 def test_cli_verify_rejects_malformed_certificates(tmp_path, capsys, records, message):
     # a malformed file is an input error (2), not a failed certificate (1)

@@ -153,15 +153,19 @@ def test_budget_cut_round_keeps_earlier_better_value(connected_by_n):
 
 
 def test_budget_cut_round_keeps_earlier_canonical_witness():
-    # eps(Bo) = 2: round one (labels 1..4) finds (4, 1, 2) and makes it
-    # canonical, (1, 2, 3), after 8 nodes; round two (1..8) finds (8, 1, 2),
-    # also 2, and its budget runs out in the canonical pass, so the tie keeps
-    # round one's canonical witness
+    # eps(Bo) = 2: round one (labels 1..4) finds (3, 4, 1) and makes it
+    # canonical, (1, 2, 3), after 11 nodes.  Round two's cheap pass (labels
+    # 1..2n = 6) finds (5, 6, 1), also 2, at node 14, and its canonical pass
+    # takes 6 more.  A budget of 11 runs out in that cheap pass, and one of 14
+    # in the canonical pass; either way the tie keeps round one's canonical
+    # witness
     g = sl.parse_graph6("Bo")
-    res = sl.exclusive_sum_number(g, SearchConfig(label_bound=4, escalate=True, node_budget=11))
-    assert (res.value, res.exhaustive_within_range) == (2, False)
-    assert res.escalation_trace == ((4, 2), (8, 2))
-    assert res.witness.as_dict() == {0: 1, 1: 2, 2: 3}
+    for budget in (11, 14):
+        res = sl.exclusive_sum_number(
+            g, SearchConfig(label_bound=4, escalate=True, node_budget=budget))
+        assert (res.value, res.exhaustive_within_range) == (2, False)
+        assert (res.escalation_trace, res.nodes_expanded) == (((4, 2), (8, 2)), budget + 1)
+        assert res.witness.as_dict() == {0: 1, 1: 2, 2: 3}
 
 
 def test_sum_index_budget_never_raises():
@@ -563,7 +567,7 @@ def _reference_ascent(g, kind, exclusive, bound):
     lower = sl.best_sm_lower(g) if kind is LabelKind.SUM else sl.best_df_lower(g)
     value = labels = None
     top = g.m + 1
-    for cap in (min(bound, 4 * n if exclusive else 2 * n), bound):
+    for cap in (min(bound, 2 * n), bound):
         for t in range(lower, top):
             found = search.search(t, cap)
             if found is not None:
@@ -593,6 +597,33 @@ def test_descent_matches_reference_ascent(connected_by_n):
                     else:
                         got = res.value, tuple(res.witness.as_dict()[v] for v in range(n))
                     assert got == expect, (sl.emit_graph6(g), fn, bound)
+
+
+def test_witness_does_not_depend_on_the_feasibility_search(connected_by_n, monkeypatch):
+    """The feasibility search may return any labelling that reaches its
+    target: here it is replaced by one that returns the labelling of least
+    cap, trying caps floor + n - 1, ..., cap in turn.  Every witness that the
+    cheap pass reaches is the least labelling within min(bound, 2n), so the
+    three index invariants keep their values and witnesses.  A witness found
+    by the full-range descent still depends on the labelling found, whose
+    greatest label may raise the canonical cap above 2n."""
+    graphs = [g for n in range(2, 6) for g in connected_by_n[n]]
+    graphs.append(sl.parse_graph6("Fs`_w"))
+    solves = (sl.sum_index, sl.difference_index, sl.exclusive_sum_number)
+
+    def outputs():
+        return [(res.value, res.witness)
+                for res in (fn(g) for g in graphs for fn in solves)]
+
+    expect = outputs()
+    real = solvers._IndexSearch.search
+
+    def least_cap(self, target, cap):
+        return next((found for c in range(self.floor + self.g.n - 1, cap + 1)
+                     if (found := real(self, target, c)) is not None), None)
+
+    monkeypatch.setattr(solvers._IndexSearch, "search", least_cap)
+    assert outputs() == expect
 
 
 def _value_count(g, f, is_sum, exclusive):
@@ -747,16 +778,16 @@ _TREE_PINS = {
     "K1,4": ("Ds_", (5, 5, 153, 153, 19, 19)),
     "K1,5": ("Esa?", (6, 6, 767, 301, 23, 23)),
     "K4-e": ("C}", (4, 4, 25, 25, 14, 14)),
-    "K2,3": ("D]o", (16, 16, 158, 158, 250, 250)),
-    "Dr{": ("Dr{", (186, 186, 20, 20, 477, None)),
-    "Esxw": ("Esxw", (880, 301, 328, 301, 1163, None)),
+    "K2,3": ("D]o", (16, 16, 158, 158, 81, 81)),
+    "Dr{": ("Dr{", (186, 186, 20, 20, 147, 147)),
+    "Esxw": ("Esxw", (880, 301, 328, 301, 593, 301)),
     # twin-free
-    "C5": ("Dhc", (253, 253, 5, 5, 694, 301)),
-    "C6": ("EhEG", (102, 102, 6, 6, 133, 133)),
-    "P5": ("DhC", (73, 73, 5, 5, 117, 117)),
-    "house": ("Dhs", (483, 301, 21, 21, 454, 301)),
-    "prism3": ("E{Sw", (307, 301, 6, 6, 1016, 301)),
-    "bull": ("DyG", (196, 196, 5, 5, 615, 301)),
+    "C5": ("Dhc", (253, 253, 5, 5, 181, 181)),
+    "C6": ("EhEG", (102, 102, 6, 6, 73, 73)),
+    "P5": ("DhC", (73, 73, 5, 5, 67, 67)),
+    "house": ("Dhs", (483, 301, 21, 21, 394, 301)),
+    "prism3": ("E{Sw", (307, 301, 6, 6, 442, 301)),
+    "bull": ("DyG", (196, 196, 5, 5, 165, 165)),
 }
 
 

@@ -342,20 +342,22 @@ def test_sum_number_budget_in_full_range_proof_flags_upper_bound():
 
 def test_exclusive_budget_in_full_range_proof_flags_upper_bound():
     # eps(Ds{) = 5: refuting 4 and passing 5 take 21 nodes, the cheap pass at
-    # cap 20 finds S = (1, 2, 3, 19, 20) with 5 more, and making it canonical,
-    # S = (1, 2, 3, 4, 6), 22 more.  A budget cut in the canonical pass (26
-    # cuts it at its first node, 47 at its last) leaves the exact,
-    # range-free value with the raw witness, flagged as not exhaustive.
+    # cap 2n = 10 finds S = (1, 2, 3, 9, 10) with 5 more, and making it
+    # canonical at the same cap, S = (1, 2, 3, 4, 6), 12 more.  A budget cut in
+    # the canonical pass (26 cuts it at its first node, 37 at its last) leaves
+    # the exact, range-free value with the raw witness, flagged as not
+    # exhaustive.
     g = sl.parse_graph6("Ds{")
-    for budget in (26, 47):
+    for budget in (26, 37):
         res = sl.exclusive_sum_number(g, SearchConfig(node_budget=budget))
         assert (res.value, res.nodes_expanded) == (5, budget + 1)
         assert not res.exhaustive_within_range
         assert res.range_free
         assert res.range_used == 100
-        assert res.exclusive.S == (1, 2, 3, 19, 20)
+        assert res.exclusive.S == (1, 2, 3, 9, 10)
         res.exclusive.validate(g)
-    assert sl.exclusive_sum_number(g).exclusive.S == (1, 2, 3, 4, 6)
+    res = sl.exclusive_sum_number(g)
+    assert (res.exclusive.S, res.nodes_expanded) == ((1, 2, 3, 4, 6), 38)
 
 
 def test_sum_number_escalates_out_of_small_range():
