@@ -460,11 +460,17 @@ def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     position j appends its column (its adjacency to positions 0..j-1) to the
     string, and every completion has the same length, so only the unplaced
     vertices whose column is least may be placed next: any other choice
-    gives a larger string.  A branch whose prefix exceeds the best string so
-    far is cut.  Of a twin class (N(u) - {v} = N(v) - {u}) only the
-    least-index unplaced vertex may be placed next, since swapping two twins
-    is an automorphism that fixes the placed prefix.  Columns and the string
-    are Python ints.
+    gives a larger string.  The unplaced vertices are kept as an ordered
+    partition: cells of equal column, as (bitmask, column) in increasing
+    column order, so the candidates are the first cell.  Placing v splits
+    each cell into its non-neighbours of v, then its neighbours, which keeps
+    the order; the partition is never refined further, since an equitable
+    refinement would reorder cells and change which string is least.  A
+    child whose prefix exceeds the best string so far is cut before the
+    call, and the last vertex is placed in its parent.  Of a twin class
+    (N(u) - {v} = N(v) - {u}) only the least-index unplaced vertex may be
+    placed next, since swapping two twins is an automorphism that fixes the
+    placed prefix.  Columns and the string are Python ints.
 
     Two orders that give the same string differ by an automorphism, so each
     leaf that ties the best string yields one, mapping the order that first
@@ -478,10 +484,12 @@ def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
         raise UnsupportedSizeError(f"canonical_form supports n <= {_CANONICAL_MAX_N}")
     if n <= 1:
         return 0, []
+    everyone = (1 << n) - 1
     adj = [0] * n
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    non = [everyone & ~adj[v] & ~(1 << v) for v in range(n)]
     below = twins_below(adj)
     gens = []
     for v, twins in enumerate(below):
@@ -491,43 +499,58 @@ def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
             swap[u], swap[v] = v, u
             gens.append(tuple(swap))
     total = n * (n - 1) // 2
+    # the bits of the string after the columns of positions 0..d
+    shifts = [total - d * (d + 1) // 2 for d in range(n)]
     # above every string of total bits, so nothing is cut before the first leaf
     best = 1 << total
-    first: tuple[int, ...] = ()
+    first: list[int] = []
+    order: list[int] = []  # the vertices placed so far
 
-    def place(
-        depth: int, prefix: int, rest: list[tuple[int, int]], order: tuple[int, ...]
-    ) -> None:
-        # rest holds (vertex, column against the placed prefix) per unplaced
-        # vertex, and order the vertices placed so far
+    def place(depth: int, prefix: int, cells: list[tuple[int, int]], unplaced: int) -> None:
+        # cells: the unplaced vertices by column, in increasing column order;
+        # prefix: the columns of positions 0..depth, the last one cells[0]'s
         nonlocal best, first
-        low = min(col for _, col in rest)
-        prefix = (prefix << depth) | low
-        if prefix > best >> (total - depth * (depth + 1) // 2):
-            return
-        if len(rest) == 1:
-            order += (rest[0][0],)
-            if prefix < best:
-                best, first = prefix, order
-            else:
-                perm = [0] * n
-                for u, w in zip(first, order):
-                    perm[u] = w
-                gens.append(tuple(perm))
-            return
-        unplaced = 0
-        for v, _ in rest:
-            unplaced |= 1 << v
-        for v, col in rest:
-            if col == low and not below[v] & unplaced:
-                place(
-                    depth + 1,
-                    prefix,
-                    [(u, c << 1 | adj[u] >> v & 1) for u, c in rest if u != v],
-                    order + (v,),
-                )
+        shift = shifts[depth + 1]
+        cands = cells[0][0]
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            v = bit.bit_length() - 1
+            if below[v] & unplaced:
+                continue
+            if depth + 2 == n:
+                # w, the last vertex, lies in the last cell
+                rest = unplaced ^ bit
+                child = prefix << (depth + 1) | cells[-1][1] << 1 | (adj[v] & rest > 0)
+                if child > best:
+                    continue
+                leaf = order + [v, rest.bit_length() - 1]
+                if child < best:
+                    best, first = child, leaf
+                else:
+                    perm = [0] * n
+                    for u, w in zip(first, leaf):
+                        perm[u] = w
+                    gens.append(tuple(perm))
+                continue
+            inside, outside = adj[v], non[v]
+            split = []
+            for cell, col in cells:
+                col <<= 1
+                part = cell & outside
+                if part:
+                    split.append((part, col))
+                part = cell & inside
+                if part:
+                    split.append((part, col | 1))
+            child = prefix << (depth + 1) | split[0][1]
+            if child > best >> shift:
+                continue
+            order.append(v)
+            place(depth + 1, child, split, unplaced ^ bit)
+            order.pop()
 
-    place(0, 0, [(v, 0) for v in range(n)], ())
+    place(0, 0, [(everyone, 0)], everyone)
     return best, gens
 
 

@@ -354,6 +354,17 @@ def test_canonical_form_matches_brute_force_bytes():
         assert sl.canonical_form(g) == _brute_canonical(g), g.edges
 
 
+def test_canonical_form_matches_brute_force_on_connected_six(connected_by_n):
+    # every connected 6-vertex graph under one seeded relabelling each; the
+    # exhaustive test above stops at n = 5
+    rng = random.Random(6)
+    for g in connected_by_n[6]:
+        perm = list(range(6))
+        rng.shuffle(perm)
+        h = Graph(6, [(perm[u], perm[v]) for u, v in g.edges])
+        assert sl.canonical_form(h) == _brute_canonical(h), g.edges
+
+
 def test_canonical_form_census_matches_networkx_atlas(connected_by_n, connected_7):
     nx = pytest.importorskip("networkx")
     atlas: dict[int, list[bytes]] = {}
@@ -478,6 +489,38 @@ def test_search_generates_the_automorphism_group(connected_by_n):
             assert _group_order(n, gens) == len(autos), g.edges
             least = [m for m in range(1, 1 << n) if all(_image(m, p) >= m for p in autos)]
             assert graphs._orbit_least_masks(n, gens) == least, g.edges
+
+
+def _complete_bipartite(a, b):
+    return Graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # n = 7: the complete graph, stars, cycles and bipartite graphs, whose
+        # groups are large or come mostly from tied leaves
+        sl.complete_graph(7),
+        _complete_bipartite(1, 6),
+        sl.cycle_graph(7),
+        _complete_bipartite(3, 4),
+        _complete_bipartite(2, 5),
+        Graph(7, [e for e in combinations(range(7), 2) if (e[1] - e[0]) % 7 not in (1, 6)]),
+        # n = 8: whole twin classes in one cell and disconnected graphs, where
+        # the last vertex is placed in its parent and children are cut there
+        Graph(8),
+        sl.complete_graph(8),
+        Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+        Graph(8, combinations(range(4), 2)),
+    ],
+    ids=["K7", "K1,6", "C7", "K3,4", "K2,5", "co-C7", "empty8", "K8", "2C4", "K4+4K1"],
+)
+def test_search_generates_the_automorphism_group_beyond_six(g):
+    _, gens = graphs._canonical_search(g)
+    assert all(_maps_edges_onto_edges(g, p) for p in gens)
+    # every one of the n! permutations, tried by brute force
+    autos = sum(_maps_edges_onto_edges(g, p) for p in permutations(range(g.n)))
+    assert _group_order(g.n, gens) == autos
 
 
 def test_search_automorphisms_agree_with_networkx():

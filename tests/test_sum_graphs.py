@@ -199,23 +199,35 @@ def test_sum_number_matches_label_set_enumeration():
         assert oracle == solver
 
 
+def _non_edges(g):
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+
+
+def _sum_graph_sets(g, non_edges, assign):
+    """The isolated labels I = T \\ S and W = S u T of an assignment of
+    labels to the vertices, or None when the graph plus I is not a sum graph;
+    the sum-graph conditions checked directly."""
+    S = set(assign)
+    T = {assign[u] + assign[v] for u, v in g.edges}
+    W = S | T
+    if any(assign[u] + assign[v] in W for u, v in non_edges):
+        return None
+    I = T - S
+    # an isolated vertex is adjacent to nothing, graph vertex or isolated
+    if any(w + z in W for w in I for z in W if z != w):
+        return None
+    return I, W
+
+
 def _sum_labellings(g, bound):
     """Independent route to the sum number: every injective assignment into
     {1..bound} that realises the graph, with its isolated labels I = T \\ S
-    and W = S u T, the sum-graph conditions checked directly."""
-    n = g.n
-    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
-    for assign in permutations(range(1, bound + 1), n):
-        S = set(assign)
-        T = {assign[u] + assign[v] for u, v in g.edges}
-        W = S | T
-        if any(assign[u] + assign[v] in W for u, v in non_edges):
-            continue
-        I = T - S
-        # an isolated vertex is adjacent to nothing, graph vertex or isolated
-        if any(w + z in W for w in I for z in W if z != w):
-            continue
-        yield assign, I, W
+    and W = S u T."""
+    non_edges = _non_edges(g)
+    for assign in permutations(range(1, bound + 1), g.n):
+        sets = _sum_graph_sets(g, non_edges, assign)
+        if sets is not None:
+            yield assign, *sets
 
 
 def _sigma_by_assignments(g, bound):
@@ -273,6 +285,29 @@ def test_ascending_search_returns_the_least_labelling(connected_by_n):
                     assert search.search(r, cap) == expect, (sl.emit_graph6(g), r, cap)
                     checked += 1
     assert checked == 1283
+
+
+def test_ascending_search_counts_a_reused_sum_of_the_greatest_neighbour():
+    """The count that settles the last vertex w for every label x of v at
+    once takes x's own hits: x on a free sum, and x + p on an old edge sum
+    for each label p of v's placed neighbours, the greatest p included.  On
+    Fs`F? at r = 3 and cap 19, the least labelling gives vertex 5 label 11
+    while vertex 4 is left: 11 covers the free sum 1 + 10, and 11 + 2, with
+    2 on its one placed neighbour, reuses the edge sum 10 + 3.  A count blind
+    to that reuse drops 11 and returns the later labelling below.  A sweep
+    of the connected graphs with n <= 6 (caps n..4n, r from the least degree
+    to m, 5,000 nodes per search) found no such case among the searches that
+    finished; at n = 7 Fs`F? was the first found."""
+    g = sl.parse_graph6("Fs`F?")
+    least = [1, 2, 10, 4, 19, 11, 3]
+    later = [1, 2, 17, 4, 10, 18, 3]
+    non_edges = _non_edges(g)
+    for f in (least, later):
+        isolated, _ = _sum_graph_sets(g, non_edges, f)
+        assert len(isolated) <= 3
+    assert sorted((x, v) for v, x in enumerate(least)) < sorted((x, v) for v, x in enumerate(later))
+    search = solvers._AscendingSumSearch(g, solvers._NodeCounter(None))
+    assert search.search(3, 19) == least
 
 
 @pytest.mark.parametrize(
