@@ -85,9 +85,6 @@ class Graph:
             self._adj = tuple(tuple(sorted(b)) for b in nbrs)
         return self._adj
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u] if 0 <= u < self._n and 0 <= v < self._n else False
 
@@ -172,36 +169,40 @@ def branch_order(g: Graph, start: int | None = None) -> list[int]:
 # graph6: one printable line per graph.  The line opens with the vertex count
 # N(n): the byte n+63 for n <= 62, else "~" and n in three 6-bit groups (the
 # long form, n <= 258047); the 8-byte "~~" form for larger n is refused.  The
-# upper triangle of the adjacency matrix follows in column-major order (x01,
-# x02, x12, x03, ...), packed big-endian into 6-bit groups, each group offset
-# by 63.  An optional ">>graph6<<" prefix is tolerated.
+# upper triangle of the adjacency matrix follows as one bit per pair in
+# ``_pairs`` order (x01, x02, x12, x03, ...), zero-padded to a multiple of 6
+# and written big-endian 6 bits per byte, each byte offset by 63.  An optional
+# ">>graph6<<" prefix is tolerated.  ``emit_graph6``, ``parse_graph6`` and
+# ``canonical_form`` hold that bit string as a str of "0"/"1" characters;
+# ``_graph6`` writes every line, and both directions are linear in the body.
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
 _G6_MAX_N = (1 << 18) - 1
+# each printable graph6 byte to the six bits it carries, and back
+_G6_BITS = {c + 63: format(c, "06b") for c in range(64)}
+_G6_BYTES = {bits: chr(c) for c, bits in _G6_BITS.items()}
+
+
+def _pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The vertex pairs i < j in graph6 column-major order."""
+    return ((i, j) for j in range(1, n) for i in range(j))
+
+
+def _graph6(n: int, bits: str) -> str:
+    """The graph6 line: N(n), then ``bits`` (one "0"/"1" per pair of
+    ``_pairs(n)``) zero-padded, all written 6 bits per byte."""
+    # N(n) is one group, or "~" (six ones) and three groups
+    bits = (format(n, "06b") if n <= 62 else format(63 << 18 | n, "024b")) + bits
+    bits += "0" * (-len(bits) % 6)
+    return "".join([_G6_BYTES[bits[k:k + 6]] for k in range(0, len(bits), 6)])
 
 
 def emit_graph6(g: Graph) -> str:
-    n = g.n
-    if n > _G6_MAX_N:
+    if g.n > _G6_MAX_N:
         raise UnsupportedSizeError(f"graph6 output supports at most {_G6_MAX_N} vertices")
-    if n <= 62:
-        out = [chr(n + 63)]
-    else:
-        out = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
     edge_set = frozenset(g.edges)
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | ((i, j) in edge_set)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc, nbits = 0, 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    return _graph6(g.n, "".join("1" if p in edge_set else "0" for p in _pairs(g.n)))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -222,10 +223,7 @@ def parse_graph6(line: str) -> Graph:
         digits = text[1:4]
         if len(digits) < 3:
             raise Graph6Error("truncated vertex count", len(text))
-        n = 0
-        for ch in digits:
-            n = (n << 6) | (ord(ch) - 63)
-        start = 4
+        n, start = int(digits.translate(_G6_BITS), 2), 4
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = text[start:]
@@ -235,21 +233,10 @@ def parse_graph6(line: str) -> Graph:
         )
     if len(body) > nbytes:
         raise Graph6Error("trailing bytes after bit body", start + nbytes)
-    bits = 0
-    for ch in body:
-        bits = (bits << 6) | (ord(ch) - 63)
-    pad = nbytes * 6 - nbits
-    if pad and bits & ((1 << pad) - 1):
+    bits = body.translate(_G6_BITS)
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits", len(text) - 1)
-    bits >>= pad
-    edges = []
-    pos = nbits - 1
-    for j in range(1, n):
-        for i in range(j):
-            if (bits >> pos) & 1:
-                edges.append((i, j))
-            pos -= 1
-    return Graph(n, edges)
+    return Graph(n, [p for p, bit in zip(_pairs(n), bits) if bit == "1"])
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -561,15 +548,12 @@ def canonical_form(g: Graph) -> bytes:
 
     The string comes from ``_canonical_search`` (supports n <= 8), the one
     search that ``enumerate_connected`` also reads automorphisms from; it is
-    already in graph6 order, so it is written out as graph6 bytes directly.
+    already in graph6 order, so it goes to the writer ``emit_graph6`` uses.
     """
     n = g.n
     best, _ = _canonical_search(g)
-    total = n * (n - 1) // 2
-    pad = -total % 6
-    bits = best << pad
-    body = [(bits >> shift & 63) + 63 for shift in range(total + pad - 6, -1, -6)]
-    return bytes([n + 63, *body])
+    # the bit above the string keeps its leading zeros; "" when n <= 1
+    return _graph6(n, bin(best | 1 << n * (n - 1) // 2)[3:]).encode()
 
 
 def _orbit_least_masks(k: int, gens: list[tuple[int, ...]]) -> list[int]:

@@ -31,6 +31,12 @@ def test_odd_cycle_bound_exact_integer_root():
     assert _odd_cycle_int(1, sl.count_cycles_of_length(g, 3)) == 7
 
 
+def test_iroot_of_zero_and_one():
+    for e in (1, 2, 3, 7):
+        assert bounds._iroot(0, e) == 0
+        assert bounds._iroot(1, e) == 1
+
+
 def test_odd_cycle_bound_monotone_in_count():
     vals = [sl.odd_cycle_bound(sl.chained_odd_cycles(1, s).graph, 1) for s in range(1, 5)]
     assert vals == sorted(vals)

@@ -99,7 +99,7 @@ def test_gnk_degree_profile():
     for k in (3, 4, 5):
         for n in range(3 * k - 6, 13):
             g = sl.gnk(n, k).graph
-            degs = sorted(g.degree(v) for v in range(g.n))
+            degs = list(sl.degree_sequence(g).degrees)
             blocked = 3 * (k - 2)
             expected = sorted(
                 [k + 2] * blocked            # U vertices missing one extra vertex
@@ -108,6 +108,14 @@ def test_gnk_degree_profile():
                 + [n - k + 2] * 3            # the three added vertices
             )
             assert degs == expected
+
+
+def test_family_refuses_a_certificate_that_fails(monkeypatch):
+    monkeypatch.setattr("sumlab.families.verify_certificate",
+                        lambda c: sl.CertificateVerdict(False, 3, c.claimed_value))
+    with pytest.raises(FamilyError, match="^generated chained-cycles certificate "
+                                          "failed verification: claimed 2, observed 3$"):
+        sl.chained_odd_cycles(1, 2)
 
 
 def test_gnk_certificate_value_at_most_n_plus_k():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -96,6 +97,16 @@ def test_graph6_round_trip(connected_by_n):
     for n, graphs in connected_by_n.items():
         for g in graphs:
             assert sl.parse_graph6(sl.emit_graph6(g)) == g
+
+
+def test_graph6_round_trip_is_linear_in_the_body():
+    # n = 2,001 has a body of 333,500 bytes; a reader that holds the body as
+    # one int and shifts it per pair took over a minute on this graph
+    g = sl.chained_odd_cycles(1, 1000).graph
+    start = time.perf_counter()
+    back = sl.parse_graph6(sl.emit_graph6(g))
+    assert time.perf_counter() - start < 10
+    assert back == g
 
 
 def test_graph6_round_trip_random():

@@ -23,7 +23,9 @@ def test_df_exceeds_half_sm_by_one_at_any_range():
     assert df.value - (sm.value + 1) // 2 == 1
 
 
-@pytest.mark.parametrize("s,sm_lower,gap", [(21, 7, -2), (58, 9, -3)])
+@pytest.mark.parametrize("s,sm_lower,gap", [
+    (21, 7, -2), (58, 9, -3), (122, 11, -4), (289, 14, -5),
+])
 def test_df_falls_below_half_sm_without_search(s, sm_lower, gap):
     # a chain of s triangles: the bundled certificate has two edge
     # differences and best_df_lower is ceil(4/2) = 2, so df = 2, while the

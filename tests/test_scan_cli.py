@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -55,6 +56,23 @@ def test_scan_budget_marks_inconclusive(small_corpus):
 def test_scan_rejects_unknown_check(small_corpus):
     with pytest.raises(ValueError):
         sl.scan_conjectures(small_corpus[:1], checks=("conj41",))
+
+
+def test_scan_report_bytes_are_pinned(connected_by_n):
+    """The n <= 6 scan report, every graph6 string in it included, is byte
+    for byte the one pinned here.  Node counts are left out of the digest
+    and pinned apart as totals, so a change that moves only node counts
+    fails on the totals, not on the digest."""
+    graphs = [g for n in range(1, 7) for g in connected_by_n[n]]
+    assert len(graphs) == 143
+    data = sl.scan_conjectures(graphs, workers=1).to_json_dict()
+    nodes = {"sm": 0, "df": 0}
+    for rec in data["records"]:
+        for key in nodes:
+            nodes[key] += rec[key].pop("nodes_expanded")
+    digest = hashlib.sha256((json.dumps(data, indent=2) + "\n").encode()).hexdigest()
+    assert digest == "8d196c6bf5e8560a45a3b29c7bd74f0e5727b24058f3e4fe4900e3adc3bf7425"
+    assert nodes == {"sm": 108_978, "df": 44_950}
 
 
 def test_scan_schema(small_corpus):
@@ -309,6 +327,18 @@ def test_cli_stanchescu(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out == "500 trials, 19 with the hypothesis true, 0 violation(s)\n"
+
+
+def test_cli_stanchescu_reports_a_violation(monkeypatch, capsys):
+    # the theorem never fails, so a verdict that breaks it is faked here
+    monkeypatch.setattr("sumlab.cli.stanchescu_check",
+                        lambda a, b: sl.StanchescuVerdict(True, 2, 2, 1, 1, False))
+    rc = main(["sumset", "stanchescu", "--trials", "1", "--seed", "0",
+               "--max-elem", "10", "--max-size", "8"])
+    assert rc == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("VIOLATION: A=[")
+    assert out[1] == "1 trials, 1 with the hypothesis true, 1 violation(s)"
 
 
 def test_cli_usage_errors(tmp_path):
