@@ -103,11 +103,14 @@ def best_sm_lower(g: Graph) -> int:
     2(2k+1) closed walks (a start and a direction), so there are at most
     tr(A^(2k+1)) / (2(2k+1)) of them, and the odd-cycle bound grows with the
     count: a length whose cap cannot beat the best bound so far is skipped.
-    A bipartite graph has no odd cycle, so it builds no walks.  With D the
-    maximum degree, at most n * D * (D-1)^(L-2) non-backtracking closed walks
-    have length L, so no length L or longer gives more than r + 2, r the
-    floor of the L-th root of that cap; r never grows with L, as
-    (D-1)^2 < n * D, so the walks stop once r + 2 cannot beat the bound.
+    For triangles the cap tr(A^3) / 6 is exact, the sum over edges uv of
+    |N(u) & N(v)| over 3, so the walk matrices are built, from A, only when
+    a length of 5 or more may count.  A bipartite graph has no odd cycle, so
+    it builds no walks.  With D the maximum degree, at most
+    n * D * (D-1)^(L-2) non-backtracking closed walks have length L, so no
+    length L or longer gives more than r + 2, r the floor of the L-th root
+    of that cap; r never grows with L, as (D-1)^2 < n * D, so the walks stop
+    once r + 2 cannot beat the bound.
     """
     best = max(max(map(len, g.adj), default=0), sum_degree_bound(g))
     if is_bipartite(g).bipartite:
@@ -115,15 +118,22 @@ def best_sm_lower(g: Graph) -> int:
     n = g.n
     adj = g.adj
     top = max(map(len, adj), default=0)
-    walks = [[int(v in adj[u]) for v in range(n)] for u in range(n)]  # A^(2k-1)
+    walks, power = None, 0  # A^power
     for k in range(1, max(1, (n - 1) // 2) + 1):
         length = 2 * k + 1
         envelope = _iroot(n * top * (top - 1) ** (length - 2), length)
         if envelope + 2 <= best:
             break
-        for _ in range(2):
-            walks = [[sum(row[w] for w in adj[v]) for v in range(n)] for row in walks]
-        cap = sum(walks[v][v] for v in range(n)) // (4 * k + 2)
+        if k == 1:
+            nbrs = [sum(1 << v for v in a) for a in adj]
+            cap = sum((nbrs[u] & nbrs[v]).bit_count() for u, v in g.edges) // 3
+        else:
+            if walks is None:
+                walks, power = [[int(v in adj[u]) for v in range(n)] for u in range(n)], 1
+            for _ in range(power, length):
+                walks = [[sum(row[w] for w in adj[v]) for v in range(n)] for row in walks]
+            power = length
+            cap = sum(walks[v][v] for v in range(n)) // (4 * k + 2)
         if _odd_cycle_int(k, cap) > best:
             best = max(best, _odd_cycle_int(k, count_cycles_of_length(g, 2 * k + 1)))
     return best

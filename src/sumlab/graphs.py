@@ -428,36 +428,56 @@ def twins_below(adj: list[int]) -> list[int]:
     Twins are vertices u, v with N(u) - {v} = N(v) - {u}.  Swapping two twins
     is an automorphism, so a search over vertex orders or labellings may fix
     the order within each twin class.  Twinship is an equivalence relation
-    whose classes are cliques or independent sets.
+    whose classes are cliques or independent sets: two non-adjacent twins
+    share their open neighbourhood N(v), two adjacent twins their closed
+    neighbourhood N(v) + {v}, so one pass groups the vertices by each.
     """
-    return [
-        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
-        for v in range(len(adj))
-    ]
+    below = []
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, nbrs in enumerate(adj):
+        bit = 1 << v
+        same_open = by_open.get(nbrs, 0)
+        same_closed = by_closed.get(nbrs | bit, 0)
+        below.append(same_open | same_closed)
+        by_open[nbrs] = same_open | bit
+        by_closed[nbrs | bit] = same_closed | bit
+    return below
 
 
 _CANONICAL_MAX_N = 8
 
 
 def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
-    """The least adjacency bit-string over all vertex orders, in graph6
-    column-major order, and generators of the automorphism group.
+    """``_canonical_core`` on the adjacency bitmasks of ``g``; supports
+    n <= 8."""
+    if g.n > _CANONICAL_MAX_N:
+        raise UnsupportedSizeError(f"canonical_form supports n <= {_CANONICAL_MAX_N}")
+    return _canonical_core([sum(1 << u for u in a) for a in g.adj])
 
-    Exact search over vertex orders; supports n <= 8.  Placing a vertex at
-    position j appends its column (its adjacency to positions 0..j-1) to the
-    string, and every completion has the same length, so only the unplaced
-    vertices whose column is least may be placed next: any other choice
-    gives a larger string.  The unplaced vertices are kept as an ordered
-    partition: cells of equal column, as (bitmask, column) in increasing
-    column order, so the candidates are the first cell.  Placing v splits
-    each cell into its non-neighbours of v, then its neighbours, which keeps
-    the order; the partition is never refined further, since an equitable
-    refinement would reorder cells and change which string is least.  A
-    child whose prefix exceeds the best string so far is cut before the
-    call, and the last vertex is placed in its parent.  Of a twin class
-    (N(u) - {v} = N(v) - {u}) only the least-index unplaced vertex may be
-    placed next, since swapping two twins is an automorphism that fixes the
-    placed prefix.  Columns and the string are Python ints.
+
+def _canonical_core(adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """The least adjacency bit-string over all vertex orders, in graph6
+    column-major order, and generators of the automorphism group, for the
+    graph whose vertex v has neighbours ``adj[v]`` (a bitmask).
+
+    Exact search over vertex orders, meant for n <= 8, which callers check.
+    Placing a vertex at position j appends its column (its adjacency to
+    positions 0..j-1) to the string, and every completion has the same
+    length, so only the unplaced vertices whose column is least may be
+    placed next: any other choice gives a larger string.  The unplaced
+    vertices are kept as an ordered partition: cells of equal column, as
+    (bitmask, column) in increasing column order, so the candidates are the
+    first cell.  Placing v splits each cell into its non-neighbours of v,
+    then its neighbours, which keeps the order; the partition is never
+    refined further, since an equitable refinement would reorder cells and
+    change which string is least.  A child's prefix ends in the column of
+    the first nonempty part, so a child whose prefix exceeds the best string
+    so far is cut before the rest of the split is built, and the last vertex
+    is placed in its parent.  Of a twin class (``twins_below``) only the
+    least-index unplaced vertex may be placed next, since swapping two twins
+    is an automorphism that fixes the placed prefix.  Columns and the string
+    are Python ints.
 
     Two orders that give the same string differ by an automorphism, so each
     leaf that ties the best string yields one, mapping the order that first
@@ -466,16 +486,10 @@ def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     twin below generate the whole automorphism group.  A permutation p maps
     vertex v to p[v].
     """
-    n = g.n
-    if n > _CANONICAL_MAX_N:
-        raise UnsupportedSizeError(f"canonical_form supports n <= {_CANONICAL_MAX_N}")
+    n = len(adj)
     if n <= 1:
         return 0, []
     everyone = (1 << n) - 1
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
     non = [everyone & ~adj[v] & ~(1 << v) for v in range(n)]
     below = twins_below(adj)
     gens = []
@@ -521,6 +535,14 @@ def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
                     gens.append(tuple(perm))
                 continue
             inside, outside = adj[v], non[v]
+            # the child's prefix ends in the column of the split's first part,
+            # from the first cell, or from the next when v is alone in it
+            cell, col = cells[0]
+            if cell == bit:
+                cell, col = cells[1]
+            child = prefix << (depth + 1) | col << 1 | (cell & outside == 0)
+            if child > best >> shift:
+                continue
             split = []
             for cell, col in cells:
                 col <<= 1
@@ -530,9 +552,6 @@ def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
                 part = cell & inside
                 if part:
                     split.append((part, col | 1))
-            child = prefix << (depth + 1) | split[0][1]
-            if child > best >> shift:
-                continue
             order.append(v)
             place(depth + 1, child, split, unplaced ^ bit)
             order.pop()
@@ -546,9 +565,10 @@ def canonical_form(g: Graph) -> bytes:
     bit-string over all vertex permutations, in graph6 column-major order,
     returned as the graph6 encoding of the canonical relabelling.
 
-    The string comes from ``_canonical_search`` (supports n <= 8), the one
-    search that ``enumerate_connected`` also reads automorphisms from; it is
-    already in graph6 order, so it goes to the writer ``emit_graph6`` uses.
+    The string comes from ``_canonical_search`` (supports n <= 8), which runs
+    the search core that ``enumerate_connected`` dedups by and reads
+    automorphisms from; it is already in graph6 order, so it goes to the
+    writer ``emit_graph6`` uses.
     """
     n = g.n
     best, _ = _canonical_search(g)
@@ -585,25 +605,41 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
 
     Builds n-vertex graphs by attaching a new vertex to nonempty subsets of
     each connected (n-1)-vertex graph; every connected graph arises this way
-    because it has a non-cut vertex.  Supports 1 <= n <= 7.  The subsets are
+    because it has a non-cut vertex.  Supports 1 <= n <= 8.  The subsets are
     taken in increasing bitmask order, and only those least in their orbit
-    under the parent's automorphisms (read off ``_canonical_search``): a
-    skipped subset has an earlier one in its orbit whose graph is isomorphic
-    and already seen, so it would not have been yielded anyway.  The output
-    is the same for any subgroup; it is the one of trying every subset.
+    under the parent's automorphisms (McKay 1998): a skipped subset has an
+    earlier one in its orbit whose graph is isomorphic and already seen, so
+    it would not have been yielded anyway.  The output is the same for any
+    subgroup; it is the one of trying every subset.  The levels run on
+    adjacency bitmasks (``_connected_classes``); a ``Graph`` is built only
+    for the classes yielded.
     """
-    if not 1 <= n <= 7:
-        raise UnsupportedSizeError("enumerate_connected supports 1 <= n <= 7")
+    if not 1 <= n <= _CANONICAL_MAX_N:
+        raise UnsupportedSizeError(
+            f"enumerate_connected supports 1 <= n <= {_CANONICAL_MAX_N}")
+    for adj, _ in _connected_classes(n):
+        yield Graph(n, [(u, v) for v in range(n) for u in range(v) if adj[v] >> u & 1])
+
+
+def _connected_classes(n: int) -> Iterator[tuple[list[int], list[tuple[int, ...]]]]:
+    """``enumerate_connected(n)``'s classes in its order, each as adjacency
+    bitmasks and generators of its automorphism group.
+
+    A candidate is its parent's adjacency with bit n-1 set on each member of
+    ``mask``, plus ``mask`` as the new vertex's; ``_canonical_core`` gives
+    its dedup key, the least string, and the generators that the next level
+    reads when the candidate is accepted, so each graph is searched once.
+    """
     if n == 1:
-        yield Graph(1)
+        yield [0], []
         return
-    seen: set[bytes] = set()
-    for parent in enumerate_connected(n - 1):
-        _, gens = _canonical_search(parent)
-        for mask in _orbit_least_masks(n - 1, gens):
-            extra = [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
-            g = Graph(n, parent.edges + tuple(extra))
-            key = canonical_form(g)
+    seen: set[int] = set()
+    new = 1 << (n - 1)
+    for parent, parent_gens in _connected_classes(n - 1):
+        for mask in _orbit_least_masks(n - 1, parent_gens):
+            adj = [nbrs | new if mask >> i & 1 else nbrs for i, nbrs in enumerate(parent)]
+            adj.append(mask)
+            key, gens = _canonical_core(adj)
             if key not in seen:
                 seen.add(key)
-                yield g
+                yield adj, gens

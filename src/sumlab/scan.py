@@ -13,7 +13,6 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -143,6 +142,9 @@ def scan_conjectures(
             raise ValueError(f"unknown check {c!r}; valid: {', '.join(CHECKS)}")
     lines = [emit_graph6(g) for g in graphs]
     if workers > 1 and len(lines) > 1:
+        # imported here, so that importing sumlab does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(
                 pool.map(

@@ -139,6 +139,13 @@ def test_best_sm_lower_skips_hopeless_cycle_lengths(monkeypatch):
     assert counted == []
 
 
+def test_best_sm_lower_on_a_thousand_chained_triangles():
+    # 1,000 triangles in 2,001 vertices: (6 * 1000)^(1/3) + 1 = 19.2; the
+    # triangle cap comes from the edges, so no 2,001 x 2,001 walk matrix is
+    # built
+    assert sl.best_sm_lower(sl.chained_odd_cycles(1, 1000).graph) == 20
+
+
 def test_bound_report_beyond_short_graph6():
     # 117 = 64 + 53 vertices: graph_id needs the graph6 long form "~?@t...".
     # 58 triangles give (6 * 58)^(1/3) + 1 = 8.03, so the integer bound is 9

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -456,18 +456,69 @@ def test_enumerate_connected_yield_order(connected_by_n, connected_7):
 
 
 def test_enumerate_connected_searches_one_child_per_orbit(monkeypatch):
-    """One canonical_form call per orbit-least subset, per level; at n = 7
-    that is the orbit count under the parents' full automorphism groups."""
+    """One search per orbit-least subset, per level, and none besides: at
+    n = 7 that is the orbit count under the parents' full automorphism
+    groups, and an accepted graph's generators come from the search that
+    accepted it, so no parent is searched a second time."""
     calls: dict[int, int] = {}
-    canonical_form = graphs.canonical_form
+    core = graphs._canonical_core
 
-    def counted(g):
-        calls[g.n] = calls.get(g.n, 0) + 1
-        return canonical_form(g)
+    def counted(adj):
+        calls[len(adj)] = calls.get(len(adj), 0) + 1
+        return core(adj)
 
-    monkeypatch.setattr(graphs, "canonical_form", counted)
+    monkeypatch.setattr(graphs, "_canonical_core", counted)
     assert sum(1 for _ in sl.enumerate_connected(7)) == 853
     assert calls == {2: 1, 3: 2, 4: 8, 5: 44, 6: 333, 7: 3771}
+
+
+def test_enumerate_connected_eight_vertex_prefix():
+    """The first 300 classes at n = 8: connected, pairwise non-isomorphic
+    (canonical_form, and networkx on every pair with equal degrees), and in
+    the pinned order.  The whole stream (11,117 classes) is checked in CI."""
+    nx = pytest.importorskip("networkx")
+    head = list(islice(sl.enumerate_connected(8), 300))
+    assert all(g.n == 8 and sl.is_connected(g) for g in head)
+    assert len({sl.canonical_form(g) for g in head}) == 300
+    by_degrees: dict[tuple[int, ...], list] = {}
+    for g in head:
+        by_degrees.setdefault(sl.degree_sequence(g).degrees, []).append(nx.Graph(g.edges))
+    for same in by_degrees.values():
+        for a, b in combinations(same, 2):
+            assert not nx.is_isomorphic(a, b)
+    text = "\n".join(sl.emit_graph6(g) for g in head)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "023c8591aecd7e8cddfc265c5ffe86a8ad73be2e4b7c0db004bbe3cca891b120"
+    )
+
+
+def _pairwise_twins_below(g):
+    """Test-local oracle: per vertex v, the u < v with N(u) - {v} = N(v) - {u}."""
+    nbrs = [set(a) for a in g.adj]
+    return [sum(1 << u for u in range(v) if nbrs[u] - {v} == nbrs[v] - {u})
+            for v in range(g.n)]
+
+
+def _twin_cases():
+    rng = random.Random(28)
+    for n in range(10):
+        for density in (0.0, 0.2, 0.5, 0.8, 1.0):
+            for _ in range(6):
+                yield Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    for n in range(10):
+        yield sl.complete_graph(n)
+        yield Graph(n)
+    for a in range(1, 5):
+        for b in range(a, 6):
+            yield _complete_bipartite(a, b)
+    for leaves in range(1, 9):
+        yield _complete_bipartite(1, leaves)
+
+
+def test_twins_below_matches_the_pairwise_definition():
+    for g in _twin_cases():
+        adj = [sum(1 << u for u in a) for a in g.adj]
+        assert graphs.twins_below(adj) == _pairwise_twins_below(g), (g.n, g.edges)
 
 
 def _group_order(n, gens):
@@ -564,4 +615,4 @@ def test_enumerate_connected_range():
     with pytest.raises(UnsupportedSizeError):
         list(sl.enumerate_connected(0))
     with pytest.raises(UnsupportedSizeError):
-        list(sl.enumerate_connected(8))
+        list(sl.enumerate_connected(9))

@@ -83,6 +83,16 @@ def test_scan_schema(small_corpus):
     assert "worker" not in json.dumps(data["config"])
 
 
+def test_import_leaves_out_multiprocessing():
+    """The process pool is imported only by a scan with workers > 1."""
+    src = Path(sl.__file__).resolve().parent.parent
+    probe = "import sys, sumlab; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_benchmark_trace_hooks_still_bind(monkeypatch):
     """The benchmark's traced run rebinds these module names; a scan must
     still call through every one of them."""
