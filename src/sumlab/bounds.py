@@ -82,60 +82,46 @@ def sum_degree_bound(g: Graph) -> int:
     return best
 
 
-def _odd_cycle_counts(g: Graph, max_k_cycles: int | None = None) -> dict[int, int]:
-    """k -> number of cycles of length 2k+1, for k = 1..max_k_cycles.
-
-    By default k runs up to (n-1)//2 (a cycle of length 2k+1 needs 2k+1
-    vertices), and at least to 1.  Cycles are counted through the module
-    global ``count_cycles_of_length``, so a tracer can rebind it.
-    """
-    if max_k_cycles is None:
-        max_k_cycles = max(1, (g.n - 1) // 2)
-    return {k: count_cycles_of_length(g, 2 * k + 1) for k in range(1, max_k_cycles + 1)}
-
-
 def best_sm_lower(g: Graph) -> int:
     """Best sum-index lower bound: maximum degree, sum_degree_bound and
-    every odd-cycle bound.  0 on an edgeless graph.
+    every odd-cycle bound.  0 on an edgeless graph."""
+    return _sm_lower(g, {})
 
-    ``bound_report`` takes its field from it.  It counts the cycles of a
-    length only when they could raise the bound.  A cycle of length 2k+1 is
-    2(2k+1) closed walks (a start and a direction), so there are at most
-    tr(A^(2k+1)) / (2(2k+1)) of them, and the odd-cycle bound grows with the
-    count: a length whose cap cannot beat the best bound so far is skipped.
-    For triangles the cap tr(A^3) / 6 is exact, the sum over edges uv of
-    |N(u) & N(v)| over 3, so the walk matrices are built, from A, only when
-    a length of 5 or more may count.  A bipartite graph has no odd cycle, so
-    it builds no walks.  With D the maximum degree, at most
-    n * D * (D-1)^(L-2) non-backtracking closed walks have length L, so no
-    length L or longer gives more than r + 2, r the floor of the L-th root
-    of that cap; r never grows with L, as (D-1)^2 < n * D, so the walks stop
-    once r + 2 cannot beat the bound.
+
+def _sm_lower(g: Graph, counts: dict[int, int]) -> int:
+    """``best_sm_lower``, given the cycle counts of lengths 2k+1 for
+    k = 1..len(counts); a longer length is counted only if it could raise
+    the bound.  With D the maximum degree, at most n * D * (D-1)^(L-2)
+    non-backtracking closed walks have length L, so no length L or longer
+    gives more than r + 2, r the floor of the L-th root of that cap; r
+    never grows with L, as (D-1)^2 < n * D, so the loop stops once r + 2
+    cannot beat the bound.  From length 5 on, a length is also skipped when
+    its closed-walk cap cannot beat it: a cycle of length 2k+1 is 2(2k+1)
+    closed walks (a start and a direction), so there are at most
+    tr(A^(2k+1)) / (2(2k+1)) of them.  A bipartite graph has no odd cycle.
     """
-    best = max(max(map(len, g.adj), default=0), sum_degree_bound(g))
+    best = max([max(map(len, g.adj), default=0), sum_degree_bound(g)]
+               + [_odd_cycle_int(k, s) for k, s in counts.items()])
     if is_bipartite(g).bipartite:
         return best
     n = g.n
     adj = g.adj
     top = max(map(len, adj), default=0)
     walks, power = None, 0  # A^power
-    for k in range(1, max(1, (n - 1) // 2) + 1):
+    for k in range(len(counts) + 1, (n - 1) // 2 + 1):
         length = 2 * k + 1
         envelope = _iroot(n * top * (top - 1) ** (length - 2), length)
         if envelope + 2 <= best:
             break
-        if k == 1:
-            nbrs = [sum(1 << v for v in a) for a in adj]
-            cap = sum((nbrs[u] & nbrs[v]).bit_count() for u, v in g.edges) // 3
-        else:
+        if k > 1:
             if walks is None:
                 walks, power = [[int(v in adj[u]) for v in range(n)] for u in range(n)], 1
             for _ in range(power, length):
                 walks = [[sum(row[w] for w in adj[v]) for v in range(n)] for row in walks]
             power = length
-            cap = sum(walks[v][v] for v in range(n)) // (4 * k + 2)
-        if _odd_cycle_int(k, cap) > best:
-            best = max(best, _odd_cycle_int(k, count_cycles_of_length(g, 2 * k + 1)))
+            if _odd_cycle_int(k, sum(walks[v][v] for v in range(n)) // (4 * k + 2)) <= best:
+                continue
+        best = max(best, _odd_cycle_int(k, count_cycles_of_length(g, length)))
     return best
 
 
@@ -170,23 +156,23 @@ class BoundReport:
 def bound_report(g: Graph, max_k_cycles: int | None = None) -> BoundReport:
     """Evaluate every bound for one graph.
 
-    ``best_df_lower`` is the value the difference index ascends from;
-    ``best_sm_lower`` is where the edge-partition refutations that give
-    the sum index's and exclusive sum number's starting floor begin; it
-    comes from ``best_sm_lower`` over every cycle length, as
-    ``max_k_cycles`` limits only ``odd_cycle_bounds``.
-    ``min_degree_bound`` is the classical sum-number bound
-    sigma >= min degree (Bergstrand et al. 1989), which the sum number's
-    ascent starts from; it is also a difference-index bound, which the k=1
-    term of diff_degree_bound always dominates.
+    Odd-cycle bounds are listed for k = 1..max_k_cycles, by default to
+    (n-1)//2 and at least 1.  Each length is counted once, through the
+    module global ``count_cycles_of_length`` (a tracer may rebind it), and
+    ``best_sm_lower``, over every length, reuses those counts.
+    ``min_degree_bound`` is the classical sum-number bound sigma >= min
+    degree (Bergstrand et al. 1989), where the sum number's ascent starts;
+    the k = 1 term of ``diff_degree_bound`` always dominates it.
     """
-    counts = _odd_cycle_counts(g, max_k_cycles)
+    if max_k_cycles is None:
+        max_k_cycles = max(1, (g.n - 1) // 2)
+    counts = {k: count_cycles_of_length(g, 2 * k + 1) for k in range(1, max_k_cycles + 1)}
     return BoundReport(
         graph_id=emit_graph6(g),
         odd_cycle_bounds={k: _odd_cycle_real(k, s) for k, s in counts.items()},
         diff_degree_bound=diff_degree_bound(g),
         sum_degree_bound=sum_degree_bound(g),
         min_degree_bound=degree_sequence(g).min_degree,
-        best_sm_lower=best_sm_lower(g),
+        best_sm_lower=_sm_lower(g, counts),
         best_df_lower=best_df_lower(g),
     )

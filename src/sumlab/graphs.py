@@ -384,12 +384,15 @@ def girth(g: Graph) -> int | None:
 def count_cycles_of_length(g: Graph, length: int) -> int:
     """Count simple cycles of exactly the given length, each counted once.
 
-    Enumeration is rooted at each cycle's minimum vertex, extends only to
-    vertices larger than the root, and quotients orientation by requiring
-    the second vertex to be smaller than the last.
+    Triangles are the sum over edges uv of |N(u) & N(v)|, over 3.  Longer
+    cycles are enumerated from each cycle's minimum vertex, extending only
+    to larger vertices, with the second vertex below the last (orientation).
     """
     if length < 3:
         raise GraphError("cycle length must be at least 3")
+    if length == 3:
+        nbrs = [sum(1 << u for u in a) for a in g.adj]
+        return sum((nbrs[u] & nbrs[v]).bit_count() for u, v in g.edges) // 3
     adjsets = [frozenset(a) for a in g.adj]
     count = 0
     path = [0] * length

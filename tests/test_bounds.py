@@ -132,11 +132,34 @@ def test_best_sm_lower_skips_hopeless_cycle_lengths(monkeypatch):
     # K_{1,150} is bipartite, so no walk is built and the bound is its
     # maximum degree; C_151 has at most 151 * 2 * 1^(L-2) / (2L) L-cycles,
     # whose envelope floor(302^(1/L)) + 2 is 3 from L = 9 on, so the walks
-    # stop at L = 9 and no length is counted
+    # stop at L = 9, and only the triangles are counted
     counted.clear()
     assert sl.best_sm_lower(sl.Graph(151, [(0, v) for v in range(1, 151)])) == 150
     assert sl.best_sm_lower(sl.cycle_graph(151)) == 3
-    assert counted == []
+    assert counted == [3]
+
+
+def test_bound_report_counts_each_odd_length_once(monkeypatch):
+    counted = []
+    real = bounds.count_cycles_of_length
+
+    def spy(g, length):
+        counted.append(length)
+        return real(g, length)
+
+    monkeypatch.setattr(bounds, "count_cycles_of_length", spy)
+    # best_sm_lower in the report reuses the listed counts, and by default
+    # they reach every length a graph can hold
+    for g in (sl.complete_graph(9), sl.prism(3).graph, sl.cycle_graph(9),
+              sl.chained_odd_cycles(2, 2).graph, sl.parse_graph6("Fv~~w")):
+        counted.clear()
+        sl.bound_report(g)
+        assert counted == list(range(3, 2 * max(1, (g.n - 1) // 2) + 2, 2))
+    # max_k_cycles=1, as `sumlab bounds --max-k 1` passes it: the envelope
+    # floor((2001 * 4 * 3^3)^(1/5)) + 2 = 13 stops length 5 below the bound 20
+    counted.clear()
+    assert sl.bound_report(sl.chained_odd_cycles(1, 1000).graph, 1).best_sm_lower == 20
+    assert counted == [3]
 
 
 def test_best_sm_lower_on_a_thousand_chained_triangles():

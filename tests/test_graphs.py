@@ -277,6 +277,26 @@ def test_count_cycles_examples():
     assert sl.count_cycles_of_length(sl.chained_odd_cycles(2, 3).graph, 5) == 3
 
 
+def _triangles_by_brute_force(g):
+    edges = set(g.edges)
+    return sum(1 for a, b, c in combinations(range(g.n), 3)
+               if (a, b) in edges and (a, c) in edges and (b, c) in edges)
+
+
+def test_triangle_count_matches_brute_force(connected_by_n, connected_7):
+    """Triangles come from the edges, sum |N(u) & N(v)| / 3; the oracle
+    tests every vertex triple."""
+    rng = random.Random(3)
+    graphs = [g for gs in connected_by_n.values() for g in gs] + connected_7
+    for _ in range(120):
+        n, density = rng.randint(0, 30), rng.randint(0, 10) / 10
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density]))
+    graphs += [sl.complete_graph(n) for n in range(13)]
+    for g in graphs:
+        assert sl.count_cycles_of_length(g, 3) == _triangles_by_brute_force(g)
+    assert sl.count_cycles_of_length(sl.chained_odd_cycles(1, 1000).graph, 3) == 1000
+
+
 def test_count_cycles_rejects_short_lengths():
     with pytest.raises(sl.GraphError):
         sl.count_cycles_of_length(sl.complete_graph(3), 2)
