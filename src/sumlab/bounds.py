@@ -98,7 +98,11 @@ def _sm_lower(g: Graph, counts: dict[int, int]) -> int:
     cannot beat the bound.  From length 5 on, a length is also skipped when
     its closed-walk cap cannot beat it: a cycle of length 2k+1 is 2(2k+1)
     closed walks (a start and a direction), so there are at most
-    tr(A^(2k+1)) / (2(2k+1)) of them.  A bipartite graph has no odd cycle.
+    tr(A^(2k+1)) / (2(2k+1)) of them.  On its way to A^(2k+1) the loop
+    stops once floor(tr(A^(2k))^(1/(2k))) + 2 cannot beat the bound: for
+    L >= 2k, 2L * s_L <= tr(A^L) <= tr(A^(2k))^(L/(2k)), as the
+    eigenvalues' L-norm is at most their 2k-norm.  A bipartite graph has
+    no odd cycle.
     """
     best = max([max(map(len, g.adj), default=0), sum_degree_bound(g)]
                + [_odd_cycle_int(k, s) for k, s in counts.items()])
@@ -116,10 +120,12 @@ def _sm_lower(g: Graph, counts: dict[int, int]) -> int:
         if k > 1:
             if walks is None:
                 walks, power = [[int(v in adj[u]) for v in range(n)] for u in range(n)], 1
-            for _ in range(power, length):
+            for power in range(power + 1, length + 1):
                 walks = [[sum(row[w] for w in adj[v]) for v in range(n)] for row in walks]
-            power = length
-            if _odd_cycle_int(k, sum(walks[v][v] for v in range(n)) // (4 * k + 2)) <= best:
+                trace = sum(walks[v][v] for v in range(n))
+                if power == 2 * k and _iroot(trace, power) + 2 <= best:
+                    return best
+            if _odd_cycle_int(k, trace // (4 * k + 2)) <= best:
                 continue
         best = max(best, _odd_cycle_int(k, count_cycles_of_length(g, length)))
     return best

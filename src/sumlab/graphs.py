@@ -384,15 +384,18 @@ def girth(g: Graph) -> int | None:
 def count_cycles_of_length(g: Graph, length: int) -> int:
     """Count simple cycles of exactly the given length, each counted once.
 
-    Triangles are the sum over edges uv of |N(u) & N(v)|, over 3.  Longer
-    cycles are enumerated from each cycle's minimum vertex, extending only
-    to larger vertices, with the second vertex below the last (orientation).
+    Triangles are the sum over edges uv of |N(u) & N(v)|, over 3.  A
+    bipartite graph has no odd cycle.  Other lengths are enumerated from
+    each cycle's minimum vertex, extending only to larger vertices, with
+    the second vertex below the last (orientation).
     """
     if length < 3:
         raise GraphError("cycle length must be at least 3")
     if length == 3:
         nbrs = [sum(1 << u for u in a) for a in g.adj]
         return sum((nbrs[u] & nbrs[v]).bit_count() for u, v in g.edges) // 3
+    if length % 2 and is_bipartite(g).bipartite:
+        return 0
     adjsets = [frozenset(a) for a in g.adj]
     count = 0
     path = [0] * length

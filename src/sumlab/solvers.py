@@ -502,12 +502,14 @@ class _Ascent:
     what: str = ""
 
 
-def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
-           counter: _NodeCounter, t0: float) -> IndexResult:
-    """Least target reached within label range ``bound``, escalated on request.
+def _solve(spec: _Ascent, cfg: SearchConfig, g: Graph, first: int, default: int,
+           counter: _NodeCounter) -> IndexResult:
+    """Least target reached within label range first..B, escalated on request.
 
-    The first round starts by calling spec.lower().  Each round then makes
-    two passes over the targets: a cheap pass at min(bound, cheap cap)
+    B is cfg.label_bound or the invariant's default; a range first..B of
+    fewer than n labels raises SolverError.  The first round starts by
+    calling spec.lower().  Each round then makes two passes over the
+    targets: a cheap pass at min(bound, cheap cap)
     ascending from the lower bound to its least value v, whose labelling
     (or the fallback) survives as an upper bound if the node budget later
     runs out, then a full-bound pass, which alone can prove a target
@@ -526,6 +528,10 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
     earlier rounds' cheap pass and, while its cap is unchanged, their
     canonical search.
     """
+    bound = cfg.label_bound if cfg.label_bound is not None else default
+    if bound - first + 1 < g.n:
+        raise SolverError(f"label bound {bound} cannot label {g.n} vertices in {first}..{bound}")
+    t0 = time.perf_counter()
     trace: list[tuple[int, int]] = []
     value = labels = lower = None
     exhaustive = True
@@ -578,12 +584,12 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
             if not exhaustive:
                 raise SolverError(
                     f"node budget of {counter.budget} ran out after {counter.nodes} nodes "
-                    f"before any {spec.what} labelling within label range 1..{bound} "
+                    f"before any {spec.what} labelling within label range {first}..{bound} "
                     "was found; raise the node budget"
                 )
             if not cfg.escalate:
                 raise SolverError(
-                    f"no {spec.what} labelling within label range 1..{bound}; "
+                    f"no {spec.what} labelling within label range {first}..{bound}; "
                     "increase the range or enable escalation"
                 )
         elif not cfg.escalate or not exhaustive or (
@@ -612,10 +618,6 @@ def _solve(spec: _Ascent, cfg: SearchConfig, bound: int,
 def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str) -> IndexResult:
     cfg = cfg or SearchConfig()
     n = g.n
-    bound = cfg.label_bound if cfg.label_bound is not None else n * (n - 1) // 2 + n
-    if bound < n - 1:
-        raise SolverError(f"label bound {bound} cannot label {n} vertices injectively")
-    t0 = time.perf_counter()
     counter = _NodeCounter(cfg.node_budget)
     search = _IndexSearch(g, kind, counter)
     is_sum = kind is LabelKind.SUM
@@ -631,7 +633,7 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
         # an edgeless graph's value 0 needs no search, not even a canonical one
         canonical=search.least if g.m else None,
     )
-    return _solve(spec, cfg, bound, counter, t0)
+    return _solve(spec, cfg, g, 0, n * (n - 1) // 2 + n, counter)
 
 
 def sum_index(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
@@ -656,14 +658,6 @@ def _require_connected(g: Graph, what: str) -> None:
         raise SolverError(f"{what} requires a connected graph on at least 2 vertices")
 
 
-def _positive_bound(g: Graph, cfg: SearchConfig) -> int:
-    n = g.n
-    bound = cfg.label_bound if cfg.label_bound is not None else 4 * n * n
-    if bound < n:
-        raise SolverError(f"label bound {bound} cannot label {n} vertices in 1..{bound}")
-    return bound
-
-
 def _edge_sums(g: Graph, labels: list[int]) -> set[int]:
     return {labels[u] + labels[v] for u, v in g.edges}
 
@@ -682,8 +676,6 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     """
     _require_connected(g, "exclusive_sum_number")
     cfg = cfg or SearchConfig()
-    bound = _positive_bound(g, cfg)
-    t0 = time.perf_counter()
     counter = _NodeCounter(cfg.node_budget)
     search = _IndexSearch(g, LabelKind.SUM, counter, exclusive=True)
 
@@ -704,7 +696,7 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
         extra=extra,
         what="exclusive sum",
     )
-    return _solve(spec, cfg, bound, counter, t0)
+    return _solve(spec, cfg, g, 1, 4 * g.n * g.n, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,8 +997,6 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     """
     _require_connected(g, "sum_number")
     cfg = cfg or SearchConfig()
-    bound = _positive_bound(g, cfg)
-    t0 = time.perf_counter()
     counter = _NodeCounter(cfg.node_budget)
     spec = _Ascent(
         invariant="sum_number",
@@ -1021,7 +1011,7 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
         },
         what="sum",
     )
-    return _solve(spec, cfg, bound, counter, t0)
+    return _solve(spec, cfg, g, 1, 4 * g.n * g.n, counter)
 
 
 # ---------------------------------------------------------------------------

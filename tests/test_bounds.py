@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import sumlab as sl
@@ -98,17 +100,57 @@ def test_degree_bounds_leave_gap_on_subdivided_clique_pair():
     assert sl.sum_index(kk.graph).value == 5
 
 
-def test_best_sm_lower_matches_bound_report(connected_by_n):
+def _random_graphs(count, max_n, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, max_n)
+        p = rng.random()
+        yield sl.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_best_sm_lower_matches_bound_report(connected_by_n, connected_7):
     # best_sm_lower skips the cycle lengths whose closed-walk cap cannot
-    # raise the bound; it must match the bound over every length that
-    # bound_report lists
-    for graphs in connected_by_n.values():
+    # raise the bound and stops at an even closed-walk trace; it must match
+    # the bound over every length that bound_report lists
+    for graphs in (*connected_by_n.values(), connected_7, _random_graphs(200, 9, 30)):
         for g in graphs:
             rep = sl.bound_report(g)
             every = max([max(map(len, g.adj), default=0), rep.sum_degree_bound] + [
                 _odd_cycle_int(k, sl.count_cycles_of_length(g, 2 * k + 1))
                 for k in rep.odd_cycle_bounds])
             assert sl.best_sm_lower(g) == rep.best_sm_lower == every
+
+
+def test_best_sm_lower_stops_at_an_even_walk_trace(monkeypatch):
+    # chained_odd_cycles(3, s) has degree 4 where two chords meet, so the
+    # non-backtracking envelope never drops below 5 and would let the walks
+    # run to length n; once tr(A^(2k)) < 3^(2k), no odd length from 2k on
+    # can beat 4, and the walks stop at A^(2k): A^8 at s = 3 (n = 19) and
+    # A^24 at s = 20 (n = 121)
+    roots = []
+    real = bounds._iroot
+
+    def spy(m, e):
+        roots.append(e)
+        return real(m, e)
+
+    monkeypatch.setattr(bounds, "_iroot", spy)
+    for s, last in ((3, 8), (20, 24)):
+        roots.clear()
+        assert sl.best_sm_lower(sl.chained_odd_cycles(3, s).graph) == 4
+        assert (roots[-1], max(roots)) == (last, last + 1)
+
+
+def _grid(k):
+    return sl.Graph(k * k, [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+                    + [(r * k + c, r * k + k + c) for r in range(k - 1) for c in range(k)])
+
+
+@pytest.mark.parametrize("g", [_grid(5), sl.cycle_graph(10)], ids=["grid5x5", "C10"])
+def test_bipartite_graph_counts_no_odd_cycle(g):
+    for length in range(3, g.n + 1, 2):
+        assert sl.count_cycles_of_length(g, length) == 0
+    assert set(sl.bound_report(g).odd_cycle_bounds.values()) == {1.0}
 
 
 def test_best_sm_lower_skips_hopeless_cycle_lengths(monkeypatch):

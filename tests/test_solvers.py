@@ -1,5 +1,4 @@
 import random
-import time
 from dataclasses import replace
 from itertools import combinations, permutations, product
 
@@ -197,6 +196,21 @@ def test_label_bound_validation():
         sl.sum_index(sl.complete_graph(4), SearchConfig(label_bound=2))
 
 
+@pytest.mark.parametrize("fn, first", [
+    (sl.sum_index, 0), (sl.difference_index, 0),
+    (sl.exclusive_sum_number, 1), (sl.sum_number, 1),
+])
+def test_label_range_rule(fn, first):
+    # the driver's one range rule: K4's four labels need B >= first + 3
+    least = first + 3
+    with pytest.raises(SolverError, match=rf"cannot label 4 vertices in {first}\.\.{least - 1}$"):
+        fn(sl.complete_graph(4), SearchConfig(label_bound=least - 1))
+    try:
+        fn(sl.complete_graph(4), SearchConfig(label_bound=least))
+    except SolverError as err:
+        assert "cannot label" not in str(err)
+
+
 def test_results_deterministic():
     g = sl.subdivided_complete(5).graph
     a = sl.sum_index(g)
@@ -361,8 +375,8 @@ def _scripted_solve(cheap_value, value, budget=None, bound=50):
         invariant="scripted", find=oracle.find, lower=lambda: 1, limit=8, cheap_cap=8,
         canonical=oracle.canonical,
     )
-    res = solvers._solve(spec, SearchConfig(node_budget=budget), bound,
-                         counter, time.perf_counter())
+    res = solvers._solve(spec, SearchConfig(node_budget=budget), sl.path_graph(3), 0,
+                         bound, counter)
     full = [(t, cap) for what, t, cap in oracle.calls if what == "find" and cap >= bound]
     canonical = [t for what, t, _ in oracle.calls if what == "canonical"]
     return res, full, canonical
@@ -414,8 +428,8 @@ def _lower_solve(ticks, fallback, budget=None, escalate=False):
         invariant="scripted", find=oracle.find, lower=lower, limit=8, cheap_cap=8,
         fallback=fallback, canonical=oracle.canonical, what="scripted",
     )
-    res = solvers._solve(spec, SearchConfig(escalate=escalate, node_budget=budget), 50,
-                         counter, time.perf_counter())
+    res = solvers._solve(spec, SearchConfig(escalate=escalate, node_budget=budget),
+                         sl.path_graph(3), 0, 50, counter)
     return res, len(calls)
 
 
