@@ -89,7 +89,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     for g in _read_graphs(args.infile, args.format):
         rep = bound_report(g, args.max_k)
         reports.append(rep)
-        print(f"{rep.graph_id}: best_sm_lower={rep.best_sm_lower} "
+        # the text id of a graph6 line over 64 characters is its first 32
+        # and n; --json keeps the whole line
+        gid = rep.graph_id
+        if len(gid) > 64:
+            gid = f"{gid[:32]}...(n={g.n})"
+        print(f"{gid}: best_sm_lower={rep.best_sm_lower} "
               f"best_df_lower={rep.best_df_lower} "
               f"sum_degree={rep.sum_degree_bound} diff_degree={rep.diff_degree_bound} "
               f"min_degree={rep.min_degree_bound}")

@@ -72,9 +72,22 @@ def _substituted(forms: list[list[int]], eq: list[int]) -> list[list[int]]:
 
 def _packed(forms: list[list[int]]) -> list[int]:
     """Each label at x_j = B^j, with B a power of two above four times every
-    coefficient."""
-    shift = max(abs(x) for f in forms for x in f).bit_length() + 2
-    return [sum(x << (shift * j) for j, x in enumerate(f) if x) for f in forms]
+    coefficient, packed by Horner's rule from the last coordinate."""
+    top = 0
+    for f in forms:
+        for x in f:
+            if x > top:
+                top = x
+            elif -x > top:
+                top = -x
+    shift = top.bit_length() + 2
+    packed = []
+    for f in forms:
+        label = 0
+        for x in reversed(f):
+            label = (label << shift) + x
+        packed.append(label)
+    return packed
 
 
 def refute(g: Graph, t: int, exclusive: bool,

@@ -267,8 +267,13 @@ class _IndexSearch:
     new values is at most its miss count, and below it only in difference
     mode at the midpoint of two placed neighbours' labels, where their two
     differences coincide; so the exact count is taken only for a midpoint
-    that misses more than slack times.  The candidates are then offered in
-    increasing label order.
+    that misses more than slack times.  With no slack, as in most calls, the
+    candidates are the intersection of the placed neighbours' hit masks, and
+    the vertex ends its branch at the first empty one: a candidate adds no
+    new value exactly when it misses nothing, midpoints included, so no
+    recount can re-admit one.  That early exit is sound only there, as with
+    slack a midpoint the count rejects may be re-admitted.  The candidates
+    are then offered in increasing label order.
     """
 
     def __init__(self, g: Graph, kind: LabelKind, counter: _NodeCounter,
@@ -394,23 +399,31 @@ class _IndexSearch:
                     base &= ~(nes >> q)
                 for j in non_steps[i]:
                     base &= ~(vals >> p[j])
-            slack = min(target - vals.bit_count(), len(nbl))
-            # within[e]: candidates whose edges miss the old values at most e
-            # times; one that misses more than slack times cannot be placed.
-            # within[slack] only shrinks, so the count stops once it is empty.
-            within = [base] * (slack + 1)
-            for q in nbl:
-                hit = vals >> q if is_sum else (vals << q) | (rvals >> (top - q))
-                for e in range(slack, 0, -1):
-                    within[e] = within[e - 1] | (within[e] & hit)
-                within[0] &= hit
-                if not within[slack]:
-                    break
-            cands = within[slack]
+            slack = target - vals.bit_count()
+            if slack > len(nbl):
+                slack = len(nbl)
+            if not slack:
+                cands = base
+                for q in nbl:
+                    cands &= vals >> q if is_sum else (vals << q) | (rvals >> (top - q))
+                    if not cands:
+                        return None
+            else:
+                # within[e]: candidates whose edges miss the old values at
+                # most e times; one that misses more than slack times cannot
+                # be placed.  within[slack] only shrinks, so the count stops
+                # once it is empty.
+                within = [base] * (slack + 1)
+                for q in nbl:
+                    hit = vals >> q if is_sum else (vals << q) | (rvals >> (top - q))
+                    for e in range(slack, 0, -1):
+                        within[e] = within[e - 1] | (within[e] & hit)
+                    within[0] &= hit
+                    if not within[slack]:
+                        break
+                cands = within[slack]
             # At a midpoint two new differences coincide, so the miss count
             # can only overcount it: a midpoint it rejects is counted exactly.
-            # With no slack nothing changes: a candidate adds no new value
-            # exactly when it misses nothing.
             if not is_sum and slack:
                 mids = 0
                 for s, q in enumerate(nbl):
@@ -449,7 +462,7 @@ class _IndexSearch:
                         nrvals |= 1 << (top - d)
                 p[i] = x
                 hit = dfs(i + 1, nvals, nrvals, nes | (non_mask << x), used | low,
-                          min(lo, x), max(hi, x))
+                          lo if lo < x else x, hi if hi > x else x)
                 if hit is not None:
                     return hit
             return None

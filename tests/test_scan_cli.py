@@ -329,6 +329,23 @@ def test_cli_bounds_prints_max_degree_floor(tmp_path, capsys):
     assert "best_sm_lower=3 " in capsys.readouterr().out
 
 
+def test_cli_bounds_prints_a_bounded_id(tmp_path, capsys):
+    # 201 vertices: a graph6 line of over 3,000 characters
+    g = sl.chained_odd_cycles(1, 100).graph
+    line = sl.emit_graph6(g)
+    assert len(line) > 3000
+    infile = tmp_path / "chain.g6"
+    _write_g6(infile, [g, sl.path_graph(3)])
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--max-k", "1", "--in", str(infile), "--json", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith(f"{line[:32]}...(n={g.n}): best_sm_lower=")
+    assert printed[2].startswith("Bg: best_sm_lower=2 ")
+    assert max(map(len, printed)) < 200
+    ids = [r["graph_id"] for r in json.loads(out.read_text())["reports"]]
+    assert ids == [line, "Bg"]
+
+
 def test_cli_stanchescu(capsys):
     # with elements up to 10 the hypothesis holds in 19 of the 500 trials,
     # so the conclusion is checked; at 30 it held in none

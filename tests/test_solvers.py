@@ -1,13 +1,15 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, graphs, solvers
-from sumlab.partition import floor, refute
+from sumlab.partition import _packed, floor, refute
 
 
 def _observed(g, res, kind):
@@ -546,6 +548,31 @@ def test_sum_refutation_matches_brute_force(connected_by_n):
                 assert refute(g, t, exclusive=False) == (t < value), (sl.emit_graph6(g), t)
 
 
+@st.composite
+def _linear_forms(draw):
+    """Up to eight integer forms in n <= 8 coordinates with coefficients in
+    -64..64, and sometimes one more whose sum with the first is the sum of
+    the second and third, so that equal sums are drawn too."""
+    n = draw(st.integers(1, 8))
+    forms = draw(st.lists(st.lists(st.integers(-64, 64), min_size=n, max_size=n),
+                          min_size=3, max_size=8))
+    if draw(st.booleans()):
+        forms.append([y + z - x for x, y, z in zip(*forms[:3])])
+    return forms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(forms=_linear_forms())
+def test_packed_labels_tell_sums_apart(forms):
+    labels = _packed(forms)
+    shift = max(abs(x) for f in forms for x in f).bit_length() + 2
+    assert labels == [sum(x * 2 ** (shift * j) for j, x in enumerate(f)) for f in forms]
+    pairs = list(combinations_with_replacement(range(len(forms)), 2))
+    for (a, b), (c, d) in product(pairs, repeat=2):
+        zero = not any(w + x - y - z for w, x, y, z in zip(forms[a], forms[b], forms[c], forms[d]))
+        assert (labels[a] + labels[b] == labels[c] + labels[d]) == zero
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_sum_floor_invariant_under_relabelling(connected_by_n, data):
@@ -817,3 +844,22 @@ def test_search_trees_are_pinned(name):
             except SolverError:
                 got.append(None)
     assert tuple(got) == pins
+
+
+def test_exclusive_results_are_pinned(connected_by_n):
+    """epsilon over the connected graphs with 2 <= n <= 6: to_json_dict()
+    without wall_ms and node counts as sorted-key JSON lines joined by "\\n",
+    and the node total apart, so that the exclusive branch of the search and
+    the exclusive refutation keep their results and their trees."""
+    corpus = [g for n in range(2, 7) for g in connected_by_n[n]]
+    assert len(corpus) == 142
+    nodes = 0
+    lines = []
+    for g in corpus:
+        rec = sl.exclusive_sum_number(g).to_json_dict()
+        del rec["wall_ms"]
+        nodes += rec.pop("nodes_expanded")
+        lines.append(json.dumps(rec, sort_keys=True))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "8f0e575780c509b72c632ae29d923ac79e973e6b586cda8e41724d06a97cc217"
+    assert nodes == 84_479
