@@ -170,6 +170,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_sumset(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be at least 0, not {args.trials}")
+    if args.max_elem < 0:
+        raise ValueError(f"--max-elem must be at least 0, not {args.max_elem}")
+    if not 1 <= args.max_size <= args.max_elem + 1:
+        # each set is drawn without repeats from 0..max_elem
+        raise ValueError(f"--max-size must be between 1 and --max-elem + 1 = "
+                         f"{args.max_elem + 1}, not {args.max_size}")
     rng = random.Random(args.seed)
     violations = 0
     hypothesis_hits = 0

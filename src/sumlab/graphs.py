@@ -384,44 +384,43 @@ def girth(g: Graph) -> int | None:
 def count_cycles_of_length(g: Graph, length: int) -> int:
     """Count simple cycles of exactly the given length, each counted once.
 
-    Triangles are the sum over edges uv of |N(u) & N(v)|, over 3.  A
-    bipartite graph has no odd cycle.  Other lengths are enumerated from
-    each cycle's minimum vertex, extending only to larger vertices, with
-    the second vertex below the last (orientation).
+    A length above n, and an odd length on a bipartite graph, count 0
+    without a search.  Triangles are the sum over edges uv of
+    |N(u) & N(v)|, over 3.  Longer cycles are found on adjacency bitmasks
+    from each cycle's least vertex, the root: a path grows over larger
+    unused vertices, and once it holds length - 1 vertices one popcount
+    counts the closing vertices adjacent to both its end and the root.
+    Each cycle is so found once per direction, and the total is halved.
     """
     if length < 3:
         raise GraphError("cycle length must be at least 3")
+    if length > g.n:
+        return 0
+    nbrs = [sum(1 << u for u in a) for a in g.adj]
     if length == 3:
-        nbrs = [sum(1 << u for u in a) for a in g.adj]
         return sum((nbrs[u] & nbrs[v]).bit_count() for u, v in g.edges) // 3
     if length % 2 and is_bipartite(g).bipartite:
         return 0
-    adjsets = [frozenset(a) for a in g.adj]
-    count = 0
-    path = [0] * length
-    on_path = [False] * g.n
 
-    def extend(depth: int, root: int) -> int:
+    def extend(last: int, free: int, left: int) -> int:
+        # left: vertices still to place before the closing one
+        step = nbrs[last] & free
+        if not left:
+            return (step & close).bit_count()
         found = 0
-        last = path[depth - 1]
-        if depth == length:
-            if root in adjsets[last] and path[1] < last:
-                return 1
-            return 0
-        for w in g.adj[last]:
-            if w > root and not on_path[w]:
-                path[depth] = w
-                on_path[w] = True
-                found += extend(depth + 1, root)
-                on_path[w] = False
+        while step:
+            bit = step & -step
+            step ^= bit
+            found += extend(bit.bit_length() - 1, free ^ bit, left - 1)
         return found
 
-    for root in range(g.n):
-        path[0] = root
-        on_path[root] = True
-        count += extend(1, root)
-        on_path[root] = False
-    return count
+    count = 0
+    everyone = (1 << g.n) - 1
+    # the root is the least of length vertices, so at most n - length
+    for root in range(g.n - length + 1):
+        close = nbrs[root]
+        count += extend(root, everyone >> (root + 1) << (root + 1), length - 2)
+    return count // 2
 
 
 # ---------------------------------------------------------------------------

@@ -43,20 +43,21 @@ in vertex order finds the rest.
 The sum number has its own search, which places labels in increasing order
 and picks at each step the vertex that takes the next label.  An edge sum
 below the newest label that is not itself a label can never be covered, so
-isolated labels are counted, and the isolated-label conditions checked, as
-soon as they become permanent; the vertex labelled last contributes all its
-edge sums, so at least the least degree of the unplaced vertices.  At the
-placement that leaves one vertex unplaced, a look-ahead counts how many free
-sums that last vertex can still cover or reuse, which the next-to-last label
-decides through simple thresholds, and drops the labels that would leave too
-many isolated; when two or more labels are left, one further count settles
-the last vertex for all of them at once.  The vertex labelled last also
-cuts labels earlier: the sums of its label y and its neighbours' labels are
-all isolated, so no two of those labels may differ by a label or an edge
-sum, and once a neighbour takes label x, every such difference below x is
-already known.  Twins take labels in vertex order.  Its witness is the
-first labelling in label-ascending order, at the reported r, within the cap
-of the pass that found it; there is no canonical pass.
+isolated labels are counted as soon as they become permanent, and the
+isolated-label conditions are checked on each complete labelling; the
+vertex labelled last contributes all its edge sums, so at least the least
+degree of the unplaced vertices.  At the placement that leaves one vertex
+unplaced, a look-ahead counts how many free sums that last vertex can still
+cover or reuse, which the next-to-last label decides through simple
+thresholds, and drops the labels that would leave too many isolated; when
+two or more labels are left, one further count settles the last vertex for
+all of them at once.  The vertex labelled last also cuts labels earlier:
+the sums of its label y and its neighbours' labels are all isolated, so no
+two of those labels may differ by a label or an edge sum, and once a
+neighbour takes label x, every such difference below x is already known.
+Twins take labels in vertex order.  Its witness is the first labelling in
+label-ascending order, at the reported r, within the cap of the pass that
+found it; there is no canonical pass.
 
 All four invariants share one ascent-and-escalation driver.  It ascends
 targets from a lower bound: ``best_df_lower`` (which includes half the
@@ -988,9 +989,6 @@ class _AscendingSumSearch:
                     counter.tick()
                     ns = s_set | low
                     nt = t_set | (nbr << x)
-                    perm = nt & ~ns & (low - 1)
-                    if perm and not isolated_ok(perm, ns | nt):
-                        continue
                     seq.append((1 << v, x))
                     hit = dfs(placed | 1 << v, x, ns, nt, nes | (non << x))
                     if hit is not None:

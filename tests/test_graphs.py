@@ -297,6 +297,38 @@ def test_triangle_count_matches_brute_force(connected_by_n, connected_7):
     assert sl.count_cycles_of_length(sl.chained_odd_cycles(1, 1000).graph, 3) == 1000
 
 
+def _cycles_by_brute_force(g, length):
+    edges = set(g.edges) | {(v, u) for u, v in g.edges}
+    found = 0
+    for subset in combinations(range(g.n), length):
+        first = subset[0]
+        for rest in permutations(subset[1:]):
+            order = (first,) + rest + (first,)
+            if all((order[i], order[i + 1]) in edges for i in range(length)):
+                found += 1
+    return found // 2
+
+
+def test_cycle_counts_match_brute_force(connected_by_n):
+    """Lengths 4..n+2; the oracle tries every vertex subset of that size and
+    every order of it from its least vertex, and halves for the direction."""
+    rng = random.Random(11)
+    graphs = [g for gs in connected_by_n.values() for g in gs]
+    for _ in range(40):
+        n, density = rng.randint(4, 8), rng.randint(2, 9) / 10
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density]))
+    for g in graphs:
+        for length in range(4, g.n + 3):
+            assert sl.count_cycles_of_length(g, length) == _cycles_by_brute_force(g, length)
+
+
+def test_cycle_count_past_n_runs_no_search():
+    # a path search over K11 for 12-cycles took over 7 s before it was cut
+    start = time.perf_counter()
+    assert sl.count_cycles_of_length(sl.complete_graph(11), 12) == 0
+    assert time.perf_counter() - start < 1
+
+
 def test_count_cycles_rejects_short_lengths():
     with pytest.raises(sl.GraphError):
         sl.count_cycles_of_length(sl.complete_graph(3), 2)
