@@ -40,10 +40,12 @@ def _read_graphs(path: str, fmt: str) -> list[Graph]:
 
 
 def _config_from_args(args: argparse.Namespace) -> SearchConfig:
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"--budget must be at least 0, not {args.budget}")
     return SearchConfig(
-        label_bound=getattr(args, "range", None),
+        label_bound=args.range,
         escalate=getattr(args, "escalate", False),
-        node_budget=getattr(args, "budget", None),
+        node_budget=args.budget,
     )
 
 
@@ -152,9 +154,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, not {args.workers}")
+    cfg = _config_from_args(args)
     graphs = _read_graphs(args.infile, "g6")
     checks = tuple(args.checks.split(",")) if args.checks else tuple(CHECKS)
-    cfg = _config_from_args(args)
     report = scan_conjectures(graphs, cfg, checks=checks, workers=args.workers)
     if args.out:
         Path(args.out).write_text(report.to_json())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -461,7 +461,9 @@ def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     return _canonical_core([sum(1 << u for u in a) for a in g.adj])
 
 
-def _canonical_core(adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
+def _canonical_core(
+    adj: list[int], known: AbstractSet[int] = frozenset()
+) -> tuple[int | None, list[tuple[int, ...]]]:
     """The least adjacency bit-string over all vertex orders, in graph6
     column-major order, and generators of the automorphism group, for the
     graph whose vertex v has neighbours ``adj[v]`` (a bitmask).
@@ -473,23 +475,38 @@ def _canonical_core(adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     placed next: any other choice gives a larger string.  The unplaced
     vertices are kept as an ordered partition: cells of equal column, as
     (bitmask, column) in increasing column order, so the candidates are the
-    first cell.  Placing v splits each cell into its non-neighbours of v,
-    then its neighbours, which keeps the order; the partition is never
-    refined further, since an equitable refinement would reorder cells and
-    change which string is least.  A child's prefix ends in the column of
-    the first nonempty part, so a child whose prefix exceeds the best string
-    so far is cut before the rest of the split is built, and the last vertex
-    is placed in its parent.  Of a twin class (``twins_below``) only the
-    least-index unplaced vertex may be placed next, since swapping two twins
-    is an automorphism that fixes the placed prefix.  Columns and the string
-    are Python ints.
+    first cell, tried in increasing degree, then index.  The least string
+    opens with an independent set, so low degrees tend to reach it early and
+    the cuts below bite sooner; the order changes which leaf is found first,
+    never which string is least.  Placing v splits each cell into its
+    non-neighbours of v, then its neighbours, which keeps the order; the
+    partition is never refined further, since an equitable refinement would
+    reorder cells and change which string is least.  A child's prefix ends
+    in the column of the first nonempty part, so a child whose prefix
+    exceeds the best string so far is cut before the rest of the split is
+    built, and the last vertex is placed in its parent.  Of a twin class
+    (``twins_below``) only the least-index unplaced vertex may be placed
+    next, since swapping two twins is an automorphism that fixes the placed
+    prefix.  Columns and the string are Python ints.
 
     Two orders that give the same string differ by an automorphism, so each
     leaf that ties the best string yields one, mapping the order that first
     reached it onto the leaf's.  Every twin-sorted order of the least string
     is a leaf, so these maps and the swap of each vertex with its nearest
-    twin below generate the whole automorphism group.  A permutation p maps
-    vertex v to p[v].
+    twin below generate the whole automorphism group; the argument holds
+    whichever least leaf comes first, so it does not depend on the order in
+    which candidates are tried.  A permutation p maps vertex v to p[v].
+
+    ``known`` is a set of keys already accepted, such as the census's seen
+    keys (``_connected_classes``).  The search returns ``(None, [])`` as
+    soon as a leaf that is not cut (its string is at most the best so far)
+    has a string in ``known``.  That is sound: every leaf string is the
+    graph's adjacency string under some vertex order, so a hit means the
+    graph is isomorphic to a known one, which a full search would also have
+    found in ``known``.  A graph whose class is not known never hits, runs
+    the whole search, and returns the same string and a generating set as
+    without ``known``.  The least leaf is never cut, so a graph whose class
+    is known stops at that leaf at the latest.
     """
     n = len(adj)
     if n <= 1:
@@ -497,6 +514,7 @@ def _canonical_core(adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     everyone = (1 << n) - 1
     non = [everyone & ~adj[v] & ~(1 << v) for v in range(n)]
     below = twins_below(adj)
+    by_degree = sorted(range(n), key=lambda v: adj[v].bit_count())
     gens = []
     for v, twins in enumerate(below):
         if twins:
@@ -512,17 +530,16 @@ def _canonical_core(adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     first: list[int] = []
     order: list[int] = []  # the vertices placed so far
 
-    def place(depth: int, prefix: int, cells: list[tuple[int, int]], unplaced: int) -> None:
+    def place(depth: int, prefix: int, cells: list[tuple[int, int]], unplaced: int) -> bool:
         # cells: the unplaced vertices by column, in increasing column order;
-        # prefix: the columns of positions 0..depth, the last one cells[0]'s
+        # prefix: the columns of positions 0..depth, the last one cells[0]'s;
+        # True when a leaf's string is in known, to unwind the search
         nonlocal best, first
         shift = shifts[depth + 1]
         cands = cells[0][0]
-        while cands:
-            bit = cands & -cands
-            cands ^= bit
-            v = bit.bit_length() - 1
-            if below[v] & unplaced:
+        for v in by_degree:
+            bit = 1 << v
+            if not cands & bit or below[v] & unplaced:
                 continue
             if depth + 2 == n:
                 # w, the last vertex, lies in the last cell
@@ -530,6 +547,8 @@ def _canonical_core(adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
                 child = prefix << (depth + 1) | cells[-1][1] << 1 | (adj[v] & rest > 0)
                 if child > best:
                     continue
+                if child in known:
+                    return True
                 leaf = order + [v, rest.bit_length() - 1]
                 if child < best:
                     best, first = child, leaf
@@ -558,10 +577,13 @@ def _canonical_core(adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
                 if part:
                     split.append((part, col | 1))
             order.append(v)
-            place(depth + 1, child, split, unplaced ^ bit)
+            if place(depth + 1, child, split, unplaced ^ bit):
+                return True
             order.pop()
+        return False
 
-    place(0, 0, [(everyone, 0)], everyone)
+    if place(0, 0, [(everyone, 0)], everyone):
+        return None, []
     return best, gens
 
 
@@ -617,7 +639,9 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     it would not have been yielded anyway.  The output is the same for any
     subgroup; it is the one of trying every subset.  The levels run on
     adjacency bitmasks (``_connected_classes``); a ``Graph`` is built only
-    for the classes yielded.
+    for the classes yielded.  A candidate isomorphic to a class already
+    yielded stops its canonical search at the first leaf whose string is a
+    seen key, so only new classes run the whole search.
     """
     if not 1 <= n <= _CANONICAL_MAX_N:
         raise UnsupportedSizeError(
@@ -634,6 +658,10 @@ def _connected_classes(n: int) -> Iterator[tuple[list[int], list[tuple[int, ...]
     ``mask``, plus ``mask`` as the new vertex's; ``_canonical_core`` gives
     its dedup key, the least string, and the generators that the next level
     reads when the candidate is accepted, so each graph is searched once.
+    The core gets the keys seen so far and returns None for a candidate
+    whose class is among them, once one of its leaves hits a seen key;
+    the others run the whole search, so the keys and generators are those
+    of a search without ``known``.
     """
     if n == 1:
         yield [0], []
@@ -644,7 +672,7 @@ def _connected_classes(n: int) -> Iterator[tuple[list[int], list[tuple[int, ...]
         for mask in _orbit_least_masks(n - 1, parent_gens):
             adj = [nbrs | new if mask >> i & 1 else nbrs for i, nbrs in enumerate(parent)]
             adj.append(mask)
-            key, gens = _canonical_core(adj)
-            if key not in seen:
+            key, gens = _canonical_core(adj, seen)
+            if key is not None:
                 seen.add(key)
                 yield adj, gens

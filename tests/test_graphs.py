@@ -515,9 +515,9 @@ def test_enumerate_connected_searches_one_child_per_orbit(monkeypatch):
     calls: dict[int, int] = {}
     core = graphs._canonical_core
 
-    def counted(adj):
+    def counted(adj, *rest):
         calls[len(adj)] = calls.get(len(adj), 0) + 1
-        return core(adj)
+        return core(adj, *rest)
 
     monkeypatch.setattr(graphs, "_canonical_core", counted)
     assert sum(1 for _ in sl.enumerate_connected(7)) == 853
@@ -603,6 +603,33 @@ def test_search_generates_the_automorphism_group(connected_by_n):
             assert _group_order(n, gens) == len(autos), g.edges
             least = [m for m in range(1, 1 << n) if all(_image(m, p) >= m for p in autos)]
             assert graphs._orbit_least_masks(n, gens) == least, g.edges
+
+
+def test_canonical_core_stops_at_a_known_key(connected_by_n):
+    """A graph whose key is known stops with (None, []); one whose class is
+    not known, with every other class's key known, returns the key and a
+    generating set of a search without ``known``."""
+    # the known counts of connected graphs (OEIS A001349), so a search that
+    # drops a class cannot shrink the input
+    assert [len(connected_by_n[n]) for n in range(2, 7)] == [1, 2, 6, 21, 112]
+    rng = random.Random(33)
+    for n in range(2, 7):
+        keyed = []
+        for g in connected_by_n[n]:
+            p = list(range(n))
+            rng.shuffle(p)
+            h = Graph(n, [(p[u], p[v]) for u, v in g.edges])
+            keyed.append((h, graphs._canonical_search(h)[0]))
+        keys = {key for _, key in keyed}
+        assert None not in keys and len(keys) == len(keyed)
+        for h, key in keyed:
+            adj = [sum(1 << u for u in a) for a in h.adj]
+            assert graphs._canonical_core(adj, frozenset({key})) == (None, []), h.edges
+            got, gens = graphs._canonical_core(adj, keys - {key})
+            assert got == key, h.edges
+            assert all(_maps_edges_onto_edges(h, p) for p in gens), h.edges
+            autos = sum(_maps_edges_onto_edges(h, p) for p in permutations(range(n)))
+            assert _group_order(n, gens) == autos, h.edges
 
 
 def _complete_bipartite(a, b):
