@@ -380,17 +380,17 @@ def test_cli_usage_errors(tmp_path):
     (["index", "sum", "--format", "edges"], "n x\n0 1\n", "bad vertex count 'x'"),
     (["index", "sum", "--format", "edges"], "n -1\n", "vertex count must be nonnegative"),
     (["family", "prism"], None, "family prism requires --n"),
-    # flag values are checked before the input is read: "B@" is not graph6
-    (["index", "sum", "--budget", "-1"], "B@\n", "--budget must be at least 0, not -1"),
-    (["scan", "--budget", "-1"], "B@\n", "--budget must be at least 0, not -1"),
-    (["scan", "--workers", "0"], "B@\n", "--workers must be at least 1, not 0"),
-    (["scan", "--workers", "-2"], "B@\n", "--workers must be at least 1, not -2"),
     (["sumset", "stanchescu", "--trials", "-1"], None, "--trials must be at least 0, not -1"),
     (["sumset", "stanchescu", "--max-elem", "-1"], None, "--max-elem must be at least 0, not -1"),
     (["sumset", "stanchescu", "--max-elem", "3", "--max-size", "8"], None,
      "--max-size must be between 1 and --max-elem + 1 = 4, not 8"),
     (["sumset", "stanchescu", "--max-size", "0"], None,
      "--max-size must be between 1 and --max-elem + 1 = 31, not 0"),
+    # flag values are checked before the input is read: "B@" is not graph6
+    (["index", "sum", "--budget", "-1"], "B@\n", "--budget must be at least 0, not -1"),
+    (["scan", "--budget", "-1"], "B@\n", "--budget must be at least 0, not -1"),
+    (["scan", "--workers", "0"], "B@\n", "--workers must be at least 1, not 0"),
+    (["scan", "--workers", "-2"], "B@\n", "--workers must be at least 1, not -2"),
 ])
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text, message):
     if text is not None:
