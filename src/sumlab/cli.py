@@ -87,6 +87,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    if args.max_k is not None and args.max_k < 0:
+        raise ValueError(f"--max-k must be at least 0, not {args.max_k}")
     reports = []
     for g in _read_graphs(args.infile, args.format):
         rep = bound_report(g, args.max_k)

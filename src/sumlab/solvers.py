@@ -51,13 +51,16 @@ unplaced, a look-ahead counts how many free sums that last vertex can still
 cover or reuse, which the next-to-last label decides through simple
 thresholds, and drops the labels that would leave too many isolated; when
 two or more labels are left, one further count settles the last vertex for
-all of them at once.  The vertex labelled last also cuts labels earlier:
-the sums of its label y and its neighbours' labels are all isolated, so no
-two of those labels may differ by a label or an edge sum, and once a
-neighbour takes label x, every such difference below x is already known.
-Twins take labels in vertex order.  Its witness is the first labelling in
-label-ascending order, at the reported r, within the cap of the pass that
-found it; there is no canonical pass.
+all of them at once.  Each vertex that may take the next label shifts the
+label sets by its own placed neighbours' and non-neighbours' labels, and a
+count of at least one hit is an AND with the union of the masks.  The
+vertex labelled last also cuts labels earlier: the sums of its label y and
+its neighbours' labels are all isolated, so no two of those labels may
+differ by a label or an edge sum, and once a neighbour takes label x, every
+such difference below x is already known.  Twins take labels in vertex
+order.  Its witness is the first labelling in label-ascending order, at the
+reported r, within the cap of the pass that found it; there is no canonical
+pass.
 
 All four invariants share one ascent-and-escalation driver.  It ascends
 targets from a lower bound: ``best_df_lower`` (which includes half the
@@ -92,6 +95,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable
 
 from .bounds import best_df_lower, best_sm_lower
@@ -729,27 +734,31 @@ class _AscendingSumSearch:
     exact.
 
     Labels are placed in increasing order and each step picks the vertex that
-    takes the next label, so an edge sum below the newest label that is not
-    a label stays isolated for good.  S, T and the non-edge sums N are
-    Python-int bitmasks.  A vertex's candidates are the labels above the
-    last one, minus N, minus N shifted by each placed neighbour's label
-    (an edge sum on a non-edge sum) and minus W shifted by each placed
-    non-neighbour's label (a non-edge sum in W).  The vertex placed last has
-    all its edge sums above every label, so at least its degree joins the
-    isolated labels.  Four counts bound r, all applied to the candidate
-    masks: the free sums (T \\ S) left below the new label plus the last
-    vertex's degree; all free sums after the placement less one per vertex
-    still to come, where at-least-k masks count how many of the new edge
-    sums land on free sums; and two at the placement of label x by v that
-    leaves one vertex w unplaced.  The first is a look-ahead: w's label
-    y > x covers at most one free sum, one above x, and its edge sum y + q
-    (q a placed neighbour's label) can reuse a free sum only below the
+    takes the next label, so an edge sum below the newest label that is not a
+    label stays isolated for good.  S, T and the non-edge sums N are
+    Python-int bitmasks.  A vertex's candidates are the labels above the last
+    one, minus N, minus N shifted by each placed neighbour's label (an edge
+    sum on a non-edge sum) and minus W shifted by each placed non-neighbour's
+    label (a non-edge sum in W).  Each mover shifts only what it reads: N and
+    T by its placed neighbours' labels, W by its placed non-neighbours'
+    (which ``make_layer`` lists once per set of placed vertices).  The vertex
+    placed last has all its edge sums above every label, so at least its
+    degree joins the isolated labels.  Four counts bound r, all applied to
+    the candidate masks: the free sums (T \\ S) left below the new label plus
+    the last vertex's degree; all free sums after the placement less one per
+    vertex still to come, where an at-least-k count on the masks keeps the
+    labels x for which at least k of the new edge sums land on free sums (at
+    k = 1 that is an AND with the union of the masks; above it, the labels
+    that miss at most len - k of them); and two at the placement of label x
+    by v that leaves one vertex w unplaced.  The first is a look-ahead: w's
+    label y > x covers at most one free sum, one above x, and its edge sum
+    y + q (q a placed neighbour's label) can reuse a free sum only below the
     greatest free sum after x, max(F, x + M), with F the greatest free sum
     before x and M the greatest label of the placing vertex's placed
-    neighbours; x + y never can.  So y + q may hit for every x when q < M
-    and only for x < F - q when q >= M.  These threshold masks join the
-    at-least-k count, which runs again over the labels that the second
-    count keeps.  Twins (N(u)\\{v} = N(v)\\{u}) take labels in index order.
+    neighbours; x + y never can.  So y + q may hit for every x when q < M and
+    only for x < F - q when q >= M.  These threshold masks join the
+    at-least-k count, which runs again over the labels that the second count
+    keeps.  Twins (N(u)\\{v} = N(v)\\{u}) take labels in index order.
 
     The fourth count settles w for every label x at once.  Write P_v and P_w
     for the labels of the placed neighbours of v and w, U for the free sums
@@ -811,21 +820,25 @@ class _AscendingSumSearch:
         counter = self.counter
         everyone = (1 << n) - 1
         labels_mask = (1 << (cap + 1)) - 2
-        seq: list[tuple[int, int]] = []  # (vertex bit, label) in placement order
+        lab = [0] * n  # the label of each placed vertex
         layers: dict[int, tuple[int, list[tuple]]] = {}  # see make_layer
 
         def make_layer(placed: int):
             """How many vertices stay unplaced after the next placement, and
             the vertices that may take the next label (a twin waits for its
-            lower-index twins), each with its adjacency, how many free sums
-            may lie below its label, the adjacency of the one vertex left
-            unplaced after it (0 unless exactly one is left), and the placed
-            neighbours of each vertex that can still be labelled last (none
-            unless each is adjacent to it and has one, as the cut needs):
-            the free sums below the new label stay isolated for good, and
-            the vertex labelled last adds its degree, at least the least
-            degree among the others unplaced."""
+            lower-index twins), each with how many free sums may lie below
+            its label, the adjacency of the one vertex w left unplaced after
+            it, its and w's placed neighbours and non-neighbours (0 and none
+            unless exactly one is left), and the placed neighbours of each
+            vertex that can still be labelled last (none unless each is
+            adjacent to it and has one, as the cut needs): the free sums
+            below the new label stay isolated for good, and the vertex
+            labelled last adds its degree, at least the least degree among
+            the others unplaced."""
             unplaced = [v for v in range(n) if not placed >> v & 1]
+            done = [u for u in range(n) if placed >> u & 1]
+            split = [([u for u in done if adj[v] >> u & 1],
+                      [u for u in done if not adj[v] >> u & 1]) for v in range(n)]
             movers = []
             for v in unplaced:
                 if twins_before[v] & ~placed:
@@ -834,22 +847,31 @@ class _AscendingSumSearch:
                 last_deg = min((deg[u] for u in others), default=deg[v])
                 if last_deg <= r:
                     last_adj = adj[others[0]] if len(others) == 1 else 0
+                    w_split = split[others[0]] if len(others) == 1 else ([], [])
                     lasts = [u for u in others
                              if not lower_twins >> u & 1 and deg[u] <= r]
                     if all(adj[v] >> u & 1 and adj[u] & placed for u in lasts):
-                        lasts = [adj[u] & placed for u in lasts]
+                        lasts = [split[u][0] for u in lasts]
                     else:
                         lasts = []
-                    movers.append((v, adj[v], r - last_deg, last_adj, lasts))
+                    movers.append((v, r - last_deg, last_adj, *split[v], *w_split, lasts))
             return len(unplaced) - 1, movers
 
-        def levels(c: int, masks: list[int], k: int) -> list[int]:
-            # entry j: the bits of c set in at least j of the masks, j <= k
-            counts = [c] + [0] * k
+        def at_least(c: int, masks: list[int], k: int) -> int:
+            # the bits of c set in at least k of the masks: at k = 1 those in
+            # their union; otherwise those that miss at most s = len - k of
+            # them, where within[e] holds the bits missed at most e times
+            if k == 1:
+                return c & reduce(or_, masks, 0)
+            s = len(masks) - k
+            if s < 0:
+                return 0
+            within = [c] * (s + 1)
             for h in masks:
-                for j in range(k, 0, -1):
-                    counts[j] |= counts[j - 1] & h
-            return counts
+                for e in range(s, 0, -1):
+                    within[e] = within[e] & h | within[e - 1]
+                within[0] &= h
+            return within[s]
 
         def isolated_ok(iso: int, w_set: int) -> bool:
             # no isolated label w has w + z in W for some z in W other than w
@@ -864,10 +886,7 @@ class _AscendingSumSearch:
             if placed == everyone:
                 if not isolated_ok(t_set & ~s_set, s_set | t_set):
                     return None
-                labels = [0] * n
-                for low, q in seq:
-                    labels[low.bit_length() - 1] = q
-                return labels
+                return lab[:]
             layer = layers.get(placed)
             if layer is None:
                 layer = layers[placed] = make_layer(placed)
@@ -876,21 +895,20 @@ class _AscendingSumSearch:
             n_free = free.bit_count()
             window = labels_mask & ~((2 << last) - 1) & ~nes
             w_set = s_set | t_set
-            # per placed vertex: its bit, its label's bit, and N, W and T
-            # shifted down by its label
-            blocked = [(low, 1 << q, nes >> q, w_set >> q, t_set >> q) for low, q in seq]
             cands = []
             union = 0
-            for v, av, spare, aw, lasts in movers:
+            for v, spare, aw, v_nbrs, v_non, w_nbrs, w_non, lasts in movers:
+                # N and T shifted down by the labels of v's placed neighbours,
+                # W by those of its placed non-neighbours
                 bad = nbr = 0
                 hits = [free]  # bit x: label x covers a free sum
-                for low, q, n_shift, w_shift, t_shift in blocked:
-                    if av & low:
-                        bad |= n_shift
-                        nbr |= q
-                        hits.append(t_shift)  # bit x: edge sum x + q is already free
-                    else:
-                        bad |= w_shift
+                for u in v_nbrs:
+                    q = lab[u]
+                    bad |= nes >> q
+                    nbr |= 1 << q
+                    hits.append(t_set >> q)  # bit x: edge sum x + q is already free
+                for u in v_non:
+                    bad |= w_set >> lab[u]
                 c = window & ~bad
                 # at most ``spare`` free sums may stay below the label
                 if n_free > spare:
@@ -901,9 +919,9 @@ class _AscendingSumSearch:
                 # Afterwards the n_free + (new edge sums) - (sums covered or
                 # reused by label x) uncovered sums, less one per remaining
                 # vertex, must fit in r: at least ``need`` of ``hits`` must hit.
-                need = n_free + len(hits) - 1 - remaining - r
-                if need > 0:
-                    c = levels(c, hits, need)[need]
+                need = n_free + len(v_nbrs) - remaining - r
+                if c and need > 0:
+                    c = at_least(c, hits, need)
                 if c and remaining == 1:
                     # Look ahead to the last vertex w, labelled y > x (see the
                     # class docstring), on the labels the count above keeps.
@@ -919,15 +937,15 @@ class _AscendingSumSearch:
                         need -= 1
                     elif top > 0:
                         hits.append((1 << top) - 1)
-                    m = max(nbr.bit_length() - 1, 0)
-                    for low, bit, _, _, _ in blocked:
-                        if aw & low and bit >> m:
+                    m = nbr.bit_length() - 1
+                    for u in w_nbrs:
+                        q = lab[u]
+                        if q >= m:
                             need += 1
-                            q = bit.bit_length() - 1
                             if top > q:
                                 hits.append((1 << (top - q)) - 1)
                     if need > 0:
-                        c = levels(c, hits, need)[need]
+                        c = at_least(c, hits, need)
                 if c and lasts:
                     # Drop x when each vertex w that can be labelled last has
                     # a placed neighbour q with x - q in W: w's isolated sum
@@ -935,9 +953,8 @@ class _AscendingSumSearch:
                     cut = c
                     for nbrs in lasts:
                         diffs = 0
-                        for low, q in seq:
-                            if nbrs & low:
-                                diffs |= w_set << q
+                        for u in nbrs:
+                            diffs |= w_set << lab[u]
                         cut &= diffs
                         if not cut:
                             break
@@ -949,27 +966,24 @@ class _AscendingSumSearch:
                     # vertices allow with A(y) >= k; b[d] = B(d) counts d in
                     # P_v, the labels of v's placed neighbours, and the pairs
                     # p - q = d with p in P_v, q in P_w, the labels of w's.
+                    pv = [lab[u] for u in v_nbrs]
+                    pw = [lab[u] for u in w_nbrs]
                     ys = [free]
                     y0 = labels_mask & ~nes
-                    pv, pw = [], []
-                    for low, bit, n_shift, w_shift, t_shift in blocked:
-                        q = bit.bit_length() - 1
-                        if av & low:
-                            pv.append(q)
-                        if aw & low:
-                            pw.append(q)
-                            ys.append(t_shift)
-                            y0 &= ~n_shift
-                        else:
-                            y0 &= ~w_shift
+                    for q in pw:
+                        ys.append(t_set >> q)
+                        y0 &= ~(nes >> q)
+                    for u in w_non:
+                        y0 &= ~(w_set >> lab[u])
                     b = Counter(pv)
                     b.update(p - q for p in pv for q in pw if p > q)
                     need = max(n_free + len(pv) + len(pw) + (aw >> v & 1) - r, 0)
-                    a = levels(y0, ys, len(ys)) + [0] * need
+                    a = [at_least(y0, ys, k) for k in range(len(ys) + 1)] + [0] * need
                     keep = 0
                     # x with j hits of its own keeps its label when some y > x
                     # has A(y) + B(y - x) >= need - j
-                    for j, xs in enumerate(levels(c, hits[:len(pv) + 1], min(need, len(pv) + 1))):
+                    for j in range(min(need, len(pv) + 1) + 1):
+                        xs = at_least(c, hits[:len(pv) + 1], j)
                         k = need - j
                         ok = (1 << max(a[k].bit_length() - 1, 0)) - 1
                         for d, bd in b.items():
@@ -977,23 +991,20 @@ class _AscendingSumSearch:
                         keep |= xs & ok
                     c = keep
                 if c:
-                    cands.append((v, c, nbr, s_set ^ nbr))
+                    cands.append((placed | 1 << v, v, c, nbr, s_set ^ nbr))
                     union |= c
             while union:
                 low = union & -union
                 union ^= low
                 x = low.bit_length() - 1
-                for v, c, nbr, non in cands:
+                for child, v, c, nbr, non in cands:
                     if not c & low:
                         continue
                     counter.tick()
-                    ns = s_set | low
-                    nt = t_set | (nbr << x)
-                    seq.append((1 << v, x))
-                    hit = dfs(placed | 1 << v, x, ns, nt, nes | (non << x))
+                    lab[v] = x
+                    hit = dfs(child, x, s_set | low, t_set | (nbr << x), nes | (non << x))
                     if hit is not None:
                         return hit
-                    seq.pop()
             return None
 
         return dfs(0, 0, 0, 0, 0)

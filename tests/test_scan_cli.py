@@ -391,6 +391,7 @@ def test_cli_usage_errors(tmp_path):
     (["scan", "--budget", "-1"], "B@\n", "--budget must be at least 0, not -1"),
     (["scan", "--workers", "0"], "B@\n", "--workers must be at least 1, not 0"),
     (["scan", "--workers", "-2"], "B@\n", "--workers must be at least 1, not -2"),
+    (["bounds", "--max-k", "-1"], "B@\n", "--max-k must be at least 0, not -1"),
 ])
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text, message):
     if text is not None:

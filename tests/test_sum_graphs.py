@@ -1,5 +1,7 @@
 """Sum number, exclusive sum number, and the G_+(S, T) realisation."""
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -363,6 +365,32 @@ def test_sum_number_search_tree_of_k5_is_pinned():
     # on purpose updates the pin
     res = sl.sum_number(sl.complete_graph(5), SearchConfig(label_bound=40))
     assert (res.value, res.exhaustive_within_range, res.nodes_expanded) == (7, True, 15_824)
+
+
+def test_sum_number_results_are_pinned(connected_by_n):
+    """sigma over the connected graphs with 2 <= n <= 5 at node_budget=20,000:
+    to_json_dict() without wall_ms as sorted-key JSON, or the SolverError text
+    when the budget runs out before any labelling is found, joined by "\\n",
+    and the node total of the results apart, so that a change to how the
+    search computes its candidates keeps its results and its tree."""
+    corpus = [g for n in range(2, 6) for g in connected_by_n[n]]
+    assert len(corpus) == 30
+    nodes = errors = limited = 0
+    lines = []
+    for g in corpus:
+        try:
+            rec = sl.sum_number(g, SearchConfig(node_budget=20_000)).to_json_dict()
+        except SolverError as exc:
+            errors += 1
+            lines.append(str(exc))
+            continue
+        del rec["wall_ms"]
+        nodes += rec["nodes_expanded"]
+        limited += not rec["exhaustive"]
+        lines.append(json.dumps(rec, sort_keys=True))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "a1ec63accdd65a688bef1f97fa258eab9a32e331ba80c5d856a810ab0be5e7cb"
+    assert (nodes, errors, limited) == (141_150, 2, 6)
 
 
 def test_sum_number_budget_in_full_range_proof_flags_upper_bound():
