@@ -22,22 +22,42 @@ The search assigns the edges to classes numbered by first use, in the
 order in which the label search of ``solvers`` fixes their values: by the
 ``branch_order`` positions of their later and then their earlier end.  A
 class is a matching, since two adjacent edges with equal sums would give
-two vertices equal labels, so that is checked before any algebra.  V is
-kept as each label's integer linear form in free coordinates x_j, which
-parametrise it; a normal w lies in R exactly when the form sum_u w_u f_u
-is zero.  Setting x_j = B^j, with B above four times every coefficient,
-gives labels that tell the forbidden normals apart: two sums of two labels
-are equal exactly when their difference is a normal in R.  Adding an edge
-either adds an equation the forms already satisfy, or one that is solved
-for a coordinate, substituted into every form, and checked on the new
-labels; opening a class checks its representative's sum against the
-non-edge sums.  A prefix that fails fails in every extension, as
-extensions only add equations and normals.
+two vertices equal labels, so that is checked before any algebra.  Adding
+an edge either adds an equation that V already satisfies, or one that cuts
+V down and is checked on the new labels; opening a class checks its
+representative's sum against the non-edge sums.  A prefix that fails fails
+in every extension, as extensions only add equations and normals.
+
+Each label is kept as an integer linear form in free coordinates x_j that
+parametrise V, so that a normal w lies in R exactly when the form
+sum_u w_u f_u is zero, packed into one int, its value at x_j = B^j: the
+coefficient of x_j is digit j in balanced base B = 2^s.  The forms start
+as f_u = B^u.  An edge cd joining the class of ab gives
+E = f_c + f_d - f_a - f_b; E = 0 is already implied.  Otherwise the pivot
+x_q is E's lowest nonzero digit, found from its lowest set bit, p is that
+digit (E is negated if p < 0), and one fraction-free step (Bareiss 1968)
+eliminates x_q from every label: f'_u = (p f_u - [f_u]_q E) / prev, with
+[f_u]_q digit q of f_u and prev the last pivot (1 at the root).  f' is f
+with E = 0 solved for x_q, scaled by p / prev.  The division is exact:
+with w_1..w_k the equations taken (+1 at c and d, -1 at a and b, negated
+with E) and q_1..q_k their pivots, digit j of f_u is the minor of the rows
+w_1..w_k, e_u on the columns q_1..q_k, j; so digit j of the next E, which
+is linear in the last row, is the minor of w_1..w_{k+1} there, and the
+last pivot is the minor of w_1..w_k on q_1..q_k.  The update is
+Sylvester's identity on these integer minors, so each digit divides
+exactly, and so does the packed int.
+
+The width is s = n + 2.  As a class is a matching, each w_i has norm at
+most 2 on any columns, and e_u at most 1; k <= n - 1, as each w_i is
+orthogonal to the all-ones vector.  By Hadamard's bound a digit of a label
+or of E is at most 2^(n-1) in magnitude, and one of a difference of two
+sums of two labels (a minor whose last row has at most four entries +-1)
+at most 2^n: all below B/2 = 2^(n+1).  So digits read back exactly, and
+two sums of two labels are equal exactly when their forms are.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Callable
 
 from .graphs import Graph, branch_order
@@ -51,43 +71,24 @@ def _branch_edges(g: Graph) -> list[tuple[int, int]]:
     return sorted(g.edges, key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]])))
 
 
-def _substituted(forms: list[list[int]], eq: list[int]) -> list[list[int]]:
-    """The forms with eq = 0 solved for one coordinate and substituted.
-
-    The pivot is a coordinate with coefficient +-1 where there is one, so
-    that the forms without that coordinate stay as they are; otherwise every
-    form is scaled by the pivot and all are divided by their gcd."""
-    q = next((j for j, x in enumerate(eq) if x == 1 or x == -1), None)
-    if q is None:
-        q = next(j for j, x in enumerate(eq) if x)
-    if eq[q] < 0:
-        eq = [-x for x in eq]
-    p = eq[q]
-    if p == 1:
-        return [[x - f[q] * y for x, y in zip(f, eq)] if f[q] else f for f in forms]
-    forms = [[p * x - f[q] * y for x, y in zip(f, eq)] for f in forms]
-    k = gcd(*(x for f in forms for x in f))
-    return [[x // k for x in f] for f in forms]
+def _digit(x: int, q: int, s: int) -> int:
+    """Digit q / s of x in balanced base 2^s, q being its lowest bit: half
+    of 2^q rounds off the digits below, and 2^(s-1) at q lifts it to >= 0."""
+    half = 1 << s - 1
+    return ((x + (1 << q >> 1) + (half << q)) >> q & 2 * half - 1) - half
 
 
-def _packed(forms: list[list[int]]) -> list[int]:
-    """Each label at x_j = B^j, with B a power of two above four times every
-    coefficient, packed by Horner's rule from the last coordinate."""
-    top = 0
-    for f in forms:
-        for x in f:
-            if x > top:
-                top = x
-            elif -x > top:
-                top = -x
-    shift = top.bit_length() + 2
-    packed = []
-    for f in forms:
-        label = 0
-        for x in reversed(f):
-            label = (label << shift) + x
-        packed.append(label)
-    return packed
+def _step(labels: list[int], e: int, prev: int, s: int) -> tuple[list[int], int]:
+    """The labels after the Bareiss step that solves e = 0 for e's lowest
+    nonzero digit, and that step's pivot, the next step's prev."""
+    q = ((e & -e).bit_length() - 1) // s * s
+    p = _digit(e, q, s)
+    if p < 0:
+        e, p = -e, -p
+    half = 1 << s - 1
+    # _digit of each label, inlined: a call per label costs a fifth of the step
+    lift, mask = (1 << q >> 1) + (half << q), 2 * half - 1
+    return [(p * x - (((x + lift) >> q & mask) - half) * e) // prev for x in labels], p
 
 
 def refute(g: Graph, t: int, exclusive: bool,
@@ -100,6 +101,7 @@ def refute(g: Graph, t: int, exclusive: bool,
     class that passes the matching check.
     """
     n = g.n
+    s = n + 2
     edges = _branch_edges(g)
     non_edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)
@@ -107,9 +109,8 @@ def refute(g: Graph, t: int, exclusive: bool,
     reps: list[tuple[int, int]] = []  # each class's first edge
     masks: list[int] = []  # each class's ends
 
-    # forms: each label's linear form; labels: their packed values;
-    # nsums: the labels' non-edge sums
-    def dfs(i: int, forms: list, labels: list[int], nsums: set[int]) -> bool:
+    # labels: the packed forms; prev: the last pivot; nsums: non-edge sums
+    def dfs(i: int, labels: list[int], prev: int, nsums: set[int]) -> bool:
         if i == len(edges):
             return True
         c, d = edges[i]
@@ -119,19 +120,18 @@ def refute(g: Graph, t: int, exclusive: bool,
                 continue
             tick()
             a, b = reps[k]
-            eq = [w + x - y - z for w, x, y, z in zip(forms[c], forms[d], forms[a], forms[b])]
-            if any(eq):
-                nforms = _substituted(forms, eq)
-                nlabels = _packed(nforms)
+            e = labels[c] + labels[d] - labels[a] - labels[b]
+            if e:
+                nlabels, p = _step(labels, e, prev, s)
                 if len(set(nlabels)) < n:
                     continue
                 nnsums = {nlabels[u] + nlabels[v] for u, v in non_edges}
                 if nnsums and any(nlabels[x] + nlabels[y] in nnsums for x, y in reps):
                     continue
             else:
-                nforms, nlabels, nnsums = forms, labels, nsums
+                nlabels, p, nnsums = labels, prev, nsums
             masks[k] |= ends
-            found = dfs(i + 1, nforms, nlabels, nnsums)
+            found = dfs(i + 1, nlabels, p, nnsums)
             masks[k] ^= ends
             if found:
                 return True
@@ -140,16 +140,15 @@ def refute(g: Graph, t: int, exclusive: bool,
             if labels[c] + labels[d] not in nsums:
                 reps.append((c, d))
                 masks.append(ends)
-                found = dfs(i + 1, forms, labels, nsums)
+                found = dfs(i + 1, labels, prev, nsums)
                 reps.pop()
                 masks.pop()
                 if found:
                     return True
         return False
 
-    forms = [[int(u == j) for j in range(n)] for u in range(n)]
-    labels = _packed(forms)
-    return not dfs(0, forms, labels, {labels[u] + labels[v] for u, v in non_edges})
+    labels = [1 << s * u for u in range(n)]
+    return not dfs(0, labels, 1, {labels[u] + labels[v] for u, v in non_edges})
 
 
 def floor(g: Graph, lower: int, limit: int, exclusive: bool,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, graphs, solvers
-from sumlab.partition import _packed, floor, refute
+from sumlab.partition import _digit, _step, floor, refute
 
 
 def _observed(g, res, kind):
@@ -548,29 +549,142 @@ def test_sum_refutation_matches_brute_force(connected_by_n):
                 assert refute(g, t, exclusive=False) == (t < value), (sl.emit_graph6(g), t)
 
 
-@st.composite
-def _linear_forms(draw):
-    """Up to eight integer forms in n <= 8 coordinates with coefficients in
-    -64..64, and sometimes one more whose sum with the first is the sum of
-    the second and third, so that equal sums are drawn too."""
-    n = draw(st.integers(1, 8))
-    forms = draw(st.lists(st.lists(st.integers(-64, 64), min_size=n, max_size=n),
-                          min_size=3, max_size=8))
-    if draw(st.booleans()):
-        forms.append([y + z - x for x, y, z in zip(*forms[:3])])
-    return forms
+def _passes_by_rank(g, t, exclusive):
+    """Whether some partition of g's edges into at most t matchings leaves
+    no forbidden normal in the row space of its equations, by brute force
+    over the partitions and exact rank over the rationals: e_u - e_v for
+    every pair, and, if ``exclusive``, e_u + e_v - e_a - e_b for every
+    non-edge uv and class representative ab."""
+    n = g.n
+    edges = list(g.edges)
+    non_edges = [(u, v) for u, v in combinations(range(n), 2) if not g.has_edge(u, v)]
+
+    def unit(*signed):
+        w = [Fraction(0)] * n
+        for sign, v in signed:
+            w[v] += sign
+        return w
+
+    def reduced(basis, w):
+        for q, row in basis:
+            if w[q]:
+                w = [x - w[q] * y for x, y in zip(w, row)]
+        return w
+
+    def passes(classes):
+        basis = []  # (pivot, row with 1 at the pivot and 0 at earlier pivots)
+        for (a, b), *rest in classes:
+            for c, d in rest:
+                w = reduced(basis, unit((1, c), (1, d), (-1, a), (-1, b)))
+                q = next((j for j, x in enumerate(w) if x), None)
+                if q is not None:
+                    w = [x / w[q] for x in w]
+                    basis = [(j, [x - row[q] * y for x, y in zip(row, w)]) for j, row in basis]
+                    basis.append((q, w))
+        normals = [unit((1, u), (-1, v)) for u, v in combinations(range(n), 2)]
+        if exclusive:
+            normals += [unit((1, u), (1, v), (-1, a), (-1, b))
+                        for u, v in non_edges for (a, b), *_ in classes]
+        return not any(not any(reduced(basis, w)) for w in normals)
+
+    def assign(i, classes):
+        if i == len(edges):
+            return passes(classes)
+        c, d = edges[i]
+        for cls in classes:
+            if all(c not in e and d not in e for e in cls):
+                cls.append((c, d))
+                found = assign(i + 1, classes)
+                cls.pop()
+                if found:
+                    return True
+        if len(classes) < t:
+            classes.append([(c, d)])
+            found = assign(i + 1, classes)
+            classes.pop()
+            if found:
+                return True
+        return False
+
+    return assign(0, [])
+
+
+def test_refutation_matches_rank_oracle(connected_by_n):
+    # refute(t) must hold exactly when no partition into at most t classes
+    # passes, from one below best_sm_lower up to the floor, in both modes,
+    # on every connected graph with n <= 5; eps = sm on all of them, so five
+    # six-vertex graphs with eps = sm + 1 exercise the exclusive checks (the
+    # sixth, Es~w, takes the oracle over 2 s)
+    graphs = [g for n in range(1, 6) for g in connected_by_n[n]]
+    for g in graphs + [sl.parse_graph6(text) for text in ("EsZ_", "Esz_", "Es^o", "Es^w", "EqzW")]:
+        for exclusive in (False, True):
+            t = max(0, sl.best_sm_lower(g) - 1)
+            while True:
+                passes = _passes_by_rank(g, t, exclusive)
+                assert refute(g, t, exclusive) == (not passes), (sl.emit_graph6(g), t, exclusive)
+                if passes:
+                    break
+                t += 1
+
+
+def _pack(form, s):
+    return sum(x << s * j for j, x in enumerate(form))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(forms=_linear_forms())
-def test_packed_labels_tell_sums_apart(forms):
-    labels = _packed(forms)
-    shift = max(abs(x) for f in forms for x in f).bit_length() + 2
-    assert labels == [sum(x * 2 ** (shift * j) for j, x in enumerate(f)) for f in forms]
+@given(data=st.data())
+def test_packed_forms_read_back_and_tell_sums_apart(data):
+    # forms with n <= 8 coordinates and coefficients within the module's
+    # digit bound 2^(n-1), and sometimes two more whose sum is the sum of
+    # the first two, so that equal sums are drawn too
+    n = data.draw(st.integers(1, 8), label="n")
+    s = n + 2  # the module's digit width
+    top = 1 << n - 1
+    coeff = st.integers(-top, top)
+    forms = data.draw(st.lists(st.lists(coeff, min_size=n, max_size=n), min_size=2, max_size=6),
+                      label="forms")
+    if data.draw(st.booleans()):
+        c = [data.draw(st.integers(max(-top, x + y - top), min(top, x + y + top)))
+             for x, y in zip(forms[0], forms[1])]
+        forms += [c, [x + y - z for x, y, z in zip(forms[0], forms[1], c)]]
+    labels = [_pack(f, s) for f in forms]
+    assert [[_digit(x, s * j, s) for j in range(n)] for x in labels] == forms
     pairs = list(combinations_with_replacement(range(len(forms)), 2))
     for (a, b), (c, d) in product(pairs, repeat=2):
         zero = not any(w + x - y - z for w, x, y, z in zip(forms[a], forms[b], forms[c], forms[d]))
         assert (labels[a] + labels[b] == labels[c] + labels[d]) == zero
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_bareiss_steps_match_lists(data):
+    # from the identity, each equation f_c + f_d = f_a + f_b on four distinct
+    # vertices is one Bareiss step on coefficient lists (lowest nonzero
+    # coordinate as pivot, exact division by the last pivot) and one _step
+    # on the packed labels; the two must agree, every division must be exact
+    # and every coefficient must stay within 2^(n-1)
+    n = data.draw(st.integers(4, 8), label="n")
+    s = n + 2
+    quads = st.permutations(range(n)).map(lambda p: p[:4])
+    forms = [[int(u == j) for j in range(n)] for u in range(n)]
+    labels = [_pack(f, s) for f in forms]
+    prev = 1
+    for c, d, a, b in data.draw(st.lists(quads, max_size=n), label="equations"):
+        eq = [w + x - y - z for w, x, y, z in zip(forms[c], forms[d], forms[a], forms[b])]
+        e = labels[c] + labels[d] - labels[a] - labels[b]
+        assert e == _pack(eq, s)
+        if not any(eq):
+            continue
+        q = next(j for j, x in enumerate(eq) if x)
+        if eq[q] < 0:
+            eq = [-x for x in eq]
+        p = eq[q]
+        steps = [[p * x - f[q] * y for x, y in zip(f, eq)] for f in forms]
+        assert all(x % prev == 0 for f in steps for x in f)
+        forms = [[x // prev for x in f] for f in steps]
+        assert all(abs(x) <= 1 << n - 1 for f in forms for x in f)
+        labels, prev = _step(labels, e, prev, s)
+        assert (labels, prev) == ([_pack(f, s) for f in forms], p)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
