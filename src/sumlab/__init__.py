@@ -52,7 +52,6 @@ from .solvers import (
     difference_index,
     exclusive_sum_number,
     realize_gplus,
-    shift_equivalence_check,
     sum_index,
     sum_number,
 )

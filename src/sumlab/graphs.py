@@ -453,14 +453,6 @@ def twins_below(adj: list[int]) -> list[int]:
 _CANONICAL_MAX_N = 8
 
 
-def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
-    """``_canonical_core`` on the adjacency bitmasks of ``g``; supports
-    n <= 8."""
-    if g.n > _CANONICAL_MAX_N:
-        raise UnsupportedSizeError(f"canonical_form supports n <= {_CANONICAL_MAX_N}")
-    return _canonical_core([sum(1 << u for u in a) for a in g.adj])
-
-
 def _canonical_core(
     adj: list[int], known: AbstractSet[int] = frozenset()
 ) -> tuple[int | None, list[tuple[int, ...]]]:
@@ -468,7 +460,8 @@ def _canonical_core(
     column-major order, and generators of the automorphism group, for the
     graph whose vertex v has neighbours ``adj[v]`` (a bitmask).
 
-    Exact search over vertex orders, meant for n <= 8, which callers check.
+    Exact search over vertex orders, meant for n <= 8, which its callers
+    ``canonical_form`` and ``enumerate_connected`` check.
     Placing a vertex at position j appends its column (its adjacency to
     positions 0..j-1) to the string, and every completion has the same
     length, so only the unplaced vertices whose column is least may be
@@ -592,13 +585,15 @@ def canonical_form(g: Graph) -> bytes:
     bit-string over all vertex permutations, in graph6 column-major order,
     returned as the graph6 encoding of the canonical relabelling.
 
-    The string comes from ``_canonical_search`` (supports n <= 8), which runs
-    the search core that ``enumerate_connected`` dedups by and reads
-    automorphisms from; it is already in graph6 order, so it goes to the
-    writer ``emit_graph6`` uses.
+    Supports n <= 8.  The string comes from ``_canonical_core`` on the
+    adjacency bitmasks, the search that ``enumerate_connected`` dedups by and
+    reads automorphisms from; it is already in graph6 order, so it goes to
+    the writer ``emit_graph6`` uses.
     """
     n = g.n
-    best, _ = _canonical_search(g)
+    if n > _CANONICAL_MAX_N:
+        raise UnsupportedSizeError(f"canonical_form supports n <= {_CANONICAL_MAX_N}")
+    best, _ = _canonical_core([sum(1 << u for u in a) for a in g.adj])
     # the bit above the string keeps its leading zeros; "" when n <= 1
     return _graph6(n, bin(best | 1 << n * (n - 1) // 2)[3:]).encode()
 

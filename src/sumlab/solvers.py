@@ -1054,11 +1054,3 @@ def realize_gplus(S, T) -> Graph:
     ]
     return Graph(len(s), edges)
 
-
-def shift_equivalence_check(S, T, r: int) -> bool:
-    """Shifting S by r and T by 2r realises the same graph (sorted order)."""
-    if r < 0:
-        raise SolverError("shift must be nonnegative")
-    g1 = realize_gplus(S, T)
-    g2 = realize_gplus([a + r for a in S], [t + 2 * r for t in T])
-    return g1 == g2

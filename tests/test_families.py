@@ -141,8 +141,6 @@ def test_gnk_parameter_errors():
      "repeated vertex in labelling"),
     (lambda: sl.VertexLabelling.from_dict({0: 1}).scaled(0), sl.LabellingError,
      "scale factor must be nonzero"),
-    (lambda: sl.shift_equivalence_check([1, 2], [3], -1), sl.SolverError,
-     "shift must be nonnegative"),
 ])
 def test_invalid_arguments_are_rejected(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

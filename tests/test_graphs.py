@@ -567,10 +567,14 @@ def _twin_cases():
         yield _complete_bipartite(1, leaves)
 
 
+def _masks(g):
+    """The adjacency bitmasks that ``graphs``' bitmask searches take."""
+    return [sum(1 << u for u in a) for a in g.adj]
+
+
 def test_twins_below_matches_the_pairwise_definition():
     for g in _twin_cases():
-        adj = [sum(1 << u for u in a) for a in g.adj]
-        assert graphs.twins_below(adj) == _pairwise_twins_below(g), (g.n, g.edges)
+        assert graphs.twins_below(_masks(g)) == _pairwise_twins_below(g), (g.n, g.edges)
 
 
 def _group_order(n, gens):
@@ -597,7 +601,7 @@ def _image(mask, p):
 def test_search_generates_the_automorphism_group(connected_by_n):
     for n, gs in connected_by_n.items():
         for g in gs:
-            _, gens = graphs._canonical_search(g)
+            _, gens = graphs._canonical_core(_masks(g))
             assert all(_maps_edges_onto_edges(g, p) for p in gens), g.edges
             autos = [p for p in permutations(range(n)) if _maps_edges_onto_edges(g, p)]
             assert _group_order(n, gens) == len(autos), g.edges
@@ -619,11 +623,11 @@ def test_canonical_core_stops_at_a_known_key(connected_by_n):
             p = list(range(n))
             rng.shuffle(p)
             h = Graph(n, [(p[u], p[v]) for u, v in g.edges])
-            keyed.append((h, graphs._canonical_search(h)[0]))
-        keys = {key for _, key in keyed}
+            adj = _masks(h)
+            keyed.append((h, adj, graphs._canonical_core(adj)[0]))
+        keys = {key for _, _, key in keyed}
         assert None not in keys and len(keys) == len(keyed)
-        for h, key in keyed:
-            adj = [sum(1 << u for u in a) for a in h.adj]
+        for h, adj, key in keyed:
             assert graphs._canonical_core(adj, frozenset({key})) == (None, []), h.edges
             got, gens = graphs._canonical_core(adj, keys - {key})
             assert got == key, h.edges
@@ -657,7 +661,7 @@ def _complete_bipartite(a, b):
     ids=["K7", "K1,6", "C7", "K3,4", "K2,5", "co-C7", "empty8", "K8", "2C4", "K4+4K1"],
 )
 def test_search_generates_the_automorphism_group_beyond_six(g):
-    _, gens = graphs._canonical_search(g)
+    _, gens = graphs._canonical_core(_masks(g))
     assert all(_maps_edges_onto_edges(g, p) for p in gens)
     # every one of the n! permutations, tried by brute force
     autos = sum(_maps_edges_onto_edges(g, p) for p in permutations(range(g.n)))
@@ -671,7 +675,7 @@ def test_search_automorphisms_agree_with_networkx():
     cube = nx.convert_node_labels_to_integers(nx.hypercube_graph(3))
     for h in (cube, nx.cycle_graph(8), nx.complete_bipartite_graph(4, 4)):
         g = Graph(8, h.edges())
-        _, gens = graphs._canonical_search(g)
+        _, gens = graphs._canonical_core(_masks(g))
         assert all(_maps_edges_onto_edges(g, p) for p in gens)
         want = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
         assert _group_order(8, gens) == want

@@ -505,9 +505,11 @@ def test_refutation_proves_the_label_search_values(connected_by_n):
 @pytest.mark.parametrize(
     "text,eps,sm",
     # the six connected graphs on 6 vertices with eps = sm + 1, and the two
-    # on 7 vertices with eps = sm + 2
+    # on 7 vertices with eps = sm + 2; then subdivided_complete_kk(5, 2) on 7
+    # vertices (eps = sm + 1) and subdivided_complete_kk(6, 2) on 8 (eps =
+    # sm + 2), two k = 2 members of that family
     [("EsZ_", 5, 4), ("Esz_", 6, 5), ("Es^o", 6, 5), ("Es^w", 7, 6), ("Es~w", 8, 7),
-     ("EqzW", 6, 5), ("Fqzmw", 9, 7), ("Fqz^w", 9, 7)],
+     ("EqzW", 6, 5), ("Fqzmw", 9, 7), ("Fqz^w", 9, 7), ("F^z?o", 6, 5), ("G^~u?W", 9, 7)],
 )
 def test_exclusive_exceeds_sum_index(text, eps, sm):
     g = sl.parse_graph6(text)
@@ -526,10 +528,17 @@ def test_realize_gplus_examples():
         sl.realize_gplus(set(), {1})
 
 
+def _shift_keeps_graph(s, t, r):
+    """Shifting S by r and T by 2r realises the same graph: u + v moves by 2r
+    and the sorted order of S is kept."""
+    return sl.realize_gplus(s, t) == sl.realize_gplus(
+        [a + r for a in s], [b + 2 * r for b in t])
+
+
 def test_shift_equivalence_examples():
-    assert sl.shift_equivalence_check({1, 2}, {3}, 5)
-    assert sl.shift_equivalence_check({1, 2, 3}, {3, 5}, 1)
-    assert sl.shift_equivalence_check({1, 2}, {3}, 0)
+    assert _shift_keeps_graph({1, 2}, {3}, 5)
+    assert _shift_keeps_graph({1, 2, 3}, {3, 5}, 1)
+    assert _shift_keeps_graph({1, 2}, {3}, 0)
 
 
 def test_shift_equivalence_random():
@@ -537,7 +546,7 @@ def test_shift_equivalence_random():
     for _ in range(200):
         s = rng.sample(range(1, 40), rng.randint(1, 6))
         t = rng.sample(range(1, 80), rng.randint(0, 6))
-        assert sl.shift_equivalence_check(s, t, rng.randint(0, 25))
+        assert _shift_keeps_graph(s, t, rng.randint(0, 25))
 
 
 def test_exclusive_range_too_small_raises():
