@@ -1,5 +1,5 @@
-"""Range-free refutation of sum and exclusive sum labellings by edge
-partitions.
+"""Range-free refutation of sum and exclusive sum labellings, and of sum
+graphs, by edge partitions.
 
 A labelling f with at most t distinct edge sums splits the edges into at
 most t classes of equal sum.  In a class with representative edge ab, each
@@ -54,6 +54,14 @@ or of E is at most 2^(n-1) in magnitude, and one of a difference of two
 sums of two labels (a minor whose last row has at most four entries +-1)
 at most 2^n: all below B/2 = 2^(n+1).  So digits read back exactly, and
 two sums of two labels are equal exactly when their forms are.
+
+The sum number has a third refutation, ``refute_sum_graph``, on typed
+partitions: each class either sums to one vertex's label or to an isolated
+label, and the checks are the sum-graph conditions.  Its equations are not
+translation-invariant, so a passing partition need not give a positive
+labelling, and its floor is a lower bound, exact where the label search
+reaches it.  Its label-class rows lift the rank bound to n, so it packs at
+width n + 3.
 """
 
 from __future__ import annotations
@@ -151,12 +159,120 @@ def refute(g: Graph, t: int, exclusive: bool,
     return not dfs(0, labels, 1, {labels[u] + labels[v] for u, v in non_edges})
 
 
-def floor(g: Graph, lower: int, limit: int, exclusive: bool,
-          tick: Callable[[], None] = lambda: None) -> int:
-    """The least t in lower..limit - 1 that ``refute`` does not rule out,
-    or limit when it rules out all of them (limit is a value some labelling
-    is known to reach, so it needs no search).  No labelling at any range
-    reaches a target below the result."""
-    while lower < limit and refute(g, lower, exclusive, tick):
+def refute_sum_graph(g: Graph, t: int, tick: Callable[[], None] = lambda: None) -> bool:
+    """True when no sum labelling of g with at most t isolated labels exists
+    at any label range; False when a typed partition passes.
+
+    In a sum labelling each edge cd sums to a label: that of a vertex w, not
+    c or d, or an isolated label, and an isolated label that is no edge sum
+    can be dropped.  So the edges fall into label classes, keyed by w, with
+    f(c) + f(d) = f(w), and at most t isolated classes of equal sum.  The
+    search takes the edges in ``_branch_edges`` order, and each joins a
+    class that shares no end with it (w counts as an end of its label
+    class), opens the label class of a vertex w off the edge that has none
+    yet, or opens an isolated class, numbered by first use, if fewer than t
+    are open.  With W the labels and the isolated classes' sums, each node
+    checks that the labels are pairwise distinct and nonzero, the isolated
+    sums pairwise distinct, nonzero and no label, that no non-edge sums
+    into W, and that x + z lies outside W for x isolated, z in W, z != x.
+    Each check only tightens as equations and classes are added, so a
+    prefix that fails fails in every extension.
+
+    A positive sum labelling's own typed partition passes every check, so a
+    t that no partition passes lies below the sum number at every range.  A
+    passing partition gives only a real labelling (its null space minus
+    finitely many hyperplanes is not empty), which need not be positive, as
+    translation does not keep f(c) + f(d) = f(w): the floor is a lower
+    bound, exact wherever the label search reaches it.
+
+    The forms are packed and stepped as in ``refute``, at width s = n + 3.
+    A label-class row e_c + e_d - e_w is not orthogonal to the all-ones
+    vector, so up to n rows, each of norm at most 2, can be taken.  Each
+    check compares two forms whose difference has norm at most sqrt 8, the
+    worst being x + z - y with x and z isolated sums, whose first edges
+    share at most one end.  By Hadamard's bound every digit is below
+    2^n sqrt 8 < 2^(n+2) = B/2.  ``tick`` is called once per assignment
+    that passes the end check.
+    """
+    n = g.n
+    s = n + 3
+    edges = _branch_edges(g)
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    reps: list[tuple[int, ...]] = []  # each class's sum: f(w) as (w,), or its first edge's
+    masks: list[int] = []  # each class's ends
+    pairs: list[tuple[int, int]] = []  # the isolated classes' first edges
+
+    def fits(labels: list[int], sums: list[int]) -> bool:
+        w = set(labels)
+        w.update(sums)
+        if len(w) < n + len(sums) or 0 in w:
+            return False
+        if any(labels[u] + labels[v] in w for u, v in non_edges):
+            return False
+        return not any(x + z in w for x in sums for z in w if z != x)
+
+    def equate(labels: list[int], prev: int, e: int):
+        # the labels and pivot with e = 0 added, or None if a check fails
+        if not e:
+            return labels, prev
+        labels, prev = _step(labels, e, prev, s)
+        return (labels, prev) if fits(labels, [labels[a] + labels[b] for a, b in pairs]) else None
+
+    def opened(rep: tuple[int, ...], mask: int, i: int, labels: list[int], prev: int,
+               keyed: int) -> bool:
+        reps.append(rep)
+        masks.append(mask)
+        found = dfs(i + 1, labels, prev, keyed)
+        reps.pop()
+        masks.pop()
+        return found
+
+    # keyed: the vertices w whose label class is open
+    def dfs(i: int, labels: list[int], prev: int, keyed: int) -> bool:
+        if i == len(edges):
+            return True
+        c, d = edges[i]
+        ends = 1 << c | 1 << d
+        here = labels[c] + labels[d]
+        for k in range(len(reps)):
+            if masks[k] & ends:
+                continue
+            tick()
+            step = equate(labels, prev, here - sum(labels[x] for x in reps[k]))
+            if step is not None:
+                masks[k] |= ends
+                found = dfs(i + 1, *step, keyed)
+                masks[k] ^= ends
+                if found:
+                    return True
+        for w in range(n):
+            if (keyed | ends) >> w & 1:
+                continue
+            tick()
+            step = equate(labels, prev, here - labels[w])
+            if step is not None and opened((w,), ends | 1 << w, i, *step, keyed | 1 << w):
+                return True
+        if len(pairs) < t:
+            tick()
+            if fits(labels, [labels[a] + labels[b] for a, b in pairs] + [here]):
+                pairs.append((c, d))
+                found = opened((c, d), ends, i, labels, prev, keyed)
+                pairs.pop()
+                if found:
+                    return True
+        return False
+
+    return not dfs(0, [1 << s * u for u in range(n)], 1, 0)
+
+
+def floor(g: Graph, lower: int, limit: int, exclusive: bool = False,
+          tick: Callable[[], None] = lambda: None, sum_graph: bool = False) -> int:
+    """The least t in lower..limit - 1 that the refutation does not rule
+    out, or limit when it rules out all of them (limit is a value some
+    labelling is known to reach, so it needs no search): ``refute`` with
+    ``exclusive``, or ``refute_sum_graph`` if ``sum_graph``.  No labelling
+    at any range reaches a target below the result."""
+    while lower < limit and (refute_sum_graph(g, lower, tick) if sum_graph
+                             else refute(g, lower, exclusive, tick)):
         lower += 1
     return lower

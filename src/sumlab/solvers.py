@@ -5,8 +5,8 @@ sum number: labels range over {1..B} (the sum-graph definition requires
 positive integers).  The latter two are reported as upper bounds that are
 exhaustive within the range, since no finite label bound certifying global
 optimality is known.  A value that equals the lower bound its ascent starts
-from is exact at any range (``range_free``); the sum index's and the
-exclusive sum number's lower bound is the least target that the
+from is exact at any range (``range_free``); the sum index's, the exclusive
+sum number's and the sum number's lower bound is the least target that an
 edge-partition refutation of ``partition`` does not rule out.
 
 The sum index, difference index and exclusive sum number share one search
@@ -64,12 +64,13 @@ pass.
 
 All four invariants share one ascent-and-escalation driver.  It ascends
 targets from a lower bound: ``best_df_lower`` (which includes half the
-maximum degree) for the difference index and ``min_degree_bound``, the
-classical sigma(G) >= min degree (Bergstrand et al. 1989), for the sum
-number, both as ``bounds`` reports them.  The sum index and the exclusive
-sum number ascend from their range-free floors (``partition.floor``, run by
-the driver on the same node counter): the least t >= ``best_sm_lower`` that
-the edge-partition refutation does not rule out.
+maximum degree), as ``bounds`` reports it, for the difference index.  The
+other three ascend from their range-free floors (``partition.floor``,
+run by the driver on the same node counter): for the sum index and the
+exclusive sum number the least t >= ``best_sm_lower`` that the
+edge-partition refutation does not rule out, and for the sum number the
+least r >= min degree (sigma(G) >= min degree, Bergstrand et al. 1989) that
+the typed-partition refutation does not rule out.
 Each round makes two passes.  A cheap pass at a small label cap (2n for the
 sum index, the difference index and the exclusive sum number, 4n for the
 sum number) ascends to a value quickly.  Only a full-range search proves a
@@ -136,7 +137,9 @@ class SearchConfig:
     consecutive rounds.  node_budget caps the total number of search-tree
     nodes; exceeding it yields the least value found, flagged
     non-exhaustive, or SolverError when none was found (only the sum number
-    and exclusive sum number have no greedy labelling).  A single solve is
+    and exclusive sum number have no greedy labelling).  The refutations
+    that find the sm, eps and sigma floors tick the same count, and a
+    result's ``nodes_expanded`` includes them.  A single solve is
     sequential; corpus scans take their parallel width from
     ``scan_conjectures(workers=)``.
     """
@@ -182,10 +185,10 @@ class IndexResult:
     """A computed invariant value with its witness and search provenance.
 
     range_free: the value is exact at any label range, since it equals the
-    lower bound the ascent starts from (for the sum index and the exclusive
-    sum number, the least target the edge-partition refutation does not rule
-    out).  With exhaustive_within_range False it is still exact, but the node
-    budget ran out before the witness was made canonical.
+    lower bound the ascent starts from (for all but the difference index,
+    the least target an edge-partition refutation does not rule out).  With
+    exhaustive_within_range False it is still exact, but the node budget ran
+    out before the witness was made canonical.
     """
 
     invariant: str
@@ -792,7 +795,9 @@ class _AscendingSumSearch:
     placed neighbours per mover, and none when the cut cannot fire, and the
     cut runs on the labels the first three counts keep, before the fourth.
     ``nodes_expanded`` counts the placements that survive the candidate
-    masks.
+    masks, and ``sum_number``'s adds the nodes of its floor's refutation.
+    The search finds the witness at and above the floor, and only where the
+    floor lies below the value does it run the full-range descent.
     """
 
     def __init__(self, g: Graph, counter: _NodeCounter):
@@ -1014,8 +1019,13 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     """Least number of isolated vertices (within label range {1..B}) whose
     addition admits a sum labelling: uv is an edge iff f(u)+f(v) is a label.
 
-    The search ascends from the classical lower bound sigma(G) >= min degree.
-    Reported as an upper bound exhaustive within the range.
+    The search ascends from the least r at or above the classical bound
+    sigma(G) >= min degree that the typed-partition refutation (see
+    ``partition.refute_sum_graph``) does not rule out: no sum labelling at
+    any label range has fewer isolated labels.  A value at that floor is
+    flagged ``range_free``; any other is an upper bound exhaustive within
+    the range.  A node budget that runs out before any labelling is found,
+    in the floor search too, raises SolverError.
     """
     _require_connected(g, "sum_number")
     cfg = cfg or SearchConfig()
@@ -1025,7 +1035,8 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
         find=_AscendingSumSearch(g, counter).search,
         # sigma(G) >= min degree: the vertex labelled last has all its edge
         # sums above every vertex label (Bergstrand et al. 1989)
-        lower=lambda: degree_sequence(g).min_degree,
+        lower=lambda: floor(g, degree_sequence(g).min_degree, g.m + 1, tick=counter.tick,
+                            sum_graph=True),
         limit=g.m + 1,
         cheap_cap=4 * g.n,
         extra=lambda labels: {

@@ -135,12 +135,14 @@ def test_cli_index_sum_prism(tmp_path, capsys):
 
 
 def test_cli_index_exclusive_says_range_free(tmp_path, capsys):
-    # eps(Ds{) = 5 and sm(Eq~w) = 7 are the least targets the partition
-    # refutation leaves, so they are exact at any range; df(Es^w) = 4 lies
-    # above its lower bound 3, so it is exact only within the range
+    # eps(Ds{) = 5, sm(Eq~w) = 7 and sigma(Dus) = 4 are the least targets
+    # the partition refutations leave, so they are exact at any range;
+    # df(Es^w) = 4 lies above its lower bound 3, so it is exact only within
+    # the range
     for g6, invariant, printed_value, range_free in (
         ("Ds{", "exclusive", "exclusive_sum_number = 5", True),
         ("Eq~w", "sum", "sum_index = 7", True),
+        ("Dus", "sumnumber", "sum_number = 4", True),
         ("Es^w", "diff", "difference_index = 4", False),
     ):
         infile = tmp_path / "g.g6"
@@ -159,7 +161,7 @@ def test_cli_index_exclusive_says_range_free(tmp_path, capsys):
                 "T": [3, 4, 5, 7, 9],
                 "assignment": res["witness"],
             }
-        assert "isolated_labels" not in res
+        assert ("isolated_labels" in res) is (invariant == "sumnumber")
 
 
 def test_cli_index_sumnumber_and_bounds_json(tmp_path, capsys):

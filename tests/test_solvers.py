@@ -503,15 +503,16 @@ def _spy(monkeypatch, field="find"):
 
 
 def test_real_solvers_prove_only_value_minus_one(monkeypatch):
-    # K4: sigma >= min degree 3, the cheap pass (cap 16) finds 5, and the
-    # one full-range proof (cap 4n^2 = 64) is r = 4; nodes_expanded pins the
-    # sum-number search tree
+    # K4: the typed-partition floor rules out r = 3 and 4 and passes 5 (423
+    # nodes), and the cheap pass (cap 16) finds 5 at the floor, so no
+    # full-range search (cap 4n^2 = 64) runs; test_sum_graphs pins the
+    # descent on EsXg
     calls = _spy(monkeypatch)
     res = sl.sum_number(sl.parse_graph6("C~"))
-    assert (res.value, res.exhaustive_within_range) == (5, True)
-    assert [c for c in calls if c[1] == 64] == [(4, 64)]
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (5, True, True)
+    assert calls == [(5, 16)]
     assert [res.witness.as_dict()[v] for v in range(4)] == [1, 4, 7, 10]
-    assert res.nodes_expanded == 2_417
+    assert res.nodes_expanded == 458
     # Es^w: best_df_lower 3, the cheap pass (cap 12) fails at 3 and finds 4,
     # and the one full-range proof (cap n(n-1)/2 + n = 21) is t = 3
     calls.clear()
@@ -685,6 +686,45 @@ def test_packed_bareiss_steps_match_lists(data):
         assert all(abs(x) <= 1 << n - 1 for f in forms for x in f)
         labels, prev = _step(labels, e, prev, s)
         assert (labels, prev) == ([_pack(f, s) for f in forms], p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_steps_on_typed_rows_match_lists(data):
+    # the sum-graph refutation's equations at its width n + 3: a label
+    # class's f_c + f_d = f_w on three distinct vertices, or an isolated
+    # class's f_c + f_d = f_a + f_b on four.  Up to n steps can be taken, so
+    # every coefficient stays within 2^n, and the widest check form, x + z -
+    # y with x = f_a + f_b and z = f_a + f_c sharing a vertex and y = f_d +
+    # f_e, reads back from its packed int within 2^(n+2)
+    n = data.draw(st.integers(5, 8), label="n")
+    s = n + 3
+    rows = st.permutations(range(n)).flatmap(lambda p: st.sampled_from([p[:3], p[:4]]))
+    forms = [[int(u == j) for j in range(n)] for u in range(n)]
+    labels = [_pack(f, s) for f in forms]
+    prev = 1
+    for c, d, *rest in data.draw(st.lists(rows, max_size=n + 1), label="equations"):
+        eq = [forms[c][j] + forms[d][j] - sum(forms[x][j] for x in rest) for j in range(n)]
+        e = labels[c] + labels[d] - sum(labels[x] for x in rest)
+        assert e == _pack(eq, s)
+        if not any(eq):
+            continue
+        q = next(j for j, x in enumerate(eq) if x)
+        if eq[q] < 0:
+            eq = [-x for x in eq]
+        p = eq[q]
+        steps = [[p * x - f[q] * y for x, y in zip(f, eq)] for f in forms]
+        assert all(x % prev == 0 for f in steps for x in f)
+        forms = [[x // prev for x in f] for f in steps]
+        assert all(abs(x) <= 1 << n for f in forms for x in f)
+        labels, prev = _step(labels, e, prev, s)
+        assert (labels, prev) == ([_pack(f, s) for f in forms], p)
+    a, b, c, d, e = data.draw(st.permutations(range(n)), label="check")[:5]
+    check = [2 * forms[a][j] + forms[b][j] + forms[c][j] - forms[d][j] - forms[e][j]
+             for j in range(n)]
+    assert all(abs(x) < 1 << n + 2 for x in check)
+    packed = 2 * labels[a] + labels[b] + labels[c] - labels[d] - labels[e]
+    assert [_digit(packed, s * j, s) for j in range(n)] == check
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -10,7 +10,7 @@ import pytest
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, solvers
-from sumlab.partition import refute
+from sumlab.partition import floor, refute, refute_sum_graph
 
 
 def _check_sum_graph(g, res):
@@ -361,10 +361,42 @@ def test_sum_number_closed_forms(graph, cfg, expect):
 
 
 def test_sum_number_search_tree_of_k5_is_pinned():
-    # proving r = 6 impossible in 1..40 dominates; a change that cuts the tree
-    # on purpose updates the pin
+    # the label search's proof that r = 6 is impossible for K5 in 1..40.
+    # The solve no longer runs it (the floor is 7), so its tree on an
+    # infeasible target is pinned here directly; a change that cuts that
+    # tree on purpose updates the pin
+    counter = solvers._NodeCounter(None)
+    assert solvers._AscendingSumSearch(sl.complete_graph(5), counter).search(6, 40) is None
+    assert counter.nodes == 12_827
+    # the solve: 3,672 floor nodes, then the cheap pass finds 7 at the floor
     res = sl.sum_number(sl.complete_graph(5), SearchConfig(label_bound=40))
-    assert (res.value, res.exhaustive_within_range, res.nodes_expanded) == (7, True, 15_824)
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (7, True, True)
+    assert res.nodes_expanded == 3_718
+
+
+def test_sum_floor_never_exceeds_brute_force(connected_by_n):
+    """The typed-partition floor against brute force from the sum-graph
+    definition over labels 1..10, on every connected graph with n <= 5: the
+    refutation never rules out the least number of isolated labels found
+    there, and the floor, from the least degree as ``sum_number`` takes it,
+    equals it on 28 graphs (on Ds{ the range is too small for sigma = 3, and
+    K5 has no sum labelling in it).  Every sum number there is range-free."""
+    equal = 0
+    values = {}
+    for n in range(2, 6):
+        for g in connected_by_n[n]:
+            brute = _sigma_by_assignments(g, 10)
+            lower = floor(g, min(len(a) for a in g.adj), g.m + 1, sum_graph=True)
+            if brute is not None:
+                assert not refute_sum_graph(g, brute), sl.emit_graph6(g)
+                assert lower <= brute
+                equal += lower == brute
+            res = sl.sum_number(g)
+            assert (res.value, res.range_free, res.exhaustive_within_range) == (lower, True, True)
+            values[sl.emit_graph6(g)] = res.value
+    assert equal == 28
+    # four graphs the label search alone left budget-limited at 1M nodes
+    assert [values[text] for text in ("Dus", "Du{", "Dr{", "Dv{")] == [4, 5, 4, 6]
 
 
 def test_sum_number_results_are_pinned(connected_by_n):
@@ -389,18 +421,28 @@ def test_sum_number_results_are_pinned(connected_by_n):
         limited += not rec["exhaustive"]
         lines.append(json.dumps(rec, sort_keys=True))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "a1ec63accdd65a688bef1f97fa258eab9a32e331ba80c5d856a810ab0be5e7cb"
-    assert (nodes, errors, limited) == (141_150, 2, 6)
+    assert digest == "558c391b99ab869eb20ba53f6f49342c01d735227c233db22b546cdc6b3660be"
+    assert (nodes, errors, limited) == (19_151, 0, 0)
 
 
-def test_sum_number_budget_in_full_range_proof_flags_upper_bound():
-    # the cheap pass at cap 16 finds sigma(C4) = 3 within 700 nodes; proving
-    # 2 infeasible over the default range 1..64 brings the total to 9,122
-    c4 = sl.cycle_graph(4)
-    res = sl.sum_number(c4, SearchConfig(node_budget=5_000))
-    assert res.value == 3
-    assert not res.exhaustive_within_range
-    _check_sum_graph(c4, res)
+def test_sum_number_budget_in_full_range_proof_flags_upper_bound(monkeypatch):
+    # EsXg: the floor is 1 (18 nodes), below the label search's 2, so the
+    # descent runs.  The cheap pass at cap 24 fails at r = 1 and finds 2 by
+    # node 59,881; the one full-range search, r = 1 over 1..144, takes over
+    # 13M nodes, so a budget of 80,000 cuts it and flags the upper bound
+    calls = []
+    real = solvers._AscendingSumSearch.search
+
+    def search(self, r, cap):
+        calls.append((r, cap))
+        return real(self, r, cap)
+
+    monkeypatch.setattr(solvers._AscendingSumSearch, "search", search)
+    g = sl.parse_graph6("EsXg")
+    res = sl.sum_number(g, SearchConfig(node_budget=80_000))
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (2, False, False)
+    assert calls == [(1, 24), (2, 24), (1, 144)]
+    _check_sum_graph(g, res)
 
 
 def test_exclusive_budget_in_full_range_proof_flags_upper_bound():
