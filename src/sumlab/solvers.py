@@ -6,8 +6,8 @@ positive integers).  The latter two are reported as upper bounds that are
 exhaustive within the range, since no finite label bound certifying global
 optimality is known.  A value that equals the lower bound its ascent starts
 from is exact at any range (``range_free``); the sum index's, the exclusive
-sum number's and the sum number's lower bound is the least target that an
-edge-partition refutation of ``partition`` does not rule out.
+sum number's and the sum number's lower bound is the least target that
+``partition.refute``, in the invariant's mode, does not rule out.
 
 The sum index, difference index and exclusive sum number share one search
 kernel, ``_IndexSearch``: a DFS that pins its first vertex at relative
@@ -66,11 +66,11 @@ All four invariants share one ascent-and-escalation driver.  It ascends
 targets from a lower bound: ``best_df_lower`` (which includes half the
 maximum degree), as ``bounds`` reports it, for the difference index.  The
 other three ascend from their range-free floors (``partition.floor``,
-run by the driver on the same node counter): for the sum index and the
-exclusive sum number the least t >= ``best_sm_lower`` that the
-edge-partition refutation does not rule out, and for the sum number the
-least r >= min degree (sigma(G) >= min degree, Bergstrand et al. 1989) that
-the typed-partition refutation does not rule out.
+run by the driver on the same node counter): the least target that the
+one typed-partition refutation does not rule out, in mode ``"sum"``,
+``"exclusive"`` or ``"sum_graph"``, from ``best_sm_lower`` for the sum
+index and the exclusive sum number, and from the min degree for the sum
+number (sigma(G) >= min degree, Bergstrand et al. 1989).
 Each round makes two passes.  A cheap pass at a small label cap (2n for the
 sum index, the difference index and the exclusive sum number, 4n for the
 sum number) ascends to a value quickly.  Only a full-range search proves a
@@ -647,7 +647,7 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
     spec = _Ascent(
         invariant=name,
         find=search.search,
-        lower=(lambda: floor(g, best_sm_lower(g), upper, False, counter.tick))
+        lower=(lambda: floor(g, best_sm_lower(g), upper, "sum", counter.tick))
         if is_sum else lambda: best_df_lower(g),
         limit=upper,
         cheap_cap=2 * n,
@@ -711,7 +711,7 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     spec = _Ascent(
         invariant="exclusive_sum_number",
         find=search.search,
-        lower=lambda: floor(g, best_sm_lower(g), g.m + 1, True, counter.tick),
+        lower=lambda: floor(g, best_sm_lower(g), g.m + 1, "exclusive", counter.tick),
         limit=g.m + 1,
         cheap_cap=2 * g.n,
         canonical=search.least,
@@ -1020,9 +1020,9 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     addition admits a sum labelling: uv is an edge iff f(u)+f(v) is a label.
 
     The search ascends from the least r at or above the classical bound
-    sigma(G) >= min degree that the typed-partition refutation (see
-    ``partition.refute_sum_graph``) does not rule out: no sum labelling at
-    any label range has fewer isolated labels.  A value at that floor is
+    sigma(G) >= min degree that the partition refutation in mode
+    ``"sum_graph"`` (see ``partition``) does not rule out: no sum labelling
+    at any label range has fewer isolated labels.  A value at that floor is
     flagged ``range_free``; any other is an upper bound exhaustive within
     the range.  A node budget that runs out before any labelling is found,
     in the floor search too, raises SolverError.
@@ -1035,8 +1035,7 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
         find=_AscendingSumSearch(g, counter).search,
         # sigma(G) >= min degree: the vertex labelled last has all its edge
         # sums above every vertex label (Bergstrand et al. 1989)
-        lower=lambda: floor(g, degree_sequence(g).min_degree, g.m + 1, tick=counter.tick,
-                            sum_graph=True),
+        lower=lambda: floor(g, degree_sequence(g).min_degree, g.m + 1, "sum_graph", counter.tick),
         limit=g.m + 1,
         cheap_cap=4 * g.n,
         extra=lambda labels: {

@@ -3,14 +3,14 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, count, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, graphs, solvers
-from sumlab.partition import _digit, _step, floor, refute
+from sumlab.partition import _step, floor, refute
 
 
 def _observed(g, res, kind):
@@ -547,15 +547,22 @@ def test_sum_refutation_matches_brute_force(connected_by_n):
             value, _ = _naive_min(g, True, 2 * n)
             assert value == sl.best_sm_lower(g), sl.emit_graph6(g)
             for t in range(g.m + 1):
-                assert refute(g, t, exclusive=False) == (t < value), (sl.emit_graph6(g), t)
+                assert refute(g, t, "sum") == (t < value), (sl.emit_graph6(g), t)
 
 
-def _passes_by_rank(g, t, exclusive):
-    """Whether some partition of g's edges into at most t matchings leaves
-    no forbidden normal in the row space of its equations, by brute force
-    over the partitions and exact rank over the rationals: e_u - e_v for
-    every pair, and, if ``exclusive``, e_u + e_v - e_a - e_b for every
-    non-edge uv and class representative ab."""
+def _passes_by_rank(g, t, mode):
+    """Whether some typed partition of g's edges passes, by brute force over
+    the partitions and exact rank over the rationals: no forbidden form may
+    lie in the row space of the partition's equations.  Each class is a
+    matching.  In the modes "sum" and "exclusive" there are at most t
+    classes, each keyed by its first edge ab, and the forbidden forms are
+    e_u - e_v for every pair and, if "exclusive", e_u + e_v - e_a - e_b for
+    every non-edge uv and key ab.  In "sum_graph" an edge cd may also go to
+    the class of a vertex w off it (w counts as an end), with the equation
+    e_c + e_d = e_w; at most t classes are isolated, and with W the labels
+    e_u and the isolated sums e_a + e_b, the forbidden forms are every z and
+    z - y in W, e_u + e_v - z for every non-edge uv, and x + z - y for x
+    isolated and z != x."""
     n = g.n
     edges = list(g.edges)
     non_edges = [(u, v) for u, v in combinations(range(n), 2) if not g.has_edge(u, v)]
@@ -572,35 +579,53 @@ def _passes_by_rank(g, t, exclusive):
                 w = [x - w[q] * y for x, y in zip(w, row)]
         return w
 
+    def neg(form):
+        return [(-sign, v) for sign, v in form]
+
+    def forbidden(classes):
+        isolated = [[(1, v) for v in key] for key, _ in classes if len(key) == 2]
+        if mode != "sum_graph":
+            yield from (unit((1, u), (-1, v)) for u, v in combinations(range(n), 2))
+            if mode == "exclusive":
+                yield from (unit((1, u), (1, v), *neg(x)) for u, v in non_edges for x in isolated)
+            return
+        W = [[(1, u)] for u in range(n)] + isolated
+        yield from (unit(*z) for z in W)
+        yield from (unit(*z, *neg(y)) for z, y in combinations(W, 2))
+        yield from (unit((1, u), (1, v), *neg(y)) for u, v in non_edges for y in W)
+        yield from (unit(*x, *z, *neg(y)) for x in isolated for z in W if z is not x for y in W)
+
     def passes(classes):
         basis = []  # (pivot, row with 1 at the pivot and 0 at earlier pivots)
-        for (a, b), *rest in classes:
-            for c, d in rest:
-                w = reduced(basis, unit((1, c), (1, d), (-1, a), (-1, b)))
+        for key, members in classes:
+            for c, d in members:
+                w = reduced(basis, unit((1, c), (1, d), *((-1, v) for v in key)))
                 q = next((j for j, x in enumerate(w) if x), None)
                 if q is not None:
                     w = [x / w[q] for x in w]
                     basis = [(j, [x - row[q] * y for x, y in zip(row, w)]) for j, row in basis]
                     basis.append((q, w))
-        normals = [unit((1, u), (-1, v)) for u, v in combinations(range(n), 2)]
-        if exclusive:
-            normals += [unit((1, u), (1, v), (-1, a), (-1, b))
-                        for u, v in non_edges for (a, b), *_ in classes]
-        return not any(not any(reduced(basis, w)) for w in normals)
+        return not any(not any(reduced(basis, w)) for w in forbidden(classes))
 
+    # classes: (key, edges), the key being the first edge (a, b) of an
+    # isolated class or (w,) for w's class; the key's vertices are ends
     def assign(i, classes):
         if i == len(edges):
             return passes(classes)
         c, d = edges[i]
-        for cls in classes:
-            if all(c not in e and d not in e for e in cls):
-                cls.append((c, d))
+        for key, members in classes:
+            if {c, d}.isdisjoint([*key, *(v for e in members for v in e)]):
+                members.append((c, d))
                 found = assign(i + 1, classes)
-                cls.pop()
+                members.pop()
                 if found:
                     return True
-        if len(classes) < t:
-            classes.append([(c, d)])
+        keyed = [key[0] for key, _ in classes if len(key) == 1]
+        new = [(w,) for w in range(n) if mode == "sum_graph" and w not in (c, d, *keyed)]
+        if sum(len(key) == 2 for key, _ in classes) < t:
+            new.append((c, d))
+        for key in new:
+            classes.append((key, [(c, d)]))
             found = assign(i + 1, classes)
             classes.pop()
             if found:
@@ -611,36 +636,57 @@ def _passes_by_rank(g, t, exclusive):
 
 
 def test_refutation_matches_rank_oracle(connected_by_n):
-    # refute(t) must hold exactly when no partition into at most t classes
-    # passes, from one below best_sm_lower up to the floor, in both modes,
-    # on every connected graph with n <= 5; eps = sm on all of them, so five
-    # six-vertex graphs with eps = sm + 1 exercise the exclusive checks (the
-    # sixth, Es~w, takes the oracle over 2 s)
+    # refute(t) must hold exactly when no typed partition with at most t
+    # counted classes passes, from one below the start that floor takes up
+    # to the first t that passes.  sm and eps: every connected graph with
+    # n <= 5, where eps = sm, and five six-vertex graphs with eps = sm + 1
+    # that exercise the exclusive checks (the sixth, Es~w, takes the oracle
+    # over 2 s); sigma, from the least degree: every connected graph with
+    # 2 <= n <= 4 (on n = 5 the oracle takes minutes)
     graphs = [g for n in range(1, 6) for g in connected_by_n[n]]
-    for g in graphs + [sl.parse_graph6(text) for text in ("EsZ_", "Esz_", "Es^o", "Es^w", "EqzW")]:
-        for exclusive in (False, True):
-            t = max(0, sl.best_sm_lower(g) - 1)
-            while True:
-                passes = _passes_by_rank(g, t, exclusive)
-                assert refute(g, t, exclusive) == (not passes), (sl.emit_graph6(g), t, exclusive)
-                if passes:
-                    break
-                t += 1
+    graphs += [sl.parse_graph6(text) for text in ("EsZ_", "Esz_", "Es^o", "Es^w", "EqzW")]
+    cases = [(g, mode, sl.best_sm_lower(g)) for g in graphs for mode in ("sum", "exclusive")]
+    cases += [(g, "sum_graph", min(len(a) for a in g.adj))
+              for n in range(2, 5) for g in connected_by_n[n]]
+    for g, mode, start in cases:
+        t = max(0, start - 1)
+        while True:
+            passes = _passes_by_rank(g, t, mode)
+            assert refute(g, t, mode) == (not passes), (sl.emit_graph6(g), t, mode)
+            if passes:
+                break
+            t += 1
+
+
+def test_refute_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown refutation mode 'signed'$"):
+        refute(sl.path_graph(3), 1, "signed")
 
 
 def _pack(form, s):
     return sum(x << s * j for j, x in enumerate(form))
 
 
+def _digits(x, n, s):
+    """The n lowest digits of x in balanced base 2^s, lowest first."""
+    out = []
+    for _ in range(n):
+        d = x & (1 << s) - 1
+        d -= (d >> s - 1) << s  # a digit of 2^(s-1) or more is negative
+        out.append(d)
+        x = (x - d) >> s
+    return out
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_packed_forms_read_back_and_tell_sums_apart(data):
     # forms with n <= 8 coordinates and coefficients within the module's
-    # digit bound 2^(n-1), and sometimes two more whose sum is the sum of
-    # the first two, so that equal sums are drawn too
+    # digit bound 2^n, and sometimes two more whose sum is the sum of the
+    # first two, so that equal sums are drawn too
     n = data.draw(st.integers(1, 8), label="n")
-    s = n + 2  # the module's digit width
-    top = 1 << n - 1
+    s = n + 3  # the module's digit width
+    top = 1 << n
     coeff = st.integers(-top, top)
     forms = data.draw(st.lists(st.lists(coeff, min_size=n, max_size=n), min_size=2, max_size=6),
                       label="forms")
@@ -649,7 +695,7 @@ def test_packed_forms_read_back_and_tell_sums_apart(data):
              for x, y in zip(forms[0], forms[1])]
         forms += [c, [x + y - z for x, y, z in zip(forms[0], forms[1], c)]]
     labels = [_pack(f, s) for f in forms]
-    assert [[_digit(x, s * j, s) for j in range(n)] for x in labels] == forms
+    assert [_digits(x, n, s) for x in labels] == forms
     pairs = list(combinations_with_replacement(range(len(forms)), 2))
     for (a, b), (c, d) in product(pairs, repeat=2):
         zero = not any(w + x - y - z for w, x, y, z in zip(forms[a], forms[b], forms[c], forms[d]))
@@ -662,10 +708,11 @@ def test_packed_bareiss_steps_match_lists(data):
     # from the identity, each equation f_c + f_d = f_a + f_b on four distinct
     # vertices is one Bareiss step on coefficient lists (lowest nonzero
     # coordinate as pivot, exact division by the last pivot) and one _step
-    # on the packed labels; the two must agree, every division must be exact
-    # and every coefficient must stay within 2^(n-1)
+    # on the packed labels at the module's width n + 3; the two must agree,
+    # every division must be exact and every coefficient must stay within
+    # 2^(n-1)
     n = data.draw(st.integers(4, 8), label="n")
-    s = n + 2
+    s = n + 3
     quads = st.permutations(range(n)).map(lambda p: p[:4])
     forms = [[int(u == j) for j in range(n)] for u in range(n)]
     labels = [_pack(f, s) for f in forms]
@@ -691,7 +738,7 @@ def test_packed_bareiss_steps_match_lists(data):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_packed_steps_on_typed_rows_match_lists(data):
-    # the sum-graph refutation's equations at its width n + 3: a label
+    # the "sum_graph" mode's equations at the module's width n + 3: a label
     # class's f_c + f_d = f_w on three distinct vertices, or an isolated
     # class's f_c + f_d = f_a + f_b on four.  Up to n steps can be taken, so
     # every coefficient stays within 2^n, and the widest check form, x + z -
@@ -724,20 +771,44 @@ def test_packed_steps_on_typed_rows_match_lists(data):
              for j in range(n)]
     assert all(abs(x) < 1 << n + 2 for x in check)
     packed = 2 * labels[a] + labels[b] + labels[c] - labels[d] - labels[e]
-    assert [_digit(packed, s * j, s) for j in range(n)] == check
+    assert _digits(packed, n, s) == check
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_sum_floor_invariant_under_relabelling(connected_by_n, data):
     # the refutation assigns edges in the branch order, whose ties fall to
-    # the lower vertex index; the floor must not follow the numbering
-    n = data.draw(st.integers(2, 6), label="n")
+    # the lower vertex index; the floor must not follow the numbering, in
+    # any mode
+    mode = data.draw(st.sampled_from(["sum", "exclusive", "sum_graph"]), label="mode")
+    n = data.draw(st.integers(2, 5 if mode == "sum_graph" else 6), label="n")
     g = data.draw(st.sampled_from(connected_by_n[n]), label="graph")
     perm = data.draw(st.permutations(range(n)), label="perm")
     h = sl.Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
-    lower = sl.best_sm_lower(g)
-    assert floor(h, lower, h.m + 1, exclusive=False) == floor(g, lower, g.m + 1, exclusive=False)
+    lower = min(len(a) for a in g.adj) if mode == "sum_graph" else sl.best_sm_lower(g)
+    assert floor(h, lower, h.m + 1, mode) == floor(g, lower, g.m + 1, mode)
+
+
+@pytest.mark.parametrize(
+    "mode,top,expect",
+    [("sum", 6, (642, 4_476)), ("exclusive", 6, (648, 6_170)), ("sum_graph", 5, (70, 12_551))],
+)
+def test_floor_trees_are_pinned(connected_by_n, mode, top, expect):
+    # floor as the solvers call it, on every connected graph with
+    # 2 <= n <= top: the sum of the floors and the refutation's nodes, so
+    # that its trees are pinned apart from the label searches
+    ticks = count()
+    total = 0
+    for g in (g for n in range(2, top + 1) for g in connected_by_n[n]):
+        if mode == "sum_graph":
+            lower, limit = min(len(a) for a in g.adj), g.m + 1
+        elif mode == "sum":
+            upper, _ = solvers._greedy_upper(g, True, graphs.branch_order(g))
+            lower, limit = sl.best_sm_lower(g), upper
+        else:
+            lower, limit = sl.best_sm_lower(g), g.m + 1
+        total += floor(g, lower, limit, mode, ticks.__next__)
+    assert (total, next(ticks)) == expect
 
 
 def _least_by_walks(search, t, cap):

@@ -10,7 +10,7 @@ import pytest
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, solvers
-from sumlab.partition import floor, refute, refute_sum_graph
+from sumlab.partition import floor, refute
 
 
 def _check_sum_graph(g, res):
@@ -386,9 +386,9 @@ def test_sum_floor_never_exceeds_brute_force(connected_by_n):
     for n in range(2, 6):
         for g in connected_by_n[n]:
             brute = _sigma_by_assignments(g, 10)
-            lower = floor(g, min(len(a) for a in g.adj), g.m + 1, sum_graph=True)
+            lower = floor(g, min(len(a) for a in g.adj), g.m + 1, "sum_graph")
             if brute is not None:
-                assert not refute_sum_graph(g, brute), sl.emit_graph6(g)
+                assert not refute(g, brute, "sum_graph"), sl.emit_graph6(g)
                 assert lower <= brute
                 equal += lower == brute
             res = sl.sum_number(g)
@@ -502,9 +502,9 @@ def test_refutation_spares_every_found_labelling(connected_by_n):
             lower = sl.best_sm_lower(g)
             for t in range(g.m + 1):
                 if t >= value:
-                    assert not refute(g, t, exclusive=True), (sl.emit_graph6(g), t)
+                    assert not refute(g, t, "exclusive"), (sl.emit_graph6(g), t)
                 elif t < lower:
-                    assert refute(g, t, exclusive=True), (sl.emit_graph6(g), t)
+                    assert refute(g, t, "exclusive"), (sl.emit_graph6(g), t)
 
 
 def _eps_by_label_search(g):
@@ -531,16 +531,17 @@ def test_refutation_proves_the_label_search_values(connected_by_n):
     above = 0
     for g in graphs:
         eps = _eps_by_label_search(g)
-        assert not refute(g, eps, exclusive=True), sl.emit_graph6(g)
+        assert not refute(g, eps, "exclusive"), sl.emit_graph6(g)
         if eps > sl.best_sm_lower(g):
             above += 1
-            assert refute(g, eps - 1, exclusive=True), sl.emit_graph6(g)
+            assert refute(g, eps - 1, "exclusive"), sl.emit_graph6(g)
         for _ in range(2):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = sl.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
             for t in (eps - 1, eps):
-                assert refute(h, t, True) == refute(g, t, True), (sl.emit_graph6(g), perm)
+                assert refute(h, t, "exclusive") == refute(g, t, "exclusive"), (
+                    sl.emit_graph6(g), perm)
     assert above > 0
 
 
