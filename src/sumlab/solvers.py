@@ -49,18 +49,16 @@ vertex labelled last contributes all its edge sums, so at least the least
 degree of the unplaced vertices.  At the placement that leaves one vertex
 unplaced, a look-ahead counts how many free sums that last vertex can still
 cover or reuse, which the next-to-last label decides through simple
-thresholds, and drops the labels that would leave too many isolated; when
-two or more labels are left, one further count settles the last vertex for
-all of them at once.  Each vertex that may take the next label shifts the
-label sets by its own placed neighbours' and non-neighbours' labels, and a
-count of at least one hit is an AND with the union of the masks.  The
-vertex labelled last also cuts labels earlier: the sums of its label y and
-its neighbours' labels are all isolated, so no two of those labels may
-differ by a label or an edge sum, and once a neighbour takes label x, every
-such difference below x is already known.  Twins take labels in vertex
-order.  Its witness is the first labelling in label-ascending order, at the
-reported r, within the cap of the pass that found it; there is no canonical
-pass.
+thresholds, and drops the labels that would leave too many isolated.  Each
+vertex that may take the next label shifts the label sets by its own placed
+neighbours' and non-neighbours' labels, and a count of at least one hit is
+an AND with the union of the masks.  The vertex labelled last also cuts
+labels earlier: the sums of its label y and its neighbours' labels are all
+isolated, so no two of those labels may differ by a label or an edge sum,
+and once a neighbour takes label x, every such difference below x is
+already known.  Twins take labels in vertex order.  Its witness is the
+first labelling in label-ascending order, at the reported r, within the cap
+of the pass that found it; there is no canonical pass.
 
 All four invariants share one ascent-and-escalation driver.  It ascends
 targets from a lower bound: ``best_df_lower`` (which includes half the
@@ -94,7 +92,6 @@ consecutive rounds; no search runs twice within one solve.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -746,39 +743,22 @@ class _AscendingSumSearch:
     T by its placed neighbours' labels, W by its placed non-neighbours'
     (which ``make_layer`` lists once per set of placed vertices).  The vertex
     placed last has all its edge sums above every label, so at least its
-    degree joins the isolated labels.  Four counts bound r, all applied to
+    degree joins the isolated labels.  Three counts bound r, all applied to
     the candidate masks: the free sums (T \\ S) left below the new label plus
     the last vertex's degree; all free sums after the placement less one per
     vertex still to come, where an at-least-k count on the masks keeps the
     labels x for which at least k of the new edge sums land on free sums (at
     k = 1 that is an AND with the union of the masks; above it, the labels
-    that miss at most len - k of them); and two at the placement of label x
-    by v that leaves one vertex w unplaced.  The first is a look-ahead: w's
-    label y > x covers at most one free sum, one above x, and its edge sum
-    y + q (q a placed neighbour's label) can reuse a free sum only below the
-    greatest free sum after x, max(F, x + M), with F the greatest free sum
-    before x and M the greatest label of the placing vertex's placed
-    neighbours; x + y never can.  So y + q may hit for every x when q < M and
-    only for x < F - q when q >= M.  These threshold masks join the
-    at-least-k count, which runs again over the labels that the second count
-    keeps.  Twins (N(u)\\{v} = N(v)\\{u}) take labels in index order.
-
-    The fourth count settles w for every label x at once.  Write P_v and P_w
-    for the labels of the placed neighbours of v and w, U for the free sums
-    and h(x) for the hits of x (x in U, x + p in T for p in P_v).  After
-    x, T' = T u (x + P_v), and the free sums U' lie in U u (x + P_v); x + y
-    is never an old sum, as x and y are the two greatest labels.  So w's
-    label y leaves |I| = |U| + |P_v| - h(x) + |P_w| + [v ~ w] - [y in U']
-    - |(y + P_w) n T'| isolated labels, and the last two terms are at most
-    A(y) + B(y - x): A(y) counts y in U and y + q in T for q in P_w, over
-    the labels that w's placed vertices allow; B(d) counts d in P_v and the
-    pairs p - q = d with p in P_v, q in P_w, the ways a new sum x + p can
-    be y or y + q.  x keeps its label only if some y > x has A(y) +
-    B(y - x) >= need - h(x), need = |U| + |P_v| + |P_w| + [v ~ w] - r:
-    at-least-k masks over x and over y give the test for all x at once,
-    y = x + d where B(d) > 0.  It is skipped when one label x is left,
-    where w's child call makes the same test with the exact sets and the
-    count would only add its cost.
+    that miss at most len - k of them); and a look-ahead at the placement of
+    label x by v that leaves one vertex w unplaced: w's label y > x covers at
+    most one free sum, one above x, and its edge sum y + q (q a placed
+    neighbour's label) can reuse a free sum only below the greatest free sum
+    after x, max(F, x + M), with F the greatest free sum before x and M the
+    greatest label of the placing vertex's placed neighbours; x + y never
+    can.  So y + q may hit for every x when q < M and only for x < F - q when
+    q >= M.  These threshold masks join the at-least-k count, which runs
+    again over the labels that the second count keeps.  Twins
+    (N(u)\\{v} = N(v)\\{u}) take labels in index order.
 
     A last cut comes from condition (ii) at the vertex w labelled last, with
     label y.  Each edge sum y + q, q the label of a neighbour of w, lies
@@ -793,7 +773,7 @@ class _AscendingSumSearch:
     out, that is, x lies in the AND over them of the OR of W << q over
     their placed neighbours' labels q.  ``make_layer`` keeps these vertices'
     placed neighbours per mover, and none when the cut cannot fire, and the
-    cut runs on the labels the first three counts keep, before the fourth.
+    cut runs on the labels the three counts keep.
     ``nodes_expanded`` counts the placements that survive the candidate
     masks, and ``sum_number``'s adds the nodes of its floor's refutation.
     The search finds the witness at and above the floor, and only where the
@@ -831,15 +811,15 @@ class _AscendingSumSearch:
         def make_layer(placed: int):
             """How many vertices stay unplaced after the next placement, and
             the vertices that may take the next label (a twin waits for its
-            lower-index twins), each with how many free sums may lie below
-            its label, the adjacency of the one vertex w left unplaced after
-            it, its and w's placed neighbours and non-neighbours (0 and none
-            unless exactly one is left), and the placed neighbours of each
-            vertex that can still be labelled last (none unless each is
-            adjacent to it and has one, as the cut needs): the free sums
-            below the new label stay isolated for good, and the vertex
-            labelled last adds its degree, at least the least degree among
-            the others unplaced."""
+            lower-index twins), each with how many free sums may lie below its
+            label, the adjacency of the one vertex w left unplaced after it (0
+            unless exactly one is left), its placed neighbours and
+            non-neighbours, w's placed neighbours (none unless exactly one is
+            left), and the placed neighbours of each vertex that can still be
+            labelled last (none unless each is adjacent to it and has one, as
+            the cut needs): the free sums below the new label stay isolated
+            for good, and the vertex labelled last adds its degree, at least
+            the least degree among the others unplaced."""
             unplaced = [v for v in range(n) if not placed >> v & 1]
             done = [u for u in range(n) if placed >> u & 1]
             split = [([u for u in done if adj[v] >> u & 1],
@@ -852,14 +832,14 @@ class _AscendingSumSearch:
                 last_deg = min((deg[u] for u in others), default=deg[v])
                 if last_deg <= r:
                     last_adj = adj[others[0]] if len(others) == 1 else 0
-                    w_split = split[others[0]] if len(others) == 1 else ([], [])
+                    w_nbrs = split[others[0]][0] if len(others) == 1 else []
                     lasts = [u for u in others
                              if not lower_twins >> u & 1 and deg[u] <= r]
                     if all(adj[v] >> u & 1 and adj[u] & placed for u in lasts):
                         lasts = [split[u][0] for u in lasts]
                     else:
                         lasts = []
-                    movers.append((v, r - last_deg, last_adj, *split[v], *w_split, lasts))
+                    movers.append((v, r - last_deg, last_adj, *split[v], w_nbrs, lasts))
             return len(unplaced) - 1, movers
 
         def at_least(c: int, masks: list[int], k: int) -> int:
@@ -902,7 +882,7 @@ class _AscendingSumSearch:
             w_set = s_set | t_set
             cands = []
             union = 0
-            for v, spare, aw, v_nbrs, v_non, w_nbrs, w_non, lasts in movers:
+            for v, spare, aw, v_nbrs, v_non, w_nbrs, lasts in movers:
                 # N and T shifted down by the labels of v's placed neighbours,
                 # W by those of its placed non-neighbours
                 bad = nbr = 0
@@ -964,37 +944,6 @@ class _AscendingSumSearch:
                         if not cut:
                             break
                     c &= ~cut
-                if remaining == 1 and c & (c - 1):
-                    # Settle w for every label x left at once (class
-                    # docstring): w's label y > x makes at most A(y) +
-                    # B(y - x) hits.  a[k] holds the labels y that w's placed
-                    # vertices allow with A(y) >= k; b[d] = B(d) counts d in
-                    # P_v, the labels of v's placed neighbours, and the pairs
-                    # p - q = d with p in P_v, q in P_w, the labels of w's.
-                    pv = [lab[u] for u in v_nbrs]
-                    pw = [lab[u] for u in w_nbrs]
-                    ys = [free]
-                    y0 = labels_mask & ~nes
-                    for q in pw:
-                        ys.append(t_set >> q)
-                        y0 &= ~(nes >> q)
-                    for u in w_non:
-                        y0 &= ~(w_set >> lab[u])
-                    b = Counter(pv)
-                    b.update(p - q for p in pv for q in pw if p > q)
-                    need = max(n_free + len(pv) + len(pw) + (aw >> v & 1) - r, 0)
-                    a = [at_least(y0, ys, k) for k in range(len(ys) + 1)] + [0] * need
-                    keep = 0
-                    # x with j hits of its own keeps its label when some y > x
-                    # has A(y) + B(y - x) >= need - j
-                    for j in range(min(need, len(pv) + 1) + 1):
-                        xs = at_least(c, hits[:len(pv) + 1], j)
-                        k = need - j
-                        ok = (1 << max(a[k].bit_length() - 1, 0)) - 1
-                        for d, bd in b.items():
-                            ok |= a[max(k - bd, 0)] >> d
-                        keep |= xs & ok
-                    c = keep
                 if c:
                     cands.append((placed | 1 << v, v, c, nbr, s_set ^ nbr))
                     union |= c

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, graphs, solvers
-from sumlab.partition import _step, floor, refute
+from sumlab.partition import _step, _sum_graph, floor, refute
 
 
 def _observed(g, res, kind):
@@ -512,7 +512,7 @@ def test_real_solvers_prove_only_value_minus_one(monkeypatch):
     assert (res.value, res.exhaustive_within_range, res.range_free) == (5, True, True)
     assert calls == [(5, 16)]
     assert [res.witness.as_dict()[v] for v in range(4)] == [1, 4, 7, 10]
-    assert res.nodes_expanded == 458
+    assert res.nodes_expanded == 459
     # Es^w: best_df_lower 3, the cheap pass (cap 12) fails at 3 and finds 4,
     # and the one full-range proof (cap n(n-1)/2 + n = 21) is t = 3
     calls.clear()
@@ -656,6 +656,24 @@ def test_refutation_matches_rank_oracle(connected_by_n):
             if passes:
                 break
             t += 1
+
+
+def test_sum_graph_conditions_on_concrete_labels():
+    # two "sum_graph" conditions that decide no refutation on n <= 5, so the
+    # rank oracle cannot see them: on the path 0 - 1 - 2, with label 3 the
+    # zero form and counted classes keyed by the edges 01 and 12, fits gives
+    # the non-edge sums only when no non-edge sum lies in W and no isolated
+    # sum repeats a label
+    non_edges = [(0, 2)]
+    fits, _ = _sum_graph(3, non_edges, [(0, 1), (1, 2)])
+    assert fits([1, 5, 3, 0]) == {4}
+    # the non-edge sum 1 + 3 is the label 4
+    assert fits([1, 4, 3, 0]) is None
+    # one counted class, whose sum 2 + 3 is the label 5; no other condition
+    # fails, as the non-edge sum 7 and 5 + 2, 5 + 3 lie outside W = {2, 3, 5}
+    fits, _ = _sum_graph(3, non_edges, [(0, 1)])
+    assert fits([2, 3, 9, 0]) == {11}
+    assert fits([2, 3, 5, 0]) is None
 
 
 def test_refute_rejects_an_unknown_mode():
