@@ -108,25 +108,20 @@ def _step(labels: list[int], e: int, prev: int, s: int) -> tuple[list[int], int]
     return [(p * x - (((x + lift) >> q & mask) - half) * e) // prev for x in labels], p
 
 
-# Each mode's conditions, built per call from n, the non-edges and the live
-# list of class keys: ``fits(labels)``, after an equation, gives the non-edge
-# sums, or None when a condition fails, distinct labels included;
-# ``opens(labels)``, with a counted class just keyed whose sum is no non-edge
-# sum, tells whether the conditions still hold.
+# Each mode's conditions besides distinct labels, which ``refute`` checks
+# itself (in "sum_graph" the zero form among them makes them nonzero too),
+# built per call from n, the non-edges and the live list of class keys:
+# ``fits(labels)``, after an equation, gives the non-edge sums, or None when
+# a condition fails; ``opens(labels)``, with a counted class just keyed
+# whose sum is no non-edge sum, tells whether the conditions still hold.
 
 def _sum(n: int, non_edges, keys):
     no_sums = frozenset()
-
-    def fits(labels: list[int]):
-        return no_sums if len(set(labels)) == n else None
-
-    return fits, lambda labels: True
+    return (lambda labels: no_sums), lambda labels: True
 
 
 def _exclusive(n: int, non_edges, keys):
     def fits(labels: list[int]):
-        if len(set(labels)) < n:
-            return None
         nsums = {labels[u] + labels[v] for u, v in non_edges}
         return None if any(labels[a] + labels[b] in nsums for a, b in keys) else nsums
 
@@ -138,7 +133,6 @@ def _sum_graph(n: int, non_edges, keys):
         sums = [labels[a] + labels[b] for a, b in keys if b < n]  # the isolated sums
         w = set(labels)
         w.update(sums)
-        # the n labels, the zero form and the isolated sums all distinct
         if len(w) <= n + len(sums):
             return None
         w.discard(0)
@@ -186,7 +180,7 @@ def refute(g: Graph, t: int, mode: str, tick: Callable[[], None] = lambda: None)
             e = here - labels[a] - labels[b]
             if e:
                 nlabels, p = _step(labels, e, prev, s)
-                if (nnsums := fits(nlabels)) is None:
+                if len(set(nlabels)) < len(nlabels) or (nnsums := fits(nlabels)) is None:
                     continue
             else:
                 nlabels, p, nnsums = labels, prev, nsums
@@ -202,7 +196,7 @@ def refute(g: Graph, t: int, mode: str, tick: Callable[[], None] = lambda: None)
             e = here - labels[w]
             if e:
                 nlabels, p = _step(labels, e, prev, s)
-                if (nnsums := fits(nlabels)) is None:
+                if len(set(nlabels)) < len(nlabels) or (nnsums := fits(nlabels)) is None:
                     continue
             else:
                 nlabels, p, nnsums = labels, prev, nsums

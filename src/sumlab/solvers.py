@@ -974,7 +974,10 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     at any label range has fewer isolated labels.  A value at that floor is
     flagged ``range_free``; any other is an upper bound exhaustive within
     the range.  A node budget that runs out before any labelling is found,
-    in the floor search too, raises SolverError.
+    in the floor search too, raises SolverError.  The label search keeps a
+    cut only where it saves CPU, so its nodes are cheap and many: on EqzW
+    and EujO a budget of 50,000 raises, while unbudgeted they need about
+    60,000 nodes and 0.2–0.3 CPU s.
     """
     _require_connected(g, "sum_number")
     cfg = cfg or SearchConfig()

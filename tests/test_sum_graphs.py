@@ -429,8 +429,8 @@ def test_sum_number_results_are_pinned(connected_by_n):
 def test_sum_number_budget_in_full_range_proof_flags_upper_bound(monkeypatch):
     # EsXg: the floor is 1 (18 nodes), below the label search's 2, so the
     # descent runs.  The cheap pass at cap 24 fails at r = 1 and finds 2 by
-    # node 59,881; the one full-range search, r = 1 over 1..144, takes over
-    # 13M nodes, so a budget of 80,000 cuts it and flags the upper bound
+    # node 59,881; the one full-range search, r = 1 over 1..144, takes
+    # 13,037,832 nodes, so a budget of 80,000 cuts it and flags the upper bound
     calls = []
     real = solvers._AscendingSumSearch.search
 
