@@ -104,13 +104,12 @@ def _sm_lower(g: Graph, counts: dict[int, int]) -> int:
     eigenvalues' L-norm is at most their 2k-norm.  A bipartite graph has
     no odd cycle.
     """
-    best = max([max(map(len, g.adj), default=0), sum_degree_bound(g)]
-               + [_odd_cycle_int(k, s) for k, s in counts.items()])
-    if is_bipartite(g).bipartite:
-        return best
     n = g.n
     adj = g.adj
     top = max(map(len, adj), default=0)
+    best = max([top, sum_degree_bound(g)] + [_odd_cycle_int(k, s) for k, s in counts.items()])
+    if is_bipartite(g).bipartite:
+        return best
     walks, power = None, 0  # A^power
     for k in range(len(counts) + 1, (n - 1) // 2 + 1):
         length = 2 * k + 1

@@ -35,19 +35,20 @@ it.
 
 The search takes the edges in the order in which the label search of
 ``solvers`` fixes their values: by the ``branch_order`` positions of their
-later and then their earlier end.  Each edge joins a class that shares no
-end with it, in the order the classes opened; then, in ``"sum_graph"``,
-opens the label class of a vertex w off the edge that has none yet, in
-vertex order; then opens a counted class, if fewer than t are open.  Two
-adjacent edges with equal sums would give two vertices equal labels, or
-one the label 0, so a class is a matching (w counts as an end of its label
-class), checked before any algebra.  Counted classes are numbered by first
-use and label classes keyed by w, so each typed partition is searched
-once.  A search node, in every mode, is an assignment of an edge to a
-class, open or new, that passes that end check, and it checks the
-conditions unless its equation is already implied and no form changes.  A
-prefix that fails fails in every extension, as extensions only add
-equations and conditions.
+later and then their earlier end.  In ``"sum_graph"`` the n label classes
+exist from the root, as a class with no edges imposes no equation.  Each
+edge joins a class that shares no end with it, the counted classes in the
+order they opened and then the label classes in vertex order, and then
+opens a counted class, if fewer than t are open.  Two adjacent edges with
+equal sums would give two vertices equal labels, or one the label 0, so a
+class is a matching (w counts as an end of its label class), checked
+before any algebra.  Counted classes are numbered by first use and label
+classes keyed by w, so each typed partition is searched once.  A search
+node, in every mode, is an assignment of an edge to a class, open or new,
+that passes that end check, and it checks the conditions unless its
+equation is already implied and no form changes.  A prefix that fails
+fails in every extension, as extensions only add equations and
+conditions.
 
 Each label is kept as an integer linear form in free coordinates x_j that
 parametrise V, so that a normal w lies in R exactly when the form
@@ -144,7 +145,7 @@ def _sum_graph(n: int, non_edges, keys):
     return fits, lambda labels: fits(labels) is not None
 
 
-# mode: its conditions, and whether label classes open
+# mode: its conditions, and whether it has label classes
 _MODES = {"sum": (_sum, False), "exclusive": (_exclusive, False), "sum_graph": (_sum_graph, True)}
 
 
@@ -160,14 +161,15 @@ def refute(g: Graph, t: int, mode: str, tick: Callable[[], None] = lambda: None)
     s = n + 3
     edges = _branch_edges(g)
     non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
-    keys: list[tuple[int, int]] = []  # each class's first edge, or (w, n) for w's label class
-    masks: list[int] = []  # each class's ends
+    # each class's first edge, or (w, n) for w's label class: counted classes
+    # in opening order, then the label classes in vertex order
+    keys: list[tuple[int, int]] = [(w, n) for w in range(n)] if typed else []
+    masks = [1 << w for w, _ in keys]  # each class's ends
     fits, opens = conditions(n, non_edges, keys)
-    wings = range(n) if typed else ()  # the vertices whose label class may open
 
     # labels: the packed forms; prev: the last pivot; nsums: non-edge sums;
-    # keyed: the vertices whose label class is open; room: counted classes left
-    def dfs(i: int, labels: list[int], prev: int, nsums, keyed: int, room: int) -> bool:
+    # room: counted classes left
+    def dfs(i: int, labels: list[int], prev: int, nsums, room: int) -> bool:
         if i == len(edges):
             return True
         c, d = edges[i]
@@ -185,42 +187,24 @@ def refute(g: Graph, t: int, mode: str, tick: Callable[[], None] = lambda: None)
             else:
                 nlabels, p, nnsums = labels, prev, nsums
             masks[k] |= ends
-            found = dfs(i + 1, nlabels, p, nnsums, keyed, room)
+            found = dfs(i + 1, nlabels, p, nnsums, room)
             masks[k] ^= ends
-            if found:
-                return True
-        for w in wings:
-            if (keyed | ends) >> w & 1:
-                continue
-            tick()
-            e = here - labels[w]
-            if e:
-                nlabels, p = _step(labels, e, prev, s)
-                if len(set(nlabels)) < len(nlabels) or (nnsums := fits(nlabels)) is None:
-                    continue
-            else:
-                nlabels, p, nnsums = labels, prev, nsums
-            keys.append((w, n))
-            masks.append(ends | 1 << w)
-            found = dfs(i + 1, nlabels, p, nnsums, keyed | 1 << w, room)
-            keys.pop()
-            masks.pop()
             if found:
                 return True
         if room > 0:
             tick()
-            keys.append((c, d))
-            masks.append(ends)
+            at = len(keys) - n * typed
+            keys.insert(at, (c, d))
+            masks.insert(at, ends)
             found = here not in nsums and opens(labels) and dfs(
-                i + 1, labels, prev, nsums, keyed, room - 1)
-            keys.pop()
-            masks.pop()
+                i + 1, labels, prev, nsums, room - 1)
+            del keys[at], masks[at]
             if found:
                 return True
         return False
 
     labels = [1 << s * u for u in range(n)] + [0] * typed
-    return not dfs(0, labels, 1, fits(labels), 0, t)
+    return not dfs(0, labels, 1, fits(labels), t)
 
 
 def floor(g: Graph, lower: int, limit: int, mode: str,

@@ -663,17 +663,20 @@ def test_sum_graph_conditions_on_concrete_labels():
     # rank oracle cannot see them: on the path 0 - 1 - 2, with label 3 the
     # zero form and counted classes keyed by the edges 01 and 12, fits gives
     # the non-edge sums only when no non-edge sum lies in W and no isolated
-    # sum repeats a label
+    # sum repeats a label.  refute keys the label classes (w, 3) from the
+    # root, and fits must skip them, so each case runs with and without them
     non_edges = [(0, 2)]
-    fits, _ = _sum_graph(3, non_edges, [(0, 1), (1, 2)])
-    assert fits([1, 5, 3, 0]) == {4}
-    # the non-edge sum 1 + 3 is the label 4
-    assert fits([1, 4, 3, 0]) is None
-    # one counted class, whose sum 2 + 3 is the label 5; no other condition
-    # fails, as the non-edge sum 7 and 5 + 2, 5 + 3 lie outside W = {2, 3, 5}
-    fits, _ = _sum_graph(3, non_edges, [(0, 1)])
-    assert fits([2, 3, 9, 0]) == {11}
-    assert fits([2, 3, 5, 0]) is None
+    for label_classes in ([], [(0, 3), (1, 3), (2, 3)]):
+        fits, _ = _sum_graph(3, non_edges, [(0, 1), (1, 2)] + label_classes)
+        assert fits([1, 5, 3, 0]) == {4}
+        # the non-edge sum 1 + 3 is the label 4
+        assert fits([1, 4, 3, 0]) is None
+        # one counted class, whose sum 2 + 3 is the label 5; no other
+        # condition fails, as the non-edge sum 7 and 5 + 2, 5 + 3 lie
+        # outside W = {2, 3, 5}
+        fits, _ = _sum_graph(3, non_edges, [(0, 1)] + label_classes)
+        assert fits([2, 3, 9, 0]) == {11}
+        assert fits([2, 3, 5, 0]) is None
 
 
 def test_refute_rejects_an_unknown_mode():
@@ -809,14 +812,17 @@ def test_sum_floor_invariant_under_relabelling(connected_by_n, data):
 
 @pytest.mark.parametrize(
     "mode,top,expect",
-    [("sum", 6, (642, 4_476)), ("exclusive", 6, (648, 6_170)), ("sum_graph", 5, (70, 12_551))],
+    [("sum", 6, (642, 3_305, 1_171)), ("exclusive", 6, (648, 4_329, 1_841)),
+     ("sum_graph", 5, (70, 9_804, 2_749))],
 )
 def test_floor_trees_are_pinned(connected_by_n, mode, top, expect):
     # floor as the solvers call it, on every connected graph with
-    # 2 <= n <= top: the sum of the floors and the refutation's nodes, so
-    # that its trees are pinned apart from the label searches
-    ticks = count()
-    total = 0
+    # 2 <= n <= top: the sum of the floors, the nodes of the refutations
+    # that rule a target out, and those of the search that passes at the
+    # floor, so that its trees are pinned apart from the label searches.  A
+    # refutation that rules a target out visits its whole tree, so only the
+    # passing count follows the order in which the search tries children
+    total = refuted = passing = 0
     for g in (g for n in range(2, top + 1) for g in connected_by_n[n]):
         if mode == "sum_graph":
             lower, limit = min(len(a) for a in g.adj), g.m + 1
@@ -825,8 +831,15 @@ def test_floor_trees_are_pinned(connected_by_n, mode, top, expect):
             lower, limit = sl.best_sm_lower(g), upper
         else:
             lower, limit = sl.best_sm_lower(g), g.m + 1
-        total += floor(g, lower, limit, mode, ticks.__next__)
-    assert (total, next(ticks)) == expect
+        ticks, passed = count(), count()
+        t = floor(g, lower, limit, mode, ticks.__next__)
+        if t < limit:
+            assert not refute(g, t, mode, passed.__next__)
+        p = next(passed)
+        total += t
+        refuted += next(ticks) - p
+        passing += p
+    assert (total, refuted, passing) == expect
 
 
 def _least_by_walks(search, t, cap):

@@ -422,8 +422,8 @@ def test_sum_number_results_are_pinned(connected_by_n):
         limited += not rec["exhaustive"]
         lines.append(json.dumps(rec, sort_keys=True))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "5f06f35b598b25dff3db51d4e0070c2afea072abcbdade7220cee4a712803efe"
-    assert (nodes, errors, limited) == (20_917, 0, 0)
+    assert digest == "0cf7ac238375d49a6a06731113e006b3df16fbf747106116b0ea998540120863"
+    assert (nodes, errors, limited) == (20_919, 0, 0)
 
 
 def test_sum_number_budget_in_full_range_proof_flags_upper_bound(monkeypatch):
