@@ -143,25 +143,18 @@ def branch_order(g: Graph, start: int | None = None) -> list[int]:
     n = g.n
     if n == 0:
         return []
-    degs = [len(a) for a in g.adj]
+    # (ordered neighbours, degree, -index) as the digits of one int in base n
+    key = [len(a) * n + n - 1 - v for v, a in enumerate(g.adj)]
     if start is None:
-        start = max(range(n), key=lambda v: (degs[v], -v))
+        start = max(range(n), key=key.__getitem__)
     order = [start]
-    placed = [False] * n
-    placed[start] = True
-    cnt = [0] * n
-    for w in g.adj[start]:
-        cnt[w] += 1
-    for _ in range(n - 1):
-        nxt = max(
-            (v for v in range(n) if not placed[v]),
-            key=lambda v: (cnt[v], degs[v], -v),
-        )
+    rest = [v for v in range(n) if v != start]
+    while rest:
+        for w in g.adj[order[-1]]:
+            key[w] += n * n
+        nxt = max(rest, key=key.__getitem__)
         order.append(nxt)
-        placed[nxt] = True
-        for w in g.adj[nxt]:
-            if not placed[w]:
-                cnt[w] += 1
+        rest.remove(nxt)
     return order
 
 

@@ -50,6 +50,23 @@ equation is already implied and no form changes.  A prefix that fails
 fails in every extension, as extensions only add equations and
 conditions.
 
+A graph automorphism maps each partition to one that passes exactly when
+it does, as the conditions, the matching rule and the count of counted
+classes are invariant under relabelling the vertices.  So the search also
+cuts all but the least partition of each orbit of twin swaps (a lex-leader
+constraint; Crawford, Ginsberg, Luks and Roy, KR 1996).  Let c be the
+class vector in edge order, counted classes by their number, below the
+label classes, which are ranked by w.  For each vertex v with a twin below
+it (``twins_below``), the swap of v with its nearest twin below maps c to
+a vector renumbered by first use, w's label class going to that of w's
+image.  A child is cut, after its end check, when the image prefix that
+its own prefix determines is less than c over the same edges; each swap
+is checked only where that prefix grows, and only while the two are tied.
+Sound for any set of automorphisms: the least passing partition is no
+greater than any of its images, which pass too, and each of its prefixes
+passes the search's own checks, which only drop equations and classes
+from the full check, so it is never cut and no answer changes.
+
 Each label is kept as an integer linear form in free coordinates x_j that
 parametrise V, so that a normal w lies in R exactly when the form
 sum_u w_u f_u is zero, packed into one int, its value at x_j = B^j: the
@@ -84,15 +101,17 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .graphs import Graph, branch_order
+from .graphs import Graph, branch_order, twins_below
 
 
 def _branch_edges(g: Graph) -> list[tuple[int, int]]:
     """The edges of g by the ``branch_order`` positions of their later and
     then their earlier end: the order in which the label search fixes each
     edge's value, so that edges sharing an end come close together."""
-    pos = {v: i for i, v in enumerate(branch_order(g))}
-    return sorted(g.edges, key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]])))
+    bit = [0] * g.n  # 1 << position, so that an edge's key orders its later end first
+    for i, v in enumerate(branch_order(g)):
+        bit[v] = 1 << i
+    return sorted(g.edges, key=lambda e: bit[e[0]] | bit[e[1]])
 
 
 def _step(labels: list[int], e: int, prev: int, s: int) -> tuple[list[int], int]:
@@ -111,7 +130,7 @@ def _step(labels: list[int], e: int, prev: int, s: int) -> tuple[list[int], int]
 
 # Each mode's conditions besides distinct labels, which ``refute`` checks
 # itself (in "sum_graph" the zero form among them makes them nonzero too),
-# built per call from n, the non-edges and the live list of class keys:
+# built once per graph from n, the non-edges and the live list of class keys:
 # ``fits(labels)``, after an equation, gives the non-edge sums, or None when
 # a condition fails; ``opens(labels)``, with a counted class just keyed
 # whose sum is no non-edge sum, tells whether the conditions still hold.
@@ -149,36 +168,108 @@ def _sum_graph(n: int, non_edges, keys):
 _MODES = {"sum": (_sum, False), "exclusive": (_exclusive, False), "sum_graph": (_sum_graph, True)}
 
 
-def refute(g: Graph, t: int, mode: str, tick: Callable[[], None] = lambda: None) -> bool:
-    """True when no labelling of g in ``mode`` at any label range has at
-    most t counted values (edge sums; isolated labels in ``"sum_graph"``),
-    False when a typed partition passes.  ``tick`` is called once per
-    search node."""
+def _refuter(g: Graph, mode: str) -> Callable[[int, Callable[[], None]], bool]:
+    """``refute`` on g in ``mode`` as a function of t and tick, with the
+    edge order, the non-edges and the twin swaps' checks built once."""
     if mode not in _MODES:
         raise ValueError(f"unknown refutation mode {mode!r}")
     conditions, typed = _MODES[mode]
     n = g.n
     s = n + 3
     edges = _branch_edges(g)
-    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    m = len(edges)
+    adj = [0] * n
+    at = [0] * (n * n)  # at[a * n + b]: the position of edge ab
+    for i, (a, b) in enumerate(edges):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        at[a * n + b] = at[b * n + a] = i
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not adj[u] >> v & 1]
+    # Each edge's class is kept in cls: its number by first use if counted,
+    # m + w for w's label class.  Swap k's image of the class vector holds at
+    # position j the class of edge image[j], label classes mapped by smap;
+    # its prefix up to j is known once the edges up to the greatest
+    # image[0..j] are, so checks[i] holds (1 << k, k, pairs, smap) for each
+    # swap whose known prefix grows at edge i, pairs being the new (j, image[j]).
+    cls = [0] * m
+    checks: list[list[tuple]] = [[] for _ in edges]
+    swaps = 0
+    for v, below in enumerate(twins_below(adj)):
+        if below:
+            u = below.bit_length() - 1
+            image = list(range(m))
+            for x in g.adj[u]:
+                if x != v:
+                    image[at[u * n + x]], image[at[v * n + x]] = at[v * n + x], at[u * n + x]
+            smap = list(range(m + n))
+            smap[m + u], smap[m + v] = m + v, m + u
+            top, pairs = 0, []
+            for j, e in enumerate(image):
+                if e > top:
+                    if pairs:
+                        checks[top].append((1 << swaps, swaps, pairs, smap))
+                    top, pairs = e, []
+                pairs.append((j, e))
+            checks[top].append((1 << swaps, swaps, pairs, smap))
+            swaps += 1
+
+    def lex(rows: list, tied: int, rens: list):
+        """tied and rens after rows' checks, or None when an image prefix is
+        less than the class prefix; rens[k] lists the counted classes in the
+        order swap k's image first uses them."""
+        new = rens
+        for bit, k, pairs, smap in rows:
+            if tied & bit:
+                ren = rens[k]
+                for j, e in pairs:
+                    x = cls[e]
+                    if x >= m:
+                        x = smap[x]
+                    elif x in ren:
+                        x = ren.index(x)
+                    else:
+                        ren += (x,)
+                        x = len(ren) - 1
+                    if x != cls[j]:
+                        if x < cls[j]:
+                            return None
+                        tied ^= bit
+                        break
+                else:
+                    if ren is not rens[k]:
+                        if new is rens:
+                            new = rens.copy()
+                        new[k] = ren
+        return tied, new
+
     # each class's first edge, or (w, n) for w's label class: counted classes
-    # in opening order, then the label classes in vertex order
+    # in opening order, then the label classes in vertex order; the search
+    # restores both lists before it returns, and a refuter whose tick raised
+    # is not called again
     keys: list[tuple[int, int]] = [(w, n) for w in range(n)] if typed else []
     masks = [1 << w for w, _ in keys]  # each class's ends
     fits, opens = conditions(n, non_edges, keys)
+    tick: Callable[[], None]  # the current call's
 
     # labels: the packed forms; prev: the last pivot; nsums: non-edge sums;
-    # room: counted classes left
-    def dfs(i: int, labels: list[int], prev: int, nsums, room: int) -> bool:
-        if i == len(edges):
+    # room: counted classes left; tied: the swaps whose known image prefix
+    # equals the class prefix so far
+    def dfs(i: int, labels: list[int], prev: int, nsums, room: int, tied: int, rens) -> bool:
+        if i == m:
             return True
         c, d = edges[i]
         ends = 1 << c | 1 << d
         here = labels[c] + labels[d]
+        opened = len(keys) - n * typed
+        rows = checks[i] if tied else None
+        after = tied, rens
         for k, (a, b) in enumerate(keys):
             if masks[k] & ends:
                 continue
             tick()
+            cls[i] = k if k < opened else m + a
+            if rows and (after := lex(rows, tied, rens)) is None:
+                continue
             e = here - labels[a] - labels[b]
             if e:
                 nlabels, p = _step(labels, e, prev, s)
@@ -187,24 +278,41 @@ def refute(g: Graph, t: int, mode: str, tick: Callable[[], None] = lambda: None)
             else:
                 nlabels, p, nnsums = labels, prev, nsums
             masks[k] |= ends
-            found = dfs(i + 1, nlabels, p, nnsums, room)
+            found = dfs(i + 1, nlabels, p, nnsums, room, *after)
             masks[k] ^= ends
             if found:
                 return True
         if room > 0:
             tick()
-            at = len(keys) - n * typed
-            keys.insert(at, (c, d))
-            masks.insert(at, ends)
+            cls[i] = opened
+            if rows and (after := lex(rows, tied, rens)) is None:
+                return False
+            keys.insert(opened, (c, d))
+            masks.insert(opened, ends)
             found = here not in nsums and opens(labels) and dfs(
-                i + 1, labels, prev, nsums, room - 1)
-            del keys[at], masks[at]
+                i + 1, labels, prev, nsums, room - 1, *after)
+            del keys[opened], masks[opened]
             if found:
                 return True
         return False
 
     labels = [1 << s * u for u in range(n)] + [0] * typed
-    return not dfs(0, labels, 1, fits(labels), t)
+    nsums = fits(labels)
+
+    def refute_at(t: int, ticks: Callable[[], None]) -> bool:
+        nonlocal tick
+        tick = ticks
+        return not dfs(0, labels, 1, nsums, t, (1 << swaps) - 1, [()] * swaps)
+
+    return refute_at
+
+
+def refute(g: Graph, t: int, mode: str, tick: Callable[[], None] = lambda: None) -> bool:
+    """True when no labelling of g in ``mode`` at any label range has at
+    most t counted values (edge sums; isolated labels in ``"sum_graph"``),
+    False when a typed partition passes.  ``tick`` is called once per
+    search node."""
+    return _refuter(g, mode)(t, tick)
 
 
 def floor(g: Graph, lower: int, limit: int, mode: str,
@@ -213,6 +321,8 @@ def floor(g: Graph, lower: int, limit: int, mode: str,
     rule out, or limit when it rules out all of them (limit is a value some
     labelling is known to reach, so it needs no search).  No labelling at
     any range reaches a target below the result."""
-    while lower < limit and refute(g, lower, mode, tick):
-        lower += 1
+    if lower < limit:
+        refute_at = _refuter(g, mode)
+        while lower < limit and refute_at(lower, tick):
+            lower += 1
     return lower

@@ -975,9 +975,9 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     flagged ``range_free``; any other is an upper bound exhaustive within
     the range.  A node budget that runs out before any labelling is found,
     in the floor search too, raises SolverError.  The label search keeps a
-    cut only where it saves CPU, so its nodes are cheap and many: on EqzW
-    and EujO a budget of 50,000 raises, while unbudgeted they need about
-    60,000 nodes and 0.2–0.3 CPU s.
+    cut only where it saves CPU, so its nodes are cheap and many: on Esqo
+    and Eqnw a budget of 50,000 raises, while unbudgeted they need about
+    53,000 and 61,000 nodes and 0.2–0.4 CPU s.
     """
     _require_connected(g, "sum_number")
     cfg = cfg or SearchConfig()

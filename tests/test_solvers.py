@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
-from sumlab import LabelKind, SearchConfig, SolverError, graphs, solvers
+from sumlab import LabelKind, SearchConfig, SolverError, graphs, partition, solvers
 from sumlab.partition import _step, _sum_graph, floor, refute
 
 
@@ -503,7 +503,7 @@ def _spy(monkeypatch, field="find"):
 
 
 def test_real_solvers_prove_only_value_minus_one(monkeypatch):
-    # K4: the typed-partition floor rules out r = 3 and 4 and passes 5 (423
+    # K4: the typed-partition floor rules out r = 3 and 4 and passes 5 (118
     # nodes), and the cheap pass (cap 16) finds 5 at the floor, so no
     # full-range search (cap 4n^2 = 64) runs; test_sum_graphs pins the
     # descent on EsXg
@@ -512,7 +512,7 @@ def test_real_solvers_prove_only_value_minus_one(monkeypatch):
     assert (res.value, res.exhaustive_within_range, res.range_free) == (5, True, True)
     assert calls == [(5, 16)]
     assert [res.witness.as_dict()[v] for v in range(4)] == [1, 4, 7, 10]
-    assert res.nodes_expanded == 459
+    assert res.nodes_expanded == 154
     # Es^w: best_df_lower 3, the cheap pass (cap 12) fails at 3 and finds 4,
     # and the one full-range proof (cap n(n-1)/2 + n = 21) is t = 3
     calls.clear()
@@ -684,6 +684,44 @@ def test_refute_rejects_an_unknown_mode():
         refute(sl.path_graph(3), 1, "signed")
 
 
+def _no_twins(adj):
+    return [0] * len(adj)
+
+
+def test_twin_cut_never_changes_a_refutation(connected_by_n, monkeypatch):
+    # the lex-leader cut on twin swaps keeps the orbit-least passing
+    # partition, so on every connected graph with 2 <= n <= 5 and in every
+    # mode, refute answers at each t from the mode's lower bound to the
+    # floor as it does when the twin source reports no twins.  So it does on
+    # EuvW's sum number, whose floor a cut that compared the image's counted
+    # classes without renumbering them by first use would raise from 6 to 7
+    cases = [(g, mode) for n in range(2, 6) for g in connected_by_n[n]
+             for mode in ("sum", "exclusive", "sum_graph")]
+    cases.append((sl.parse_graph6("EuvW"), "sum_graph"))
+    answers = []
+    for g, mode in cases:
+        lower = min(len(a) for a in g.adj) if mode == "sum_graph" else sl.best_sm_lower(g)
+        t = lower
+        while refute(g, t, mode):
+            t += 1
+        answers.append([(u, True) for u in range(lower, t)] + [(t, False)])
+    monkeypatch.setattr(partition, "twins_below", _no_twins)
+    for (g, mode), expect in zip(cases, answers):
+        assert [(t, refute(g, t, mode)) for t, _ in expect] == expect, (sl.emit_graph6(g), mode)
+
+
+def test_twin_cut_ticks_fewer_nodes_on_complete_graphs(monkeypatch):
+    def nodes(g):
+        ticks = count()
+        floor(g, g.n - 1, g.m + 1, "sum_graph", ticks.__next__)
+        return next(ticks)
+
+    graphs_ = [sl.complete_graph(4), sl.complete_graph(5)]
+    cut = [nodes(g) for g in graphs_]
+    monkeypatch.setattr(partition, "twins_below", _no_twins)
+    assert all(a < b for a, b in zip(cut, [nodes(g) for g in graphs_]))
+
+
 def _pack(form, s):
     return sum(x << s * j for j, x in enumerate(form))
 
@@ -812,8 +850,8 @@ def test_sum_floor_invariant_under_relabelling(connected_by_n, data):
 
 @pytest.mark.parametrize(
     "mode,top,expect",
-    [("sum", 6, (642, 3_305, 1_171)), ("exclusive", 6, (648, 4_329, 1_841)),
-     ("sum_graph", 5, (70, 9_804, 2_749))],
+    [("sum", 6, (642, 1_359, 1_163)), ("exclusive", 6, (648, 1_680, 1_833)),
+     ("sum_graph", 5, (70, 2_523, 1_253))],
 )
 def test_floor_trees_are_pinned(connected_by_n, mode, top, expect):
     # floor as the solvers call it, on every connected graph with
@@ -1075,9 +1113,9 @@ _TREE_PINS = {
     "K1,4": ("Ds_", (5, 5, 153, 153, 19, 19)),
     "K1,5": ("Esa?", (6, 6, 767, 301, 23, 23)),
     "K4-e": ("C}", (4, 4, 25, 25, 14, 14)),
-    "K2,3": ("D]o", (16, 16, 158, 158, 81, 81)),
+    "K2,3": ("D]o", (14, 14, 158, 158, 79, 79)),
     "Dr{": ("Dr{", (186, 186, 20, 20, 147, 147)),
-    "Esxw": ("Esxw", (880, 301, 328, 301, 593, 301)),
+    "Esxw": ("Esxw", (875, 301, 328, 301, 588, 301)),
     # twin-free
     "C5": ("Dhc", (253, 253, 5, 5, 181, 181)),
     "C6": ("EhEG", (102, 102, 6, 6, 73, 73)),
@@ -1118,4 +1156,4 @@ def test_exclusive_results_are_pinned(connected_by_n):
         lines.append(json.dumps(rec, sort_keys=True))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "8f0e575780c509b72c632ae29d923ac79e973e6b586cda8e41724d06a97cc217"
-    assert nodes == 84_479
+    assert nodes == 81_822

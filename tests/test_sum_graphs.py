@@ -369,10 +369,10 @@ def test_sum_number_search_tree_of_k5_is_pinned():
     counter = solvers._NodeCounter(None)
     assert solvers._AscendingSumSearch(sl.complete_graph(5), counter).search(6, 40) is None
     assert counter.nodes == 12_827
-    # the solve: 3,672 floor nodes, then the cheap pass finds 7 at the floor
+    # the solve: 498 floor nodes, then the cheap pass finds 7 at the floor
     res = sl.sum_number(sl.complete_graph(5), SearchConfig(label_bound=40))
     assert (res.value, res.exhaustive_within_range, res.range_free) == (7, True, True)
-    assert res.nodes_expanded == 3_759
+    assert res.nodes_expanded == 585
 
 
 def test_sum_floor_never_exceeds_brute_force(connected_by_n):
@@ -422,8 +422,8 @@ def test_sum_number_results_are_pinned(connected_by_n):
         limited += not rec["exhaustive"]
         lines.append(json.dumps(rec, sort_keys=True))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "0cf7ac238375d49a6a06731113e006b3df16fbf747106116b0ea998540120863"
-    assert (nodes, errors, limited) == (20_919, 0, 0)
+    assert digest == "d3428db9ea92e5d931e2bc3be5dd78234069bb3d43b7eb1857b7ca058747c3a0"
+    assert (nodes, errors, limited) == (12_142, 0, 0)
 
 
 def test_sum_number_budget_in_full_range_proof_flags_upper_bound(monkeypatch):
@@ -447,14 +447,14 @@ def test_sum_number_budget_in_full_range_proof_flags_upper_bound(monkeypatch):
 
 
 def test_exclusive_budget_in_full_range_proof_flags_upper_bound():
-    # eps(Ds{) = 5: refuting 4 and passing 5 take 21 nodes, the cheap pass at
+    # eps(Ds{) = 5: refuting 4 and passing 5 take 19 nodes, the cheap pass at
     # cap 2n = 10 finds S = (1, 2, 3, 9, 10) with 5 more, and making it
     # canonical at the same cap, S = (1, 2, 3, 4, 6), 12 more.  A budget cut in
-    # the canonical pass (26 cuts it at its first node, 37 at its last) leaves
+    # the canonical pass (24 cuts it at its first node, 35 at its last) leaves
     # the exact, range-free value with the raw witness, flagged as not
     # exhaustive.
     g = sl.parse_graph6("Ds{")
-    for budget in (26, 37):
+    for budget in (24, 35):
         res = sl.exclusive_sum_number(g, SearchConfig(node_budget=budget))
         assert (res.value, res.nodes_expanded) == (5, budget + 1)
         assert not res.exhaustive_within_range
@@ -463,7 +463,7 @@ def test_exclusive_budget_in_full_range_proof_flags_upper_bound():
         assert res.exclusive.S == (1, 2, 3, 9, 10)
         res.exclusive.validate(g)
     res = sl.exclusive_sum_number(g)
-    assert (res.exclusive.S, res.nodes_expanded) == ((1, 2, 3, 4, 6), 38)
+    assert (res.exclusive.S, res.nodes_expanded) == ((1, 2, 3, 4, 6), 36)
 
 
 def test_sum_number_escalates_out_of_small_range():
