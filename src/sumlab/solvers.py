@@ -17,8 +17,8 @@ order.  It offers each vertex its candidate labels in increasing order, and
 its callers differ only in the data they pass: the vertex order, the
 starting window, and which cut applies.  Its feasibility search places the
 vertices in ``graphs.branch_order``; the edge-partition refutation fixes
-edge values in the same order, and the greedy bound numbers the vertices
-in it.
+edge values in the same order, which the search hands it, and the greedy
+bound numbers the vertices in it.
 
 Candidate labels are generated as Python-int bitmasks, after the shift-
 register bitmaps of optimal Golomb ruler search (Rankin 1993): the labels a
@@ -40,25 +40,12 @@ reproducible regardless of scheduling.  ``_IndexSearch.least`` finds it
 with the same DFS: feasibility queries settle the first label, and a walk
 in vertex order finds the rest.
 
-The sum number has its own search, which places labels in increasing order
-and picks at each step the vertex that takes the next label.  An edge sum
-below the newest label that is not itself a label can never be covered, so
-isolated labels are counted as soon as they become permanent, and the
-isolated-label conditions are checked on each complete labelling; the
-vertex labelled last contributes all its edge sums, so at least the least
-degree of the unplaced vertices.  At the placement that leaves one vertex
-unplaced, a look-ahead counts how many free sums that last vertex can still
-cover or reuse, which the next-to-last label decides through simple
-thresholds, and drops the labels that would leave too many isolated.  Each
-vertex that may take the next label shifts the label sets by its own placed
-neighbours' and non-neighbours' labels, and a count of at least one hit is
-an AND with the union of the masks.  The vertex labelled last also cuts
-labels earlier: the sums of its label y and its neighbours' labels are all
-isolated, so no two of those labels may differ by a label or an edge sum,
-and once a neighbour takes label x, every such difference below x is
-already known.  Twins take labels in vertex order.  Its witness is the
-first labelling in label-ascending order, at the reported r, within the cap
-of the pass that found it; there is no canonical pass.
+The sum number has no label search of its own.  Its labellings with labels
+in 1..cap and at most r isolated labels are the integer points of the
+positive typed partitions that pass at r (``partition.points``): the first,
+in the partition search's order and then lexicographic in the free
+vertices' labels, that passes the sum-graph check here, which shares no
+code with ``partition``, is its witness.  There is no canonical pass.
 
 All four invariants share one ascent-and-escalation driver.  It ascends
 targets from a lower bound: ``best_df_lower`` (which includes half the
@@ -93,14 +80,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Callable
 
 from .bounds import best_df_lower, best_sm_lower
 from .graphs import Graph, branch_order, degree_sequence, is_connected, twins_below
 from .labelling import LabelKind, VertexLabelling
-from .partition import floor
+from .partition import floor, points, refuter
 
 
 class SolverError(ValueError):
@@ -136,7 +121,8 @@ class SearchConfig:
     non-exhaustive, or SolverError when none was found (only the sum number
     and exclusive sum number have no greedy labelling).  The refutations
     that find the sm, eps and sigma floors tick the same count, and a
-    result's ``nodes_expanded`` includes them.  A single solve is
+    result's ``nodes_expanded`` includes them; the sum number's walk over
+    a partition's integer points ticks none.  A single solve is
     sequential; corpus scans take their parallel width from
     ``scan_conjectures(workers=)``.
     """
@@ -644,7 +630,8 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
     spec = _Ascent(
         invariant=name,
         find=search.search,
-        lower=(lambda: floor(g, best_sm_lower(g), upper, "sum", counter.tick))
+        lower=(lambda: floor(g, best_sm_lower(g), upper, "sum", counter.tick,
+                             refuter(g, "sum", search.order)))
         if is_sum else lambda: best_df_lower(g),
         limit=upper,
         cheap_cap=2 * n,
@@ -708,7 +695,8 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     spec = _Ascent(
         invariant="exclusive_sum_number",
         find=search.search,
-        lower=lambda: floor(g, best_sm_lower(g), g.m + 1, "exclusive", counter.tick),
+        lower=lambda: floor(g, best_sm_lower(g), g.m + 1, "exclusive", counter.tick,
+                            refuter(g, "exclusive", search.order)),
         limit=g.m + 1,
         cheap_cap=2 * g.n,
         canonical=search.least,
@@ -722,248 +710,6 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
 # Sum number
 # ---------------------------------------------------------------------------
 
-class _AscendingSumSearch:
-    """Label-ascending DFS for labellings that make the graph plus r isolated
-    vertices a sum graph.
-
-    A labelling f of the graph's vertices extends to a sum labelling exactly
-    when, with S = f(V), T the edge-sum set and W = S u T, (i) no non-adjacent
-    pair of graph vertices sums into W, (ii) the isolated labels I = T \\ S
-    satisfy w + z not in W for every w in I, z in W \\ {w}, and (iii)
-    |I| <= r.  Extra isolated labels beyond T \\ S never help, so this is
-    exact.
-
-    Labels are placed in increasing order and each step picks the vertex that
-    takes the next label, so an edge sum below the newest label that is not a
-    label stays isolated for good.  S, T and the non-edge sums N are
-    Python-int bitmasks.  A vertex's candidates are the labels above the last
-    one, minus N, minus N shifted by each placed neighbour's label (an edge
-    sum on a non-edge sum) and minus W shifted by each placed non-neighbour's
-    label (a non-edge sum in W).  Each mover shifts only what it reads: N and
-    T by its placed neighbours' labels, W by its placed non-neighbours'
-    (which ``make_layer`` lists once per set of placed vertices).  The vertex
-    placed last has all its edge sums above every label, so at least its
-    degree joins the isolated labels.  Three counts bound r, all applied to
-    the candidate masks: the free sums (T \\ S) left below the new label plus
-    the last vertex's degree; all free sums after the placement less one per
-    vertex still to come, where an at-least-k count on the masks keeps the
-    labels x for which at least k of the new edge sums land on free sums (at
-    k = 1 that is an AND with the union of the masks; above it, the labels
-    that miss at most len - k of them); and a look-ahead at the placement of
-    label x by v that leaves one vertex w unplaced: w's label y > x covers at
-    most one free sum, one above x, and its edge sum y + q (q a placed
-    neighbour's label) can reuse a free sum only below the greatest free sum
-    after x, max(F, x + M), with F the greatest free sum before x and M the
-    greatest label of the placing vertex's placed neighbours; x + y never
-    can.  So y + q may hit for every x when q < M and only for x < F - q when
-    q >= M.  These threshold masks join the at-least-k count, which runs
-    again over the labels that the second count keeps.  Twins
-    (N(u)\\{v} = N(v)\\{u}) take labels in index order.
-
-    A last cut comes from condition (ii) at the vertex w labelled last, with
-    label y.  Each edge sum y + q, q the label of a neighbour of w, lies
-    above every label, so it is isolated.  If two such labels q < q' had
-    q' - q in W, then (y + q) + (q' - q) = y + q' would lie in W, with
-    q' - q < y + q, against (ii).  When v takes label x, every element of W
-    below x is final: a smaller label is placed, and a smaller sum is a sum
-    of two placed labels.  So if v ~ w, x - q in W for a placed neighbour q
-    of w already rules x out.  w is unknown, but it is unplaced, not v, has
-    no higher-index twin (twins are labelled in index order) and has degree
-    at most r; x is dropped when every such w is adjacent to v and rules it
-    out, that is, x lies in the AND over them of the OR of W << q over
-    their placed neighbours' labels q.  ``make_layer`` keeps these vertices'
-    placed neighbours per mover, and none when the cut cannot fire, and the
-    cut runs on the labels the three counts keep.
-    ``nodes_expanded`` counts the placements that survive the candidate
-    masks, and ``sum_number``'s adds the nodes of its floor's refutation.
-    The search finds the witness at and above the floor, and only where the
-    floor lies below the value does it run the full-range descent.
-    """
-
-    def __init__(self, g: Graph, counter: _NodeCounter):
-        n = g.n
-        adj = [sum(1 << u for u in g.adj[v]) for v in range(n)]
-        self.n = n
-        self.adj = adj
-        self.deg = [len(a) for a in g.adj]
-        # a twin waits for every lower-index twin, which breaks their symmetry
-        self.twins_before = twins_below(adj)
-        # the vertices with a higher-index twin, which are never labelled last
-        self.lower_twins = 0
-        for below in self.twins_before:
-            self.lower_twins |= below
-        self.counter = counter
-
-    def search(self, r: int, cap: int) -> list[int] | None:
-        """First labelling in label-ascending order with labels in {1..cap}
-        and at most r isolated labels, or None when there is none."""
-        n = self.n
-        if cap < n:
-            return None
-        adj, deg, twins_before = self.adj, self.deg, self.twins_before
-        lower_twins = self.lower_twins
-        counter = self.counter
-        everyone = (1 << n) - 1
-        labels_mask = (1 << (cap + 1)) - 2
-        lab = [0] * n  # the label of each placed vertex
-        layers: dict[int, tuple[int, list[tuple]]] = {}  # see make_layer
-
-        def make_layer(placed: int):
-            """How many vertices stay unplaced after the next placement, and
-            the vertices that may take the next label (a twin waits for its
-            lower-index twins), each with how many free sums may lie below its
-            label, the adjacency of the one vertex w left unplaced after it (0
-            unless exactly one is left), its placed neighbours and
-            non-neighbours, w's placed neighbours (none unless exactly one is
-            left), and the placed neighbours of each vertex that can still be
-            labelled last (none unless each is adjacent to it and has one, as
-            the cut needs): the free sums below the new label stay isolated
-            for good, and the vertex labelled last adds its degree, at least
-            the least degree among the others unplaced."""
-            unplaced = [v for v in range(n) if not placed >> v & 1]
-            done = [u for u in range(n) if placed >> u & 1]
-            split = [([u for u in done if adj[v] >> u & 1],
-                      [u for u in done if not adj[v] >> u & 1]) for v in range(n)]
-            movers = []
-            for v in unplaced:
-                if twins_before[v] & ~placed:
-                    continue
-                others = [u for u in unplaced if u != v]
-                last_deg = min((deg[u] for u in others), default=deg[v])
-                if last_deg <= r:
-                    last_adj = adj[others[0]] if len(others) == 1 else 0
-                    w_nbrs = split[others[0]][0] if len(others) == 1 else []
-                    lasts = [u for u in others
-                             if not lower_twins >> u & 1 and deg[u] <= r]
-                    if all(adj[v] >> u & 1 and adj[u] & placed for u in lasts):
-                        lasts = [split[u][0] for u in lasts]
-                    else:
-                        lasts = []
-                    movers.append((v, r - last_deg, last_adj, *split[v], w_nbrs, lasts))
-            return len(unplaced) - 1, movers
-
-        def at_least(c: int, masks: list[int], k: int) -> int:
-            # the bits of c set in at least k of the masks: at k = 1 those in
-            # their union; otherwise those that miss at most s = len - k of
-            # them, where within[e] holds the bits missed at most e times
-            if k == 1:
-                return c & reduce(or_, masks, 0)
-            s = len(masks) - k
-            if s < 0:
-                return 0
-            within = [c] * (s + 1)
-            for h in masks:
-                for e in range(s, 0, -1):
-                    within[e] = within[e] & h | within[e - 1]
-                within[0] &= h
-            return within[s]
-
-        def isolated_ok(iso: int, w_set: int) -> bool:
-            # no isolated label w has w + z in W for some z in W other than w
-            while iso:
-                low = iso & -iso
-                iso ^= low
-                if (w_set >> (low.bit_length() - 1)) & w_set & ~low:
-                    return False
-            return True
-
-        def dfs(placed: int, last: int, s_set: int, t_set: int, nes: int):
-            if placed == everyone:
-                if not isolated_ok(t_set & ~s_set, s_set | t_set):
-                    return None
-                return lab[:]
-            layer = layers.get(placed)
-            if layer is None:
-                layer = layers[placed] = make_layer(placed)
-            remaining, movers = layer
-            free = t_set & ~s_set
-            n_free = free.bit_count()
-            window = labels_mask & ~((2 << last) - 1) & ~nes
-            w_set = s_set | t_set
-            cands = []
-            union = 0
-            for v, spare, aw, v_nbrs, v_non, w_nbrs, lasts in movers:
-                # N and T shifted down by the labels of v's placed neighbours,
-                # W by those of its placed non-neighbours
-                bad = nbr = 0
-                hits = [free]  # bit x: label x covers a free sum
-                for u in v_nbrs:
-                    q = lab[u]
-                    bad |= nes >> q
-                    nbr |= 1 << q
-                    hits.append(t_set >> q)  # bit x: edge sum x + q is already free
-                for u in v_non:
-                    bad |= w_set >> lab[u]
-                c = window & ~bad
-                # at most ``spare`` free sums may stay below the label
-                if n_free > spare:
-                    cut = free
-                    for _ in range(spare):
-                        cut &= cut - 1
-                    c &= (cut & -cut) * 2 - 1
-                # Afterwards the n_free + (new edge sums) - (sums covered or
-                # reused by label x) uncovered sums, less one per remaining
-                # vertex, must fit in r: at least ``need`` of ``hits`` must hit.
-                need = n_free + len(v_nbrs) - remaining - r
-                if c and need > 0:
-                    c = at_least(c, hits, need)
-                if c and remaining == 1:
-                    # Look ahead to the last vertex w, labelled y > x (see the
-                    # class docstring), on the labels the count above keeps.
-                    # w adds one edge sum per placed neighbour and one more
-                    # if v ~ w, and its label covers at most one free sum.
-                    # Sure hits lower ``need``: y on x + M when v has placed
-                    # neighbours, and y + q for q < M.  The others are
-                    # threshold masks: x < F for y when v has none, and
-                    # x < F - q for q >= M.
-                    top = free.bit_length() - 1
-                    need += (aw >> v & 1) + 1
-                    if nbr:
-                        need -= 1
-                    elif top > 0:
-                        hits.append((1 << top) - 1)
-                    m = nbr.bit_length() - 1
-                    for u in w_nbrs:
-                        q = lab[u]
-                        if q >= m:
-                            need += 1
-                            if top > q:
-                                hits.append((1 << (top - q)) - 1)
-                    if need > 0:
-                        c = at_least(c, hits, need)
-                if c and lasts:
-                    # Drop x when each vertex w that can be labelled last has
-                    # a placed neighbour q with x - q in W: w's isolated sum
-                    # y + q plus x - q is its edge sum y + x (class docstring).
-                    cut = c
-                    for nbrs in lasts:
-                        diffs = 0
-                        for u in nbrs:
-                            diffs |= w_set << lab[u]
-                        cut &= diffs
-                        if not cut:
-                            break
-                    c &= ~cut
-                if c:
-                    cands.append((placed | 1 << v, v, c, nbr, s_set ^ nbr))
-                    union |= c
-            while union:
-                low = union & -union
-                union ^= low
-                x = low.bit_length() - 1
-                for child, v, c, nbr, non in cands:
-                    if not c & low:
-                        continue
-                    counter.tick()
-                    lab[v] = x
-                    hit = dfs(child, x, s_set | low, t_set | (nbr << x), nes | (non << x))
-                    if hit is not None:
-                        return hit
-            return None
-
-        return dfs(0, 0, 0, 0, 0)
-
-
 def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     """Least number of isolated vertices (within label range {1..B}) whose
     addition admits a sum labelling: uv is an edge iff f(u)+f(v) is a label.
@@ -971,28 +717,53 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     The search ascends from the least r at or above the classical bound
     sigma(G) >= min degree that the partition refutation in mode
     ``"sum_graph"`` (see ``partition``) does not rule out: no sum labelling
-    at any label range has fewer isolated labels.  A value at that floor is
-    flagged ``range_free``; any other is an upper bound exhaustive within
-    the range.  A node budget that runs out before any labelling is found,
-    in the floor search too, raises SolverError.  The label search keeps a
-    cut only where it saves CPU, so its nodes are cheap and many: on Esqo
-    and Eqnw a budget of 50,000 raises, while unbudgeted they need about
-    53,000 and 61,000 nodes and 0.2–0.4 CPU s.
+    at any label range has fewer isolated labels, and a positive one at some
+    range has r.  A value at that floor is flagged ``range_free``; any other
+    is an upper bound exhaustive within the range.  A target's labellings
+    within a cap are the integer points of its passing partitions
+    (``partition.points``) that pass the sum-graph check; the search that
+    found the floor keeps its passing partition, which is tried first.  The
+    node budget counts the partition search's nodes, not the points; when it
+    runs out before any labelling is found, in the floor search too, it
+    raises SolverError.
     """
     _require_connected(g, "sum_number")
     cfg = cfg or SearchConfig()
     counter = _NodeCounter(cfg.node_budget)
+    search = refuter(g, "sum_graph")
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+
+    def isolated(labels: list[int]) -> set[int] | None:
+        """The isolated labels I = T - S with which labels make g a sum
+        graph, or None when they do not: with S the labels, T the edge sums
+        and W = S | T, the labels are distinct, no non-edge sums into W, and
+        x + z lies outside W for x in I and z in W, z != x."""
+        s_set = set(labels)
+        t_set = _edge_sums(g, labels)
+        w_set = s_set | t_set
+        iso = t_set - s_set
+        if len(s_set) < g.n or any(labels[u] + labels[v] in w_set for u, v in non_edges) or any(
+                x + z in w_set for x in iso for z in w_set if z != x):
+            return None
+        return iso
+
+    def find(r: int, cap: int) -> list[int] | None:
+        def take(leaf: tuple[list[int], int]) -> list[int] | None:
+            return next((f for f in points(leaf, g.n, cap)
+                         if (iso := isolated(f)) is not None and len(iso) <= r), None)
+
+        return search(r, counter.tick, take)
+
     spec = _Ascent(
         invariant="sum_number",
-        find=_AscendingSumSearch(g, counter).search,
+        find=find,
         # sigma(G) >= min degree: the vertex labelled last has all its edge
         # sums above every vertex label (Bergstrand et al. 1989)
-        lower=lambda: floor(g, degree_sequence(g).min_degree, g.m + 1, "sum_graph", counter.tick),
+        lower=lambda: floor(g, degree_sequence(g).min_degree, g.m + 1, "sum_graph",
+                            counter.tick, search),
         limit=g.m + 1,
         cheap_cap=4 * g.n,
-        extra=lambda labels: {
-            "isolated_labels": tuple(sorted(_edge_sums(g, labels) - set(labels)))
-        },
+        extra=lambda labels: {"isolated_labels": tuple(sorted(isolated(labels)))},
         what="sum",
     )
     return _solve(spec, cfg, g, 1, 4 * g.n * g.n, counter)

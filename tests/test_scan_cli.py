@@ -165,7 +165,7 @@ def test_cli_index_exclusive_says_range_free(tmp_path, capsys):
 
 
 def test_cli_index_sumnumber_and_bounds_json(tmp_path, capsys):
-    # sigma(P3) = 1: labels 1, 2, 3 give edge sums 3 and 5, and 5 needs an
+    # sigma(P3) = 1: labels 3, 1, 2 give edge sums 4 and 3, and 4 needs an
     # isolated vertex
     infile = tmp_path / "p3.g6"
     _write_g6(infile, [sl.path_graph(3)])
@@ -173,10 +173,10 @@ def test_cli_index_sumnumber_and_bounds_json(tmp_path, capsys):
     assert main(["index", "sumnumber", "--in", str(infile), "--json", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "sum_number = 1" in printed
-    assert "  isolated labels: 5\n" in printed
+    assert "  isolated labels: 4\n" in printed
     res = json.loads(out.read_text())["results"][0]
-    assert res["isolated_labels"] == [5]
-    assert res["witness"] == {"0": 1, "1": 2, "2": 3}
+    assert res["isolated_labels"] == [4]
+    assert res["witness"] == {"0": 3, "1": 1, "2": 2}
     assert "exclusive" not in res
 
     out = tmp_path / "bounds.json"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, graphs, partition, solvers
-from sumlab.partition import _step, _sum_graph, floor, refute
+from sumlab.partition import _positive, _step, _sum_graph, floor, refute
 
 
 def _observed(g, res, kind):
@@ -62,6 +62,9 @@ def test_edgeless_graphs_have_zero_index():
         res = fn(g)
         assert res.value == 0
         assert res.witness.as_dict() == {0: 0, 1: 1, 2: 2}
+    # its vertices are twins, and its one partition, the empty one, passes
+    for mode in ("sum", "exclusive", "sum_graph"):
+        assert not refute(g, 0, mode)
 
 
 def _naive_min(g, is_sum, bound):
@@ -504,15 +507,16 @@ def _spy(monkeypatch, field="find"):
 
 def test_real_solvers_prove_only_value_minus_one(monkeypatch):
     # K4: the typed-partition floor rules out r = 3 and 4 and passes 5 (118
-    # nodes), and the cheap pass (cap 16) finds 5 at the floor, so no
-    # full-range search (cap 4n^2 = 64) runs; test_sum_graphs pins the
-    # descent on EsXg
+    # nodes), and the cheap pass (cap 16) finds 5 at the floor's passing
+    # partition, whose points it walks without a node, so no full-range
+    # search (cap 4n^2 = 64) runs; test_sum_graphs pins a budget cut in the
+    # descent on Es^w's difference index
     calls = _spy(monkeypatch)
     res = sl.sum_number(sl.parse_graph6("C~"))
     assert (res.value, res.exhaustive_within_range, res.range_free) == (5, True, True)
     assert calls == [(5, 16)]
-    assert [res.witness.as_dict()[v] for v in range(4)] == [1, 4, 7, 10]
-    assert res.nodes_expanded == 154
+    assert [res.witness.as_dict()[v] for v in range(4)] == [7, 1, 10, 4]
+    assert res.nodes_expanded == 118
     # Es^w: best_df_lower 3, the cheap pass (cap 12) fails at 3 and finds 4,
     # and the one full-range proof (cap n(n-1)/2 + n = 21) is t = 3
     calls.clear()
@@ -562,7 +566,11 @@ def _passes_by_rank(g, t, mode):
     e_c + e_d = e_w; at most t classes are isolated, and with W the labels
     e_u and the isolated sums e_a + e_b, the forbidden forms are every z and
     z - y in W, e_u + e_v - z for every non-edge uv, and x + z - y for x
-    isolated and z != x."""
+    isolated and z != x, and the solution space V must also hold a point
+    with every label positive.  V is parametrised by its free coordinates z
+    as F z, F having an identity row for each, so {z : F z >= 1} is pointed
+    and is nonempty exactly when one of its vertices, F_S z = 1 for k
+    independent rows S, satisfies every row."""
     n = g.n
     edges = list(g.edges)
     non_edges = [(u, v) for u, v in combinations(range(n), 2) if not g.has_edge(u, v)]
@@ -595,8 +603,32 @@ def _passes_by_rank(g, t, mode):
         yield from (unit((1, u), (1, v), *neg(y)) for u, v in non_edges for y in W)
         yield from (unit(*x, *z, *neg(y)) for x in isolated for z in W if z is not x for y in W)
 
+    def solve(rows):
+        """z with rows . z = 1 each, or None when rows are dependent."""
+        k = len(rows)
+        m = [list(r) + [Fraction(1)] for r in rows]
+        for c in range(k):
+            p = next((i for i in range(c, k) if m[i][c]), None)
+            if p is None:
+                return None
+            m[c], m[p] = m[p], m[c]
+            m[c] = [x / m[c][c] for x in m[c]]
+            m = [r if i == c else [x - r[c] * y for x, y in zip(r, m[c])] for i, r in enumerate(m)]
+        return [r[k] for r in m]
+
+    def positive(basis):
+        pivots = dict(basis)
+        free = [j for j in range(n) if j not in pivots]
+        F = [[-pivots[u][j] for j in free] if u in pivots else [Fraction(u == j) for j in free]
+             for u in range(n)]
+        for rows in combinations(F, len(free)):
+            z = solve(rows)
+            if z is not None and all(sum(a * b for a, b in zip(r, z)) >= 1 for r in F):
+                return True
+        return False
+
     def passes(classes):
-        basis = []  # (pivot, row with 1 at the pivot and 0 at earlier pivots)
+        basis = []  # (pivot, row with 1 at the pivot and 0 at the other pivots)
         for key, members in classes:
             for c, d in members:
                 w = reduced(basis, unit((1, c), (1, d), *((-1, v) for v in key)))
@@ -605,7 +637,9 @@ def _passes_by_rank(g, t, mode):
                     w = [x / w[q] for x in w]
                     basis = [(j, [x - row[q] * y for x, y in zip(row, w)]) for j, row in basis]
                     basis.append((q, w))
-        return not any(not any(reduced(basis, w)) for w in forbidden(classes))
+        if any(not any(reduced(basis, w)) for w in forbidden(classes)):
+            return False
+        return mode != "sum_graph" or positive(basis)
 
     # classes: (key, edges), the key being the first edge (a, b) of an
     # isolated class or (w,) for w's class; the key's vertices are ends
@@ -833,6 +867,25 @@ def test_packed_steps_on_typed_rows_match_lists(data):
     assert _digits(packed, n, s) == check
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_positivity_check_matches_brute_force(data):
+    # F x > 0 against a search of the integer points in [-6, 6]^k, on up to
+    # five rows with k <= 3.  If the system is feasible, {F x >= 1} has a
+    # point on a minimal face: x = adj(M) 1 / det M for some r x r
+    # nonsingular submatrix M, with the other coordinates 0.  So det M times
+    # it, an integer point with F x >= |det M|, has coordinates at most r
+    # times a cofactor: 6 with entries in [-3, 3] for r <= 2, and 6 with
+    # entries in [-1, 1] for r = 3, whose 2 x 2 minors are at most 2
+    k = data.draw(st.integers(1, 3), label="k")
+    top = 3 if k <= 2 else 1
+    rows = data.draw(st.lists(st.lists(st.integers(-top, top), min_size=k, max_size=k),
+                              min_size=1, max_size=5), label="rows")
+    brute = any(all(sum(a * b for a, b in zip(r, x)) > 0 for r in rows)
+                for x in product(range(-6, 7), repeat=k))
+    assert _positive(rows) == brute
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_sum_floor_invariant_under_relabelling(connected_by_n, data):
@@ -851,7 +904,7 @@ def test_sum_floor_invariant_under_relabelling(connected_by_n, data):
 @pytest.mark.parametrize(
     "mode,top,expect",
     [("sum", 6, (642, 1_359, 1_163)), ("exclusive", 6, (648, 1_680, 1_833)),
-     ("sum_graph", 5, (70, 2_523, 1_253))],
+     ("sum_graph", 5, (70, 2_523, 1_334))],
 )
 def test_floor_trees_are_pinned(connected_by_n, mode, top, expect):
     # floor as the solvers call it, on every connected graph with

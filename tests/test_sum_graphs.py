@@ -239,10 +239,10 @@ def _sigma_by_assignments(g, bound):
 
 
 def test_sum_number_matches_assignment_enumeration(connected_by_n):
-    # The optimal labellings found also bear out the lemma behind the cut of
-    # _AscendingSumSearch: with y the greatest label, y + q is isolated for
-    # each neighbour label q of its vertex, so q < q' with q' - q in W would
-    # give (y + q) + (q' - q) = y + q' in W.
+    # The optimal labellings found also bear out a lemma on the vertex with
+    # the greatest label y: y + q, for each neighbour label q, lies above
+    # every label and so is isolated (which gives sigma >= min degree), so
+    # q < q' with q' - q in W would give (y + q) + (q' - q) = y + q' in W.
     checked = 0
     for n in range(2, 6):
         bound = 2 * n + 2 if n < 5 else 9
@@ -267,50 +267,55 @@ def test_sum_number_matches_assignment_enumeration(connected_by_n):
     assert checked == 746
 
 
-def test_ascending_search_returns_the_least_labelling(connected_by_n):
-    # search(r, cap) returns the labelling whose (label, vertex) pairs, in
-    # label order, come first among those with labels in 1..cap and at most
-    # r isolated labels, so its cuts drop only subtrees without one, at every
-    # target and not only at sigma; n = 5 adds the placements before a last
-    # vertex that has no placed neighbour yet
+def _sigma_find(monkeypatch, g):
+    """The find(r, cap) that sum_number hands the ascent driver on g, taken
+    from a solve, and the solve's value."""
+    specs = []
+    real = solvers._solve
+
+    def solve(spec, *args):
+        specs.append(spec)
+        return real(spec, *args)
+
+    monkeypatch.setattr(solvers, "_solve", solve)
+    value = sl.sum_number(g).value
+    monkeypatch.setattr(solvers, "_solve", real)
+    return specs[0].find, value
+
+
+def test_sum_number_find_matches_assignment_enumeration(connected_by_n, monkeypatch):
+    # find(r, cap) walks the integer points of the passing positive typed
+    # partitions at r, so it must return a sum labelling with labels in
+    # 1..cap and at most r isolated labels exactly when brute force finds
+    # one there, at every cap the driver may ask for (n and above) and not
+    # only at sigma: at the least r brute force reaches within the cap and
+    # one below it, or at sigma where it reaches none.  The walk is complete
+    # because every such labelling is a point of its own partition
     checked = 0
     for n in range(2, 6):
         for g in connected_by_n[n]:
             top = 2 * n + 2 if n < 5 else 9
-            found = [(sorted((x, v) for v, x in enumerate(assign)), len(I), list(assign))
-                     for assign, I, _ in _sum_labellings(g, top)]
-            search = solvers._AscendingSumSearch(g, solvers._NodeCounter(None))
-            for cap in range(1, top + 1):
-                for r in range(min(len(a) for a in g.adj), g.m + 1):
-                    _, expect = min(((pairs, f) for pairs, k, f in found
-                                     if k <= r and pairs[-1][0] <= cap), default=(None, None))
-                    assert search.search(r, cap) == expect, (sl.emit_graph6(g), r, cap)
+            least = {}  # cap -> the least |I| over labellings within it
+            non_edges = _non_edges(g)
+            for assign, I, _ in _sum_labellings(g, top):
+                cap = max(assign)
+                least[cap] = min(least.get(cap, len(I)), len(I))
+            find, sigma = _sigma_find(monkeypatch, g)
+            lower = min(len(a) for a in g.adj)
+            for cap in range(n, top + 1):
+                best = min((k for c, k in least.items() if c <= cap), default=None)
+                for r in ([sigma] if best is None else [best - 1, best]):
+                    if r < lower:
+                        continue
+                    f = find(r, cap)
+                    assert (f is not None) == (best is not None and best <= r), (
+                        sl.emit_graph6(g), r, cap)
+                    if f is not None:
+                        assert max(f) <= cap and min(f) >= 1
+                        sets = _sum_graph_sets(g, non_edges, f)
+                        assert sets is not None and len(sets[0]) <= r and len(set(f)) == n
                     checked += 1
-    assert checked == 1283
-
-
-def test_ascending_search_counts_a_reused_sum_of_the_greatest_neighbour():
-    """A regression case for the least labelling at the next-to-last
-    placement.  On Fs`F? at r = 3 and cap 19, the least labelling gives
-    vertex 5 label 11 while vertex 4 is left: 11 covers the free sum 1 + 10,
-    and 11 + 2, with 2 on its one placed neighbour, reuses the edge sum
-    10 + 3.  So a count there must take x's own hits, x on a free sum and
-    x + p on an old edge sum for each label p of v's placed neighbours, the
-    greatest p included; one blind to that reuse drops 11 and returns the
-    later labelling below.  A sweep of the connected graphs with n <= 6
-    (caps n..4n, r from the least degree to m, 5,000 nodes per search) found
-    no such case among the searches that finished; at n = 7 Fs`F? was the
-    first found."""
-    g = sl.parse_graph6("Fs`F?")
-    least = [1, 2, 10, 4, 19, 11, 3]
-    later = [1, 2, 17, 4, 10, 18, 3]
-    non_edges = _non_edges(g)
-    for f in (least, later):
-        isolated, _ = _sum_graph_sets(g, non_edges, f)
-        assert len(isolated) <= 3
-    assert sorted((x, v) for v, x in enumerate(least)) < sorted((x, v) for v, x in enumerate(later))
-    search = solvers._AscendingSumSearch(g, solvers._NodeCounter(None))
-    assert search.search(3, 19) == least
+    assert checked == 183
 
 
 @pytest.mark.parametrize(
@@ -362,17 +367,13 @@ def test_sum_number_closed_forms(graph, cfg, expect):
 
 
 def test_sum_number_search_tree_of_k5_is_pinned():
-    # the label search's proof that r = 6 is impossible for K5 in 1..40.
-    # The solve no longer runs it (the floor is 7), so its tree on an
-    # infeasible target is pinned here directly; a change that cuts that
+    # the solve: the floor refutes 4, 5 and 6 and passes 7 in 498 nodes, and
+    # the cheap pass at 7 takes its witness from that passing partition,
+    # which the points walk does not tick; a change that cuts the floor's
     # tree on purpose updates the pin
-    counter = solvers._NodeCounter(None)
-    assert solvers._AscendingSumSearch(sl.complete_graph(5), counter).search(6, 40) is None
-    assert counter.nodes == 12_827
-    # the solve: 498 floor nodes, then the cheap pass finds 7 at the floor
     res = sl.sum_number(sl.complete_graph(5), SearchConfig(label_bound=40))
     assert (res.value, res.exhaustive_within_range, res.range_free) == (7, True, True)
-    assert res.nodes_expanded == 585
+    assert res.nodes_expanded == 498
 
 
 def test_sum_floor_never_exceeds_brute_force(connected_by_n):
@@ -405,7 +406,7 @@ def test_sum_number_results_are_pinned(connected_by_n):
     to_json_dict() without wall_ms as sorted-key JSON, or the SolverError text
     when the budget runs out before any labelling is found, joined by "\\n",
     and the node total of the results apart, so that a change to how the
-    search computes its candidates keeps its results and its tree."""
+    partition search or its point walk runs keeps its results and its tree."""
     corpus = [g for n in range(2, 6) for g in connected_by_n[n]]
     assert len(corpus) == 30
     nodes = errors = limited = 0
@@ -422,28 +423,49 @@ def test_sum_number_results_are_pinned(connected_by_n):
         limited += not rec["exhaustive"]
         lines.append(json.dumps(rec, sort_keys=True))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "d3428db9ea92e5d931e2bc3be5dd78234069bb3d43b7eb1857b7ca058747c3a0"
-    assert (nodes, errors, limited) == (12_142, 0, 0)
+    assert digest == "07a80ba62aeeac6aebb84c56c7e5959ff5468ed4de82a409d55eaa42b1aa7954"
+    assert (nodes, errors, limited) == (3_857, 0, 0)
 
 
-def test_sum_number_budget_in_full_range_proof_flags_upper_bound(monkeypatch):
-    # EsXg: the floor is 1 (18 nodes), below the label search's 2, so the
-    # descent runs.  The cheap pass at cap 24 fails at r = 1 and finds 2 by
-    # node 59,881; the one full-range search, r = 1 over 1..144, takes
-    # 13,037,832 nodes, so a budget of 80,000 cuts it and flags the upper bound
-    calls = []
-    real = solvers._AscendingSumSearch.search
-
-    def search(self, r, cap):
-        calls.append((r, cap))
-        return real(self, r, cap)
-
-    monkeypatch.setattr(solvers._AscendingSumSearch, "search", search)
-    g = sl.parse_graph6("EsXg")
-    res = sl.sum_number(g, SearchConfig(node_budget=80_000))
-    assert (res.value, res.exhaustive_within_range, res.range_free) == (2, False, False)
-    assert calls == [(1, 24), (2, 24), (1, 144)]
+@pytest.mark.parametrize(
+    "text,value",
+    # the six-vertex graphs whose typed-partition floor rises to sigma with
+    # the positivity check: without it, their floors lay below their values
+    [("Esq_", 2), ("EsXg", 2), ("EsXW", 3), ("EsZW", 3), ("Eqgw", 3), ("Eqyo", 3),
+     ("Eqzo", 3), ("EsXo", 4), ("EsXw", 4), ("Eqno", 4)],
+)
+def test_sum_number_floor_is_exact_where_positivity_binds(text, value):
+    g = sl.parse_graph6(text)
+    lower = min(len(a) for a in g.adj)
+    assert floor(g, lower, g.m + 1, "sum_graph") == value
+    res = sl.sum_number(g)
+    assert (res.value, res.range_free, res.exhaustive_within_range) == (value, True, True)
+    assert max(res.witness.as_dict().values()) <= 4 * g.n
     _check_sum_graph(g, res)
+
+
+def test_difference_budget_in_full_range_proof_flags_upper_bound(monkeypatch):
+    # Es^w: best_df_lower is 3, below the value 4, so the descent runs.  The
+    # cheap pass at cap 12 fails at 3 (435 nodes) and finds 4 (57 more),
+    # made canonical in 18 more; the one full-range search, t = 3 over
+    # 0..21, takes 1,228 nodes, so a budget of 1,000 cuts it and flags the
+    # upper bound
+    calls = []
+    real = solvers._IndexSearch.search
+
+    def search(self, t, cap):
+        calls.append((t, cap))
+        return real(self, t, cap)
+
+    monkeypatch.setattr(solvers._IndexSearch, "search", search)
+    g = sl.parse_graph6("Es^w")
+    res = sl.difference_index(g, SearchConfig(node_budget=1_000))
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (4, False, False)
+    assert res.nodes_expanded == 1_001
+    assert calls == [(3, 12), (4, 12), (3, 21)]
+    f = res.witness.as_dict()
+    assert len({abs(f[u] - f[v]) for u, v in g.edges}) == 4
+    assert len(set(f.values())) == g.n and all(0 <= x <= 21 for x in f.values())
 
 
 def test_exclusive_budget_in_full_range_proof_flags_upper_bound():
