@@ -447,52 +447,65 @@ _CANONICAL_MAX_N = 8
 
 
 def _canonical_core(
-    adj: list[int], known: AbstractSet[int] = frozenset()
+    adj: list[int], known: AbstractSet[int] = frozenset(), degree_cells: bool = False
 ) -> tuple[int | None, list[tuple[int, ...]]]:
-    """The least adjacency bit-string over all vertex orders, in graph6
-    column-major order, and generators of the automorphism group, for the
-    graph whose vertex v has neighbours ``adj[v]`` (a bitmask).
+    """The least adjacency bit-string over the vertex orders searched, in
+    graph6 column-major order, and generators of the automorphism group, for
+    the graph whose vertex v has neighbours ``adj[v]`` (a bitmask).
 
     Exact search over vertex orders, meant for n <= 8, which its callers
-    ``canonical_form`` and ``enumerate_connected`` check.
-    Placing a vertex at position j appends its column (its adjacency to
-    positions 0..j-1) to the string, and every completion has the same
-    length, so only the unplaced vertices whose column is least may be
-    placed next: any other choice gives a larger string.  The unplaced
-    vertices are kept as an ordered partition: cells of equal column, as
-    (bitmask, column) in increasing column order, so the candidates are the
-    first cell, tried in increasing degree, then index.  The least string
-    opens with an independent set, so low degrees tend to reach it early and
-    the cuts below bite sooner; the order changes which leaf is found first,
-    never which string is least.  Placing v splits each cell into its
+    ``canonical_form`` and ``enumerate_connected`` check.  The unplaced
+    vertices are kept as an ordered partition, as in nauty (McKay & Piperno
+    2014): cells as (bitmask, column), where a vertex's column is its
+    adjacency to the positions placed so far.  The search starts from one
+    cell holding every vertex, and so searches every vertex order, or with
+    ``degree_cells`` from one cell per degree, in increasing degree and each
+    with column 0, and so searches only the degree-sorted orders, whose
+    degrees never decrease (the census's start, which searches fewer
+    nodes).  Placing a vertex at position j appends its column (its
+    adjacency to positions 0..j-1) to the string, and every completion has
+    the same length, so only the first cell, whose column is least among
+    the vertices that may come next, may be placed next: any other choice
+    gives a larger string or an order not searched.  Candidates are tried
+    in index order; the order changes which leaf is found first, never
+    which string is least.  Placing v splits each cell into its
     non-neighbours of v, then its neighbours, which keeps the order; the
-    partition is never refined further, since an equitable refinement would
-    reorder cells and change which string is least.  A child's prefix ends
-    in the column of the first nonempty part, so a child whose prefix
+    partition is never refined further, since an equitable refinement
+    would reorder cells and change which string is least.  A child's prefix
+    ends in the column of the first nonempty part, so a child whose prefix
     exceeds the best string so far is cut before the rest of the split is
     built, and the last vertex is placed in its parent.  Of a twin class
     (``twins_below``) only the least-index unplaced vertex may be placed
     next, since swapping two twins is an automorphism that fixes the placed
     prefix.  Columns and the string are Python ints.
 
-    Two orders that give the same string differ by an automorphism, so each
-    leaf that ties the best string yields one, mapping the order that first
-    reached it onto the leaf's.  Every twin-sorted order of the least string
-    is a leaf, so these maps and the swap of each vertex with its nearest
-    twin below generate the whole automorphism group; the argument holds
-    whichever least leaf comes first, so it does not depend on the order in
-    which candidates are tried.  A permutation p maps vertex v to p[v].
+    Complete invariant: degree is isomorphism-invariant, so an isomorphism
+    maps the orders searched from either start onto those searched in the
+    other graph, and two graphs have the same least string exactly when
+    they are isomorphic.  Strings from different starts are not comparable.
 
-    ``known`` is a set of keys already accepted, such as the census's seen
-    keys (``_connected_classes``).  The search returns ``(None, [])`` as
-    soon as a leaf that is not cut (its string is at most the best so far)
-    has a string in ``known``.  That is sound: every leaf string is the
-    graph's adjacency string under some vertex order, so a hit means the
-    graph is isomorphic to a known one, which a full search would also have
-    found in ``known``.  A graph whose class is not known never hits, runs
-    the whole search, and returns the same string and a generating set as
-    without ``known``.  The least leaf is never cut, so a graph whose class
-    is known stops at that leaf at the latest.
+    Whole group: two orders that give the same string differ by an
+    automorphism, so each leaf that ties the best string yields one, mapping
+    the order that first reached it onto the leaf's.  An automorphism maps
+    an order searched onto an order searched, since it keeps degrees, so
+    every twin-sorted order of the least string is a leaf, and these maps
+    and the swap of each vertex with its nearest twin below generate the
+    whole automorphism group.  The argument holds whichever least leaf comes
+    first, so it does not depend on the order in which candidates are tried.
+    The swaps are built after the search, so a search stopped by ``known``
+    never builds them.  A permutation p maps vertex v to p[v].
+
+    Known-key stop: ``known`` is a set of keys already accepted from the
+    same start, such as the census's seen keys (``_connected_classes``).
+    The search returns ``(None, [])`` as soon as a leaf that is not cut
+    (its string is at most the best so far) has a string in ``known``.
+    That is sound: every leaf string is the graph's adjacency string under
+    some vertex order, so a hit means the graph is isomorphic to a known
+    one, which a full search would also have found in ``known``.  A graph
+    whose class is not known never hits, runs the whole search, and returns
+    the same string and a generating set as without ``known``.  The least
+    leaf is never cut, so a graph whose class is known stops at that leaf
+    at the latest.
     """
     n = len(adj)
     if n <= 1:
@@ -500,14 +513,15 @@ def _canonical_core(
     everyone = (1 << n) - 1
     non = [everyone & ~adj[v] & ~(1 << v) for v in range(n)]
     below = twins_below(adj)
-    by_degree = sorted(range(n), key=lambda v: adj[v].bit_count())
-    gens = []
-    for v, twins in enumerate(below):
-        if twins:
-            swap = list(range(n))
-            u = twins.bit_length() - 1
-            swap[u], swap[v] = v, u
-            gens.append(tuple(swap))
+    if degree_cells:
+        cell_of: dict[int, int] = {}
+        for v, nbrs in enumerate(adj):
+            d = nbrs.bit_count()
+            cell_of[d] = cell_of.get(d, 0) | 1 << v
+        start = [(cell_of[d], 0) for d in sorted(cell_of)]
+    else:
+        start = [(everyone, 0)]
+    ties = []  # the automorphisms read off tied leaves
     total = n * (n - 1) // 2
     # the bits of the string after the columns of positions 0..d
     shifts = [total - d * (d + 1) // 2 for d in range(n)]
@@ -517,15 +531,18 @@ def _canonical_core(
     order: list[int] = []  # the vertices placed so far
 
     def place(depth: int, prefix: int, cells: list[tuple[int, int]], unplaced: int) -> bool:
-        # cells: the unplaced vertices by column, in increasing column order;
+        # cells: the unplaced vertices by column, in increasing column order
+        # (within each degree, the degrees increasing, from degree cells);
         # prefix: the columns of positions 0..depth, the last one cells[0]'s;
         # True when a leaf's string is in known, to unwind the search
         nonlocal best, first
         shift = shifts[depth + 1]
         cands = cells[0][0]
-        for v in by_degree:
-            bit = 1 << v
-            if not cands & bit or below[v] & unplaced:
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            v = bit.bit_length() - 1
+            if below[v] & unplaced:
                 continue
             if depth + 2 == n:
                 # w, the last vertex, lies in the last cell
@@ -542,7 +559,7 @@ def _canonical_core(
                     perm = [0] * n
                     for u, w in zip(first, leaf):
                         perm[u] = w
-                    gens.append(tuple(perm))
+                    ties.append(tuple(perm))
                 continue
             inside, outside = adj[v], non[v]
             # the child's prefix ends in the column of the split's first part,
@@ -568,9 +585,16 @@ def _canonical_core(
             order.pop()
         return False
 
-    if place(0, 0, [(everyone, 0)], everyone):
+    if place(0, 0, start, everyone):
         return None, []
-    return best, gens
+    swaps = []
+    for v, twins in enumerate(below):
+        if twins:
+            swap = list(range(n))
+            u = twins.bit_length() - 1
+            swap[u], swap[v] = v, u
+            swaps.append(tuple(swap))
+    return best, swaps + ties
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -579,9 +603,10 @@ def canonical_form(g: Graph) -> bytes:
     returned as the graph6 encoding of the canonical relabelling.
 
     Supports n <= 8.  The string comes from ``_canonical_core`` on the
-    adjacency bitmasks, the search that ``enumerate_connected`` dedups by and
-    reads automorphisms from; it is already in graph6 order, so it goes to
-    the writer ``emit_graph6`` uses.
+    adjacency bitmasks, from its one-cell start, which searches every vertex
+    order; ``enumerate_connected`` runs the same search from degree cells.
+    The string is already in graph6 order, so it goes to the writer
+    ``emit_graph6`` uses.
     """
     n = g.n
     if n > _CANONICAL_MAX_N:
@@ -627,9 +652,13 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     it would not have been yielded anyway.  The output is the same for any
     subgroup; it is the one of trying every subset.  The levels run on
     adjacency bitmasks (``_connected_classes``); a ``Graph`` is built only
-    for the classes yielded.  A candidate isomorphic to a class already
-    yielded stops its canonical search at the first leaf whose string is a
-    seen key, so only new classes run the whole search.
+    for the classes yielded, in its candidate's vertex order.  The dedup key
+    is the least adjacency string over the degree-sorted vertex orders
+    (``_canonical_core`` from degree cells), a complete invariant that
+    searches fewer orders than ``canonical_form``'s key.  A candidate
+    isomorphic to a class already yielded stops its search at the first
+    leaf whose string is a seen key, so only new classes run the whole
+    search.
     """
     if not 1 <= n <= _CANONICAL_MAX_N:
         raise UnsupportedSizeError(
@@ -643,13 +672,13 @@ def _connected_classes(n: int) -> Iterator[tuple[list[int], list[tuple[int, ...]
     bitmasks and generators of its automorphism group.
 
     A candidate is its parent's adjacency with bit n-1 set on each member of
-    ``mask``, plus ``mask`` as the new vertex's; ``_canonical_core`` gives
-    its dedup key, the least string, and the generators that the next level
-    reads when the candidate is accepted, so each graph is searched once.
-    The core gets the keys seen so far and returns None for a candidate
-    whose class is among them, once one of its leaves hits a seen key;
-    the others run the whole search, so the keys and generators are those
-    of a search without ``known``.
+    ``mask``, plus ``mask`` as the new vertex's; ``_canonical_core`` from
+    degree cells gives its dedup key, the least string over degree-sorted
+    orders, and the generators that the next level reads when the candidate
+    is accepted, so each graph is searched once.  The core gets the keys
+    seen so far and returns None for a candidate whose class is among them,
+    once one of its leaves hits a seen key; the others run the whole search,
+    so the keys and generators are those of a search without ``known``.
     """
     if n == 1:
         yield [0], []
@@ -660,7 +689,7 @@ def _connected_classes(n: int) -> Iterator[tuple[list[int], list[tuple[int, ...]
         for mask in _orbit_least_masks(n - 1, parent_gens):
             adj = [nbrs | new if mask >> i & 1 else nbrs for i, nbrs in enumerate(parent)]
             adj.append(mask)
-            key, gens = _canonical_core(adj, seen)
+            key, gens = _canonical_core(adj, seen, degree_cells=True)
             if key is not None:
                 seen.add(key)
                 yield adj, gens

@@ -515,9 +515,9 @@ def test_enumerate_connected_searches_one_child_per_orbit(monkeypatch):
     calls: dict[int, int] = {}
     core = graphs._canonical_core
 
-    def counted(adj, *rest):
+    def counted(adj, *rest, **options):
         calls[len(adj)] = calls.get(len(adj), 0) + 1
-        return core(adj, *rest)
+        return core(adj, *rest, **options)
 
     monkeypatch.setattr(graphs, "_canonical_core", counted)
     assert sum(1 for _ in sl.enumerate_connected(7)) == 853
@@ -598,42 +598,74 @@ def _image(mask, p):
     return sum(1 << p[i] for i in range(len(p)) if mask >> i & 1)
 
 
+# the two start partitions: one cell, as canonical_form searches, and one
+# cell per degree, as the census does
+_STARTS = (False, True)
+
+
 def test_search_generates_the_automorphism_group(connected_by_n):
-    for n, gs in connected_by_n.items():
-        for g in gs:
-            _, gens = graphs._canonical_core(_masks(g))
-            assert all(_maps_edges_onto_edges(g, p) for p in gens), g.edges
-            autos = [p for p in permutations(range(n)) if _maps_edges_onto_edges(g, p)]
-            assert _group_order(n, gens) == len(autos), g.edges
-            least = [m for m in range(1, 1 << n) if all(_image(m, p) >= m for p in autos)]
-            assert graphs._orbit_least_masks(n, gens) == least, g.edges
+    for degree_cells in _STARTS:
+        for n, gs in connected_by_n.items():
+            for g in gs:
+                case = (degree_cells, g.edges)
+                _, gens = graphs._canonical_core(_masks(g), degree_cells=degree_cells)
+                assert all(_maps_edges_onto_edges(g, p) for p in gens), case
+                autos = [p for p in permutations(range(n)) if _maps_edges_onto_edges(g, p)]
+                assert _group_order(n, gens) == len(autos), case
+                least = [m for m in range(1, 1 << n) if all(_image(m, p) >= m for p in autos)]
+                assert graphs._orbit_least_masks(n, gens) == least, case
 
 
 def test_canonical_core_stops_at_a_known_key(connected_by_n):
     """A graph whose key is known stops with (None, []); one whose class is
     not known, with every other class's key known, returns the key and a
-    generating set of a search without ``known``."""
+    generating set of a search without ``known``.  Both starts, each with
+    keys from its own start."""
     # the known counts of connected graphs (OEIS A001349), so a search that
     # drops a class cannot shrink the input
     assert [len(connected_by_n[n]) for n in range(2, 7)] == [1, 2, 6, 21, 112]
     rng = random.Random(33)
-    for n in range(2, 7):
-        keyed = []
-        for g in connected_by_n[n]:
-            p = list(range(n))
-            rng.shuffle(p)
-            h = Graph(n, [(p[u], p[v]) for u, v in g.edges])
-            adj = _masks(h)
-            keyed.append((h, adj, graphs._canonical_core(adj)[0]))
-        keys = {key for _, _, key in keyed}
-        assert None not in keys and len(keys) == len(keyed)
-        for h, adj, key in keyed:
-            assert graphs._canonical_core(adj, frozenset({key})) == (None, []), h.edges
-            got, gens = graphs._canonical_core(adj, keys - {key})
-            assert got == key, h.edges
-            assert all(_maps_edges_onto_edges(h, p) for p in gens), h.edges
-            autos = sum(_maps_edges_onto_edges(h, p) for p in permutations(range(n)))
-            assert _group_order(n, gens) == autos, h.edges
+    for degree_cells in _STARTS:
+        def core(adj, known=frozenset()):
+            return graphs._canonical_core(adj, known, degree_cells=degree_cells)
+
+        for n in range(2, 7):
+            keyed = []
+            for g in connected_by_n[n]:
+                p = list(range(n))
+                rng.shuffle(p)
+                h = Graph(n, [(p[u], p[v]) for u, v in g.edges])
+                adj = _masks(h)
+                keyed.append((h, adj, core(adj)[0]))
+            keys = {key for _, _, key in keyed}
+            assert None not in keys and len(keys) == len(keyed)
+            for h, adj, key in keyed:
+                case = (degree_cells, h.edges)
+                assert core(adj, frozenset({key})) == (None, []), case
+                got, gens = core(adj, keys - {key})
+                assert got == key, case
+                assert all(_maps_edges_onto_edges(h, p) for p in gens), case
+                autos = sum(_maps_edges_onto_edges(h, p) for p in permutations(range(n)))
+                assert _group_order(n, gens) == autos, case
+
+
+def test_degree_cell_key_is_a_complete_invariant(connected_by_n):
+    """The census's key, the least string over degree-sorted orders, is
+    equal on two graphs exactly when their canonical forms are: every
+    connected graph with n <= 6 under four relabellings each."""
+    rng = random.Random(43)
+    for n, gs in connected_by_n.items():
+        key_to_form, form_to_key = {}, {}
+        for g in gs:
+            for _ in range(4):
+                p = list(range(n))
+                rng.shuffle(p)
+                h = Graph(n, [(p[u], p[v]) for u, v in g.edges])
+                key, _ = graphs._canonical_core(_masks(h), degree_cells=True)
+                form = sl.canonical_form(h)
+                assert key_to_form.setdefault(key, form) == form, h.edges
+                assert form_to_key.setdefault(form, key) == key, h.edges
+        assert len(key_to_form) == len(gs)
 
 
 def _complete_bipartite(a, b):
