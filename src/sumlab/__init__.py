@@ -9,7 +9,6 @@ from .graphs import (
     EdgeListError,
     UnsupportedSizeError,
     DegreeSequence,
-    BipartiteResult,
     canonical_form,
     complete_graph,
     count_cycles_of_length,
@@ -67,7 +66,6 @@ from .families import (
 from .sumsets import (
     StanchescuVerdict,
     SumsetError,
-    ap_cover,
     common_difference,
     span,
     stanchescu_check,

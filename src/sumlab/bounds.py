@@ -108,7 +108,7 @@ def _sm_lower(g: Graph, counts: dict[int, int]) -> int:
     adj = g.adj
     top = max(map(len, adj), default=0)
     best = max([top, sum_degree_bound(g)] + [_odd_cycle_int(k, s) for k, s in counts.items()])
-    if is_bipartite(g).bipartite:
+    if is_bipartite(g):
         return best
     walks, power = None, 0  # A^power
     for k in range(len(counts) + 1, (n - 1) // 2 + 1):

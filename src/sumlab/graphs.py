@@ -291,21 +291,13 @@ def degree_sequence(g: Graph) -> DegreeSequence:
 
 
 # ---------------------------------------------------------------------------
-# Bipartiteness with certificate
+# Bipartiteness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BipartiteResult:
-    """Either a proper 2-colouring or an odd cycle (as a vertex list)."""
-
-    bipartite: bool
-    colouring: tuple[int, ...] | None
-    odd_cycle: tuple[int, ...] | None
-
-
-def is_bipartite(g: Graph) -> BipartiteResult:
+def is_bipartite(g: Graph) -> bool:
+    """True when g has no odd cycle: breadth-first search 2-colours each
+    component and finds no edge with both ends of one colour."""
     colour = [-1] * g.n
-    parent = [-1] * g.n
     for start in range(g.n):
         if colour[start] != -1:
             continue
@@ -318,27 +310,10 @@ def is_bipartite(g: Graph) -> BipartiteResult:
             for w in g.adj[v]:
                 if colour[w] == -1:
                     colour[w] = 1 - colour[v]
-                    parent[w] = v
                     queue.append(w)
                 elif colour[w] == colour[v]:
-                    return BipartiteResult(False, None, _odd_cycle(parent, v, w))
-    return BipartiteResult(True, tuple(colour), None)
-
-
-def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
-    def root_path(x: int) -> list[int]:
-        path = [x]
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
-
-    pu, pv = root_path(u), root_path(v)
-    i = 0
-    while i < len(pu) and i < len(pv) and pu[i] == pv[i]:
-        i += 1
-    # pu[i-1] is the lowest common ancestor; the cycle closes on edge (u, v)
-    return tuple(pu[i - 1:] + pv[: i - 1: -1])
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +367,7 @@ def count_cycles_of_length(g: Graph, length: int) -> int:
     nbrs = [sum(1 << u for u in a) for a in g.adj]
     if length == 3:
         return sum((nbrs[u] & nbrs[v]).bit_count() for u, v in g.edges) // 3
-    if length % 2 and is_bipartite(g).bipartite:
+    if length % 2 and is_bipartite(g):
         return 0
 
     def extend(last: int, free: int, left: int) -> int:

@@ -48,17 +48,6 @@ class VertexLabelling:
     def as_dict(self) -> dict[int, int]:
         return dict(self.items)
 
-    def translated(self, c: int) -> "VertexLabelling":
-        return VertexLabelling(tuple((v, x + c) for v, x in self.items))
-
-    def negated(self) -> "VertexLabelling":
-        return VertexLabelling(tuple((v, -x) for v, x in self.items))
-
-    def scaled(self, a: int) -> "VertexLabelling":
-        if a == 0:
-            raise LabellingError("scale factor must be nonzero")
-        return VertexLabelling(tuple((v, a * x) for v, x in self.items))
-
 
 @dataclass(frozen=True)
 class EdgeLabelling:

@@ -115,7 +115,7 @@ def scan_record(g: Graph, cfg: SearchConfig | None = None) -> ScanRecord:
         graph6=emit_graph6(g),
         n=g.n,
         m=g.m,
-        bipartite=is_bipartite(g).bipartite,
+        bipartite=is_bipartite(g),
         sm=_result_summary(sm),
         df=_result_summary(df),
         bounds=bound_report(g),

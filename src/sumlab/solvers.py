@@ -122,7 +122,7 @@ class SearchConfig:
     and exclusive sum number have no greedy labelling).  The refutations
     that find the sm, eps and sigma floors tick the same count, and a
     result's ``nodes_expanded`` includes them; the sum number's walk over
-    a partition's integer points ticks none.  A single solve is
+    a partition's integer points ticks once per point.  A single solve is
     sequential; corpus scans take their parallel width from
     ``scan_conjectures(workers=)``.
     """
@@ -723,9 +723,9 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     within a cap are the integer points of its passing partitions
     (``partition.points``) that pass the sum-graph check; the search that
     found the floor keeps its passing partition, which is tried first.  The
-    node budget counts the partition search's nodes, not the points; when it
-    runs out before any labelling is found, in the floor search too, it
-    raises SolverError.
+    node budget counts the partition search's nodes and the points checked;
+    when it runs out before any labelling is found, in the floor search too,
+    it raises SolverError.
     """
     _require_connected(g, "sum_number")
     cfg = cfg or SearchConfig()
@@ -749,8 +749,11 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
 
     def find(r: int, cap: int) -> list[int] | None:
         def take(leaf: tuple[list[int], int]) -> list[int] | None:
-            return next((f for f in points(leaf, g.n, cap)
-                         if (iso := isolated(f)) is not None and len(iso) <= r), None)
+            for f in points(leaf, g.n, cap):
+                counter.tick()
+                if (iso := isolated(f)) is not None and len(iso) <= r:
+                    return f
+            return None
 
         return search(r, counter.tick, take)
 

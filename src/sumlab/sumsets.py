@@ -1,6 +1,5 @@
 """Additive-combinatorics primitives: sumsets, spans, common differences,
-arithmetic-progression covers, and the sumset stability implication as a
-mechanically checkable property.
+and the sumset stability implication as a mechanically checkable property.
 
 For finite nonempty integer sets A and B, |A+B| >= |A| + |B| - 1, with
 equality exactly when both sets are arithmetic progressions with a common
@@ -55,23 +54,6 @@ def common_difference(A, B) -> int:
         for x in xs[1:]:
             d = math.gcd(d, x - xs[0])
     return d
-
-
-def ap_cover(X, d: int) -> tuple[tuple[int, ...], int]:
-    """The covering arithmetic progression {min(X), min(X)+d, ..., max(X)}
-    and the number of covered integers missing from X.
-
-    d must be positive and divide every intra-set difference.
-    """
-    x = _as_set(X, "X")
-    if d <= 0:
-        raise SumsetError("difference must be positive")
-    lo = min(x)
-    for v in x:
-        if (v - lo) % d:
-            raise SumsetError(f"{d} does not divide the difference {v} - {lo}")
-    ap = tuple(range(lo, max(x) + 1, d))
-    return ap, len(ap) - len(x)
 
 
 @dataclass(frozen=True)

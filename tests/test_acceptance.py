@@ -126,7 +126,7 @@ def test_criterion_7_soundness_sweep(connected_by_n):
                 violations.append(("range_free", sl.emit_graph6(g)))
             if g.m == 0:
                 continue
-            if sl.is_bipartite(g).bipartite and df.value < (sm.value + 1) // 2:
+            if sl.is_bipartite(g) and df.value < (sm.value + 1) // 2:
                 violations.append(("bipartite", sl.emit_graph6(g)))
             if df.value > sm.value:
                 violations.append(("df<=sm", sl.emit_graph6(g)))

@@ -114,7 +114,7 @@ def test_solver_matches_naive_enumeration_n5(connected_by_n):
 def test_bipartite_half_bound(connected_by_n):
     for n in range(2, 6):
         for g in connected_by_n[n]:
-            if not sl.is_bipartite(g).bipartite:
+            if not sl.is_bipartite(g):
                 continue
             sm = sl.sum_index(g).value
             df = sl.difference_index(g).value
@@ -508,7 +508,7 @@ def _spy(monkeypatch, field="find"):
 def test_real_solvers_prove_only_value_minus_one(monkeypatch):
     # K4: the typed-partition floor rules out r = 3 and 4 and passes 5 (118
     # nodes), and the cheap pass (cap 16) finds 5 at the floor's passing
-    # partition, whose points it walks without a node, so no full-range
+    # partition, whose points it walks at a node each (49), so no full-range
     # search (cap 4n^2 = 64) runs; test_sum_graphs pins a budget cut in the
     # descent on Es^w's difference index
     calls = _spy(monkeypatch)
@@ -516,7 +516,7 @@ def test_real_solvers_prove_only_value_minus_one(monkeypatch):
     assert (res.value, res.exhaustive_within_range, res.range_free) == (5, True, True)
     assert calls == [(5, 16)]
     assert [res.witness.as_dict()[v] for v in range(4)] == [7, 1, 10, 4]
-    assert res.nodes_expanded == 118
+    assert res.nodes_expanded == 167
     # Es^w: best_df_lower 3, the cheap pass (cap 12) fails at 3 and finds 4,
     # and the one full-range proof (cap n(n-1)/2 + n = 21) is t = 3
     calls.clear()

@@ -368,12 +368,24 @@ def test_sum_number_closed_forms(graph, cfg, expect):
 
 def test_sum_number_search_tree_of_k5_is_pinned():
     # the solve: the floor refutes 4, 5 and 6 and passes 7 in 498 nodes, and
-    # the cheap pass at 7 takes its witness from that passing partition,
-    # which the points walk does not tick; a change that cuts the floor's
-    # tree on purpose updates the pin
+    # the cheap pass at 7 takes its witness from that passing partition, in
+    # 12 more, one per point checked; a change that cuts the floor's tree on
+    # purpose updates the pin
     res = sl.sum_number(sl.complete_graph(5), SearchConfig(label_bound=40))
     assert (res.value, res.exhaustive_within_range, res.range_free) == (7, True, True)
-    assert res.nodes_expanded == 498
+    assert res.nodes_expanded == 510
+
+
+def test_node_budget_bounds_the_sum_number_points_walk():
+    # K5 has no sum labelling with labels in 1..9, so each target's walk over
+    # its passing partitions' points finds nothing: with no budget the solve
+    # checks 72,084 points and ends with the range error; each point ticks a
+    # node, so a budget of 2,000 cuts the walk instead
+    g = sl.complete_graph(5)
+    with pytest.raises(SolverError, match=r"^node budget of 2000 ran out after 2001 nodes "):
+        sl.sum_number(g, SearchConfig(label_bound=9, node_budget=2_000))
+    with pytest.raises(SolverError, match=r"^no sum labelling within label range 1\.\.9;"):
+        sl.sum_number(g, SearchConfig(label_bound=9))
 
 
 def test_sum_floor_never_exceeds_brute_force(connected_by_n):
@@ -423,8 +435,8 @@ def test_sum_number_results_are_pinned(connected_by_n):
         limited += not rec["exhaustive"]
         lines.append(json.dumps(rec, sort_keys=True))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "07a80ba62aeeac6aebb84c56c7e5959ff5468ed4de82a409d55eaa42b1aa7954"
-    assert (nodes, errors, limited) == (3_857, 0, 0)
+    assert digest == "08065bf4128e1def546caa45a467dd0621792391fc9dc90a5d5edac880ac5f82"
+    assert (nodes, errors, limited) == (4_101, 0, 0)
 
 
 @pytest.mark.parametrize(
