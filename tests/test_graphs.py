@@ -228,18 +228,29 @@ def test_branch_order():
 # bipartiteness
 # ---------------------------------------------------------------------------
 
-def test_is_bipartite_examples():
-    assert sl.is_bipartite(sl.prism(4).graph)
-    assert not sl.is_bipartite(sl.prism(3).graph)
-    assert sl.is_bipartite(Graph(0))
-    assert sl.is_bipartite(Graph(4))
-
-
 def _has_proper_two_colouring(g):
     # every colouring as a bitmask, vertex 0 fixed to colour 0: swapping the
     # two colours maps the colourings with vertex 0 at 1 onto these
     return any(all((c >> u ^ c >> v) & 1 for u, v in g.edges)
                for c in range(0, 1 << g.n, 2))
+
+
+def test_bipartite_prism4_with_colouring():
+    g = sl.prism(4).graph
+    assert sl.is_bipartite(g)
+    assert _has_proper_two_colouring(g)
+
+
+def test_not_bipartite_prism3_short_witness():
+    g = sl.prism(3).graph
+    assert not sl.is_bipartite(g)
+    # its two triangles are the shortest odd cycles
+    assert sl.count_cycles_of_length(g, 3) == 2
+
+
+def test_bipartite_empty_graph():
+    assert sl.is_bipartite(Graph(0))
+    assert sl.is_bipartite(Graph(4))
 
 
 def test_is_bipartite_matches_brute_force(connected_by_n, connected_7):
