@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--in", dest="infile", required=True)
     p_index.add_argument("--format", choices=("g6", "edges"), default="g6")
     p_index.add_argument("--range", type=int, default=None, help="label bound B")
-    p_index.add_argument("--escalate", action="store_true")
+    p_index.add_argument("--escalate", action="store_true",
+                         help="double B until the value is range-free or two rounds agree")
     p_index.add_argument("--budget", type=int, default=None, help="node budget")
     p_index.add_argument("--json", default=None, help="write JSON results here")
     p_index.set_defaults(fn=_cmd_index)

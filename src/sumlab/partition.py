@@ -264,7 +264,8 @@ def refuter(g: Graph, mode: str, order: list[int] | None = None) -> Callable:
     once.  It returns accept(leaf) at the first passing leaf, the packed
     forms and the last pivot, where that is not None, or None when there is
     none; without accept, the leaf itself, which it keeps per t, so that a
-    later call at t with accept tries that leaf before it searches again."""
+    later call at t with accept tries that leaf before it searches again,
+    and passes no leaf equal to it to accept a second time."""
     if mode not in _MODES:
         raise ValueError(f"unknown refutation mode {mode!r}")
     conditions, typed = _MODES[mode]
@@ -409,7 +410,8 @@ def refuter(g: Graph, mode: str, order: list[int] | None = None) -> Callable:
             return leaf
         if leaf and (found := accept(leaf)) is not None:
             return found
-        at_leaf = accept or (lambda leaf: leaf)
+        # the DFS reaches a refused kept leaf first; accept has walked it
+        at_leaf = (lambda x: None if x == leaf else accept(x)) if accept else (lambda x: x)
         found = dfs(0, labels, 1, nsums, t, (1 << swaps) - 1, [()] * swaps)
         if accept is None:
             first[t] = found

@@ -56,24 +56,25 @@ one typed-partition refutation does not rule out, in mode ``"sum"``,
 ``"exclusive"`` or ``"sum_graph"``, from ``best_sm_lower`` for the sum
 index and the exclusive sum number, and from the min degree for the sum
 number (sigma(G) >= min degree, Bergstrand et al. 1989).
-Each round makes two passes.  A cheap pass at a small label cap (2n for the
-sum index, the difference index and the exclusive sum number, 4n for the
-sum number) ascends to a value quickly.  Only a full-range search proves a
-target infeasible, so the full range is then searched descending from just
-below that value, and only while each search finds a labelling: a labelling
-that reaches t also reaches t + 1, so the first target the full range
-cannot reach proves every smaller one infeasible too.  When the cheap value
-is optimal that is one search, a subset of those an ascent would run, so
-the descent never spends more nodes.  Index and exclusive witnesses are
-made canonical before the proofs and after each proof that finds a smaller
-value, so a node budget that runs out in the proofs still leaves a
-canonical witness.  The indices stop the cheap ascent at a greedy
-labelling's value, the better of the identity and the branch-order
-numbering, which is their result when nothing smaller is found.  A node
-budget that runs out, in the floor search too, leaves the least value
-found, flagged non-exhaustive, or raises SolverError if none was found.
-With escalation the range doubles until the value is the same in two
-consecutive rounds; no search runs twice within one solve.
+A cheap pass at a small label cap (2n for the sum index, the difference
+index and the exclusive sum number, 4n for the sum number) ascends to a
+value quickly.  Only a full-range search proves a target infeasible, so the
+full range is then searched descending from just below that value, and only
+while each search finds a labelling: a labelling that reaches t also
+reaches t + 1, so the first target the full range cannot reach proves every
+smaller one infeasible too.  When the cheap value is optimal that is one
+search, a subset of those an ascent would run, so the descent never spends
+more nodes.  Index and exclusive witnesses are made canonical before the
+proofs and after each proof that finds a smaller value, so a node budget
+that runs out in the proofs still leaves a canonical witness.  The indices
+stop the cheap ascent at a greedy labelling's value, the better of the
+identity and the branch-order numbering, which is their result when nothing
+smaller is found.  A node budget that runs out, in the floor search too,
+leaves the least value found, flagged non-exhaustive, or raises SolverError
+if none was found.  With escalation the range doubles, and each doubled
+range runs only the descent again, from the value so far, until the value
+is range-free or the same in two consecutive rounds; no search runs twice
+within one solve.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ class SearchConfig:
 
     label_bound: largest label B; defaults to n(n-1)/2 + n for the sum and
     difference indices and 4n^2 for the sum number and the exclusive sum
-    number.  escalate doubles B until the value is stable across two
-    consecutive rounds.  node_budget caps the total number of search-tree
-    nodes; exceeding it yields the least value found, flagged
+    number.  escalate doubles B until the value is range-free or the same
+    in two consecutive rounds.  node_budget caps the total number of
+    search-tree nodes; exceeding it yields the least value found, flagged
     non-exhaustive, or SolverError when none was found (only the sum number
     and exclusive sum number have no greedy labelling).  The refutations
     that find the sm, eps and sigma floors tick the same count, and a
@@ -477,9 +478,11 @@ class _Ascent:
     labels), or None; it is monotone in t, as a labelling that reaches t
     also reaches t + 1.  lower() returns the lower bound; the driver calls
     it once per solve, under the node budget, as it may search.  The cheap
-    pass tries t = lower, lower + 1, ... below limit, and the full-range
-    pass descends from below the cheap value to lower at most; fallback, if
-    given, is a labelling known to reach limit.
+    pass tries t = lower, lower + 1, ... below limit, and each round's
+    descent runs from below the value so far to lower at most; fallback, if
+    given, is a labelling known to reach limit.  find must also be monotone
+    in the cap, as a labelling within one cap lies within every larger one,
+    so that a round's descent never repeats a search of the round before.
     canonical(t, cap, known), if given, returns the lexicographically least
     labelling with labels up to cap that reaches t (for the index searches,
     ``_IndexSearch.least``).  The driver asks for it at the deterministic
@@ -492,8 +495,8 @@ class _Ascent:
     No labelling at any cap reaches a target below lower, so a value at
     lower is reported range_free.  extra(labels) gives the invariant's own
     IndexResult fields.  what names the labelling in the SolverError raised
-    when no round finds one (only the positive-label invariants, whose
-    ascent has no fallback, can get there).
+    when no range searched holds one (only the positive-label invariants,
+    whose ascent has no fallback, can get there).
     """
 
     invariant: str
@@ -512,96 +515,80 @@ def _solve(spec: _Ascent, cfg: SearchConfig, g: Graph, first: int, default: int,
     """Least target reached within label range first..B, escalated on request.
 
     B is cfg.label_bound or the invariant's default; a range first..B of
-    fewer than n labels raises SolverError.  The first round starts by
-    calling spec.lower().  Each round then makes two passes over the
-    targets: a cheap pass at min(bound, cheap cap)
-    ascending from the lower bound to its least value v, whose labelling
-    (or the fallback) survives as an upper bound if the node budget later
-    runs out, then a full-bound pass, which alone can prove a target
-    infeasible, descending from v - 1 while each search finds a labelling.
-    Since find is monotone in t, its first None proves every smaller target
-    infeasible; when v is optimal the pass is the single search at v - 1,
-    never more than an ascent over the targets below v would run.  Where
-    the invariant has a canonical form, the cheap pass's labelling and each
-    labelling the descent finds are made canonical before the next proof, so
-    a result cut short by the node budget still carries a canonical witness.
-    With cfg.escalate the bound doubles until the value is the same in two
-    consecutive rounds; a round cut short by the budget keeps an earlier
-    round's smaller value and witness.  A search's outcome depends only on
-    its target and cap, not on the labelling a canonical search is given,
-    so no search runs twice within one solve: a later round reuses the
-    earlier rounds' cheap pass and, while its cap is unchanged, their
-    canonical search.
+    fewer than n labels raises SolverError.  A solve calls spec.lower() once,
+    then ascends once at the cheap cap min(B, cheap cap) from the lower bound
+    to its least value v there, whose labelling (or the fallback) survives
+    as an upper bound if the node budget later runs out.  Each round then
+    descends at its bound, which alone can prove a target infeasible, from
+    v - 1 while each search finds a labelling.  Since find is monotone in t,
+    its first None proves every smaller target infeasible; when v is optimal
+    the descent is the single search at v - 1, never more than an ascent
+    over the targets below v would run.  A round whose bound is the cheap
+    cap has no descent, as the ascent has proved every target below v
+    there.  Where the invariant has a canonical form, the ascent's labelling
+    and each labelling a descent finds are made canonical before the next
+    proof, so a result cut short by the node budget still carries a
+    canonical witness.
+
+    With cfg.escalate the bound doubles until the value is range-free, at
+    the lower bound, or the same in two consecutive rounds.  find is
+    monotone in the cap too, so the value of the round before is still
+    reached at the doubled bound: each round's value is the least target
+    within its bound, and no search runs twice within one solve.
     """
     bound = cfg.label_bound if cfg.label_bound is not None else default
     if bound - first + 1 < g.n:
         raise SolverError(f"label bound {bound} cannot label {g.n} vertices in {first}..{bound}")
     t0 = time.perf_counter()
     trace: list[tuple[int, int]] = []
-    value = labels = lower = None
+    value, labels, lower = spec.limit, spec.fallback, None
     exhaustive = True
-    outcomes: dict[tuple, object] = {}
-
-    def run(fn: Callable, t: int, cap: int, *known: list[int]):
-        key = (fn, t, cap)
-        if key not in outcomes:
-            outcomes[key] = fn(t, cap, *known)
-        return outcomes[key]
+    cheap_cap = min(bound, spec.cheap_cap)
 
     def canonical(t: int, labels: list[int]) -> list[int]:
         if spec.canonical is None:
             return labels
-        return run(spec.canonical, t, min(bound, max(spec.cheap_cap, max(labels))), labels)
+        return spec.canonical(t, min(bound, max(spec.cheap_cap, max(labels))), labels)
 
-    while True:
-        round_value, round_labels = spec.limit, spec.fallback
-        try:
-            if lower is None:
-                lower = spec.lower()
-            cheap_cap = min(bound, spec.cheap_cap)
-            for t in range(lower, round_value):
-                found = run(spec.find, t, cheap_cap)
-                if found is not None:
-                    round_value, round_labels = t, found
+    try:
+        lower = spec.lower()
+        for t in range(lower, value):
+            found = spec.find(t, cheap_cap)
+            if found is not None:
+                value, labels = t, found
+                break
+        if labels is not None:
+            labels = canonical(value, labels)
+        while True:
+            if bound != cheap_cap:
+                for t in range(value - 1, lower - 1, -1):
+                    found = spec.find(t, bound)
+                    if found is None:
+                        break
+                    # kept if the budget runs out in the canonical pass
+                    value, labels = t, found
+                    labels = canonical(t, found)
+            if labels is None:
+                if not cfg.escalate:
+                    raise SolverError(
+                        f"no {spec.what} labelling within label range {first}..{bound}; "
+                        "increase the range or enable escalation"
+                    )
+            else:
+                trace.append((bound, value))
+                if not cfg.escalate or value == lower or (
+                        len(trace) >= 2 and trace[-2][1] == value):
                     break
-            if round_labels is not None:
-                round_labels = canonical(round_value, round_labels)
-            # find is monotone in t, so the first None proves every smaller
-            # target infeasible as well
-            for t in range(round_value - 1, lower - 1, -1):
-                found = run(spec.find, t, bound)
-                if found is None:
-                    break
-                round_value, round_labels = t, found
-                round_labels = canonical(t, found)
-        except _NodeBudgetExceeded:
-            exhaustive = False
-        # a round cut short by the budget may tie an earlier round's value
-        # without having made its labelling canonical, so it replaces the
-        # earlier witness only with a smaller value
-        if round_labels is not None and (
-            value is None or round_value < value or (exhaustive and round_value == value)
-        ):
-            value, labels = round_value, round_labels
-        if value is not None:
-            trace.append((bound, value))
-        if value is None:
-            if not exhaustive:
-                raise SolverError(
-                    f"node budget of {counter.budget} ran out after {counter.nodes} nodes "
-                    f"before any {spec.what} labelling within label range {first}..{bound} "
-                    "was found; raise the node budget"
-                )
-            if not cfg.escalate:
-                raise SolverError(
-                    f"no {spec.what} labelling within label range {first}..{bound}; "
-                    "increase the range or enable escalation"
-                )
-        elif not cfg.escalate or not exhaustive or (
-            len(trace) >= 2 and trace[-1][1] == trace[-2][1]
-        ):
-            break
-        bound *= 2
+            bound *= 2
+    except _NodeBudgetExceeded:
+        exhaustive = False
+        if labels is None:
+            raise SolverError(
+                f"node budget of {counter.budget} ran out after {counter.nodes} nodes "
+                f"before any {spec.what} labelling within label range {first}..{bound} "
+                "was found; raise the node budget"
+            ) from None
+        trace.append((bound, value))
     return IndexResult(
         invariant=spec.invariant,
         value=value,

@@ -122,31 +122,45 @@ def test_bipartite_half_bound(connected_by_n):
 
 
 def test_escalation_trace_monotone_and_stable():
-    # in labels 0..5 the difference index of Es`o is 3, in 0..10 it is 2
-    for fn, g, cfg in (
-        (sl.sum_index, sl.prism(3).graph, SearchConfig(escalate=True)),
-        (sl.difference_index, sl.parse_graph6("Es`o"), SearchConfig(label_bound=5, escalate=True)),
+    # in labels 0..5 the difference index of Es`o is 3 and the sum index of
+    # EqoG is 4; in 0..10 they are 2 and 3, their range-free lower bounds,
+    # where escalation stops.  Es^w's difference index 4 lies above
+    # best_df_lower, so it stops when two rounds agree.  prism(3)'s (E{Sw) sum
+    # index is range-free in the first round, which is the plain solve
+    for fn, g6, bound, trace in (
+        (sl.difference_index, "Es`o", 5, ((5, 3), (10, 2))),
+        (sl.sum_index, "EqoG", 5, ((5, 4), (10, 3))),
+        (sl.difference_index, "Es^w", None, ((21, 4), (42, 4))),
+        (sl.sum_index, "E{Sw", None, ((21, 5),)),
     ):
-        res = fn(g, cfg)
+        g = sl.parse_graph6(g6)
+        res = fn(g, SearchConfig(label_bound=bound, escalate=True))
+        assert res.escalation_trace == trace, g6
         values = [v for _, v in res.escalation_trace]
-        assert len(values) >= 2
         assert values == sorted(values, reverse=True)
-        assert values[-1] == values[-2]
+        assert res.range_free != (len(values) >= 2 and values[-1] == values[-2])
         bounds = [b for b, _ in res.escalation_trace]
         assert all(b2 == 2 * b1 for b1, b2 in zip(bounds, bounds[1:]))
         assert res.range_used == bounds[-1]
+        if len(trace) == 1:
+            plain = fn(g, SearchConfig(label_bound=bound))
+            assert (res.witness, res.nodes_expanded) == (plain.witness, plain.nodes_expanded)
 
 
 def test_budget_cut_round_keeps_earlier_better_value(connected_by_n):
-    # round one (labels 0..3) proves df(Bo) = 1; the budget runs out in round
-    # two (labels 0..6) after its cheap pass has reached only 2
-    g = sl.parse_graph6("Bo")
-    res = sl.difference_index(g, SearchConfig(label_bound=3, escalate=True, node_budget=13))
-    assert not res.exhaustive_within_range
-    assert res.value == 1
-    assert res.escalation_trace == ((3, 1), (6, 1))
-    f = res.witness.as_dict()
-    assert len({abs(f[u] - f[v]) for u, v in g.edges}) == 1
+    # round one (labels 0..5) finds df(Es`o) = 3 and makes its witness
+    # canonical in 132 nodes, the plain solve's; the descent of round two
+    # (labels 0..10) finds 2 at node 151, so a budget from 132 to 150 runs
+    # out in it and leaves 3 with round one's canonical witness
+    g = sl.parse_graph6("Es`o")
+    plain = sl.difference_index(g, SearchConfig(label_bound=5))
+    assert (plain.value, plain.nodes_expanded) == (3, 132)
+    for budget in (132, 150):
+        res = sl.difference_index(
+            g, SearchConfig(label_bound=5, escalate=True, node_budget=budget))
+        assert (res.value, res.exhaustive_within_range, res.range_free) == (3, False, False)
+        assert (res.escalation_trace, res.nodes_expanded) == (((5, 3), (10, 3)), budget + 1)
+        assert res.witness == plain.witness
     for n in range(3, 5):
         for g in connected_by_n[n]:
             for fn in (sl.sum_index, sl.difference_index):
@@ -158,19 +172,28 @@ def test_budget_cut_round_keeps_earlier_better_value(connected_by_n):
 
 
 def test_budget_cut_round_keeps_earlier_canonical_witness():
-    # eps(Bo) = 2: round one (labels 1..4) finds (3, 4, 1) and makes it
-    # canonical, (1, 2, 3), after 11 nodes.  Round two's cheap pass (labels
-    # 1..2n = 6) finds (5, 6, 1), also 2, at node 14, and its canonical pass
-    # takes 6 more.  A budget of 11 runs out in that cheap pass, and one of 14
-    # in the canonical pass; either way the tie keeps round one's canonical
-    # witness
-    g = sl.parse_graph6("Bo")
-    for budget in (11, 14):
+    # eps(EsWG) is 4 in labels 1..6, where the cheap cap is the bound, so
+    # round one is the ascent and its canonical pass, 187 nodes in all, and
+    # (2, 1, 6, 4, 5, 3) the witness.  Round two's descent (labels 1..12)
+    # finds 3, the range-free floor, at node 213: a budget of 187 or 212 runs
+    # out in that search and keeps round one's canonical witness, and one of
+    # 213 runs out in the canonical pass of 3, which keeps the exact value
+    # with the labelling found
+    g = sl.parse_graph6("EsWG")
+    plain = sl.exclusive_sum_number(g, SearchConfig(label_bound=6))
+    assert (plain.value, plain.nodes_expanded) == (4, 187)
+    assert plain.witness.as_dict() == {0: 2, 1: 1, 2: 6, 3: 4, 4: 5, 5: 3}
+    for budget in (187, 212):
         res = sl.exclusive_sum_number(
-            g, SearchConfig(label_bound=4, escalate=True, node_budget=budget))
-        assert (res.value, res.exhaustive_within_range) == (2, False)
-        assert (res.escalation_trace, res.nodes_expanded) == (((4, 2), (8, 2)), budget + 1)
-        assert res.witness.as_dict() == {0: 1, 1: 2, 2: 3}
+            g, SearchConfig(label_bound=6, escalate=True, node_budget=budget))
+        assert (res.value, res.exhaustive_within_range) == (4, False)
+        assert (res.escalation_trace, res.nodes_expanded) == (((6, 4), (12, 4)), budget + 1)
+        assert res.witness == plain.witness
+    res = sl.exclusive_sum_number(g, SearchConfig(label_bound=6, escalate=True, node_budget=213))
+    assert (res.value, res.exhaustive_within_range, res.range_free) == (3, False, True)
+    assert (res.escalation_trace, res.nodes_expanded) == (((6, 4), (12, 3)), 214)
+    assert res.witness.as_dict() == {0: 6, 1: 7, 2: 4, 3: 1, 4: 3, 5: 10}
+    res.exclusive.validate(g)
 
 
 def test_sum_index_budget_never_raises():
@@ -268,15 +291,57 @@ def test_sum_number_invariant_under_relabelling(connected_by_n, data):
     assert _sum_number_outcome(h, cfg) == _sum_number_outcome(g, cfg)
 
 
-def test_escalation_repeats_no_search():
-    # the second round reuses the first round's cheap pass and, at the same
-    # cap, its canonical search, so escalating costs only the new proofs
-    g = sl.prism(3).graph
-    plain = sl.sum_index(g)
-    escalated = sl.sum_index(g, SearchConfig(escalate=True))
-    assert len(escalated.escalation_trace) == 2
+def test_escalation_repeats_no_search(monkeypatch):
+    # a later round runs only the descent at its own bound: df(Es^w) is 4
+    # above best_df_lower 3, so escalating adds the one proof at t = 3 in
+    # labels 0..42 to the plain solve's searches, its nodes to theirs, and
+    # keeps the witness
+    calls = _spy(monkeypatch)
+    g = sl.parse_graph6("Es^w")
+    plain = sl.difference_index(g)
+    assert calls == [(3, 12), (4, 12), (3, 21)]
+    calls.clear()
+    escalated = sl.difference_index(g, SearchConfig(escalate=True))
+    assert calls == [(3, 12), (4, 12), (3, 21), (3, 42)]
+    assert escalated.escalation_trace == ((21, 4), (42, 4))
     assert escalated.witness == plain.witness
-    assert escalated.nodes_expanded == plain.nodes_expanded
+    proof = solvers._NodeCounter(None)
+    assert solvers._IndexSearch(g, LabelKind.DIFF, proof).search(3, 42) is None
+    assert escalated.nodes_expanded == plain.nodes_expanded + proof.nodes
+
+
+def _escalated_corpus(connected_by_n):
+    """Every connected graph with 2 <= n <= 5, for each invariant, escalated
+    from every label bound from the least that labels n vertices to 2n + 1,
+    and from the default range."""
+    for n in range(2, 6):
+        for g in connected_by_n[n]:
+            for fn, first in ((sl.sum_index, 0), (sl.difference_index, 0),
+                              (sl.exclusive_sum_number, 1), (sl.sum_number, 1)):
+                for bound in [*range(first + n - 1, 2 * n + 2), None]:
+                    yield fn, g, SearchConfig(label_bound=bound, escalate=True)
+
+
+def test_escalated_solves_repeat_no_search_and_match_the_plain_solve(connected_by_n,
+                                                                    monkeypatch):
+    # find is monotone in the cap, so each round descends from the value of
+    # the round before, and its value is the least within its own range; a
+    # round at the cheap cap, where the ascent ran, has no descent
+    finds = _spy(monkeypatch)
+    canonicals = _spy(monkeypatch, "canonical")
+    solves = 0
+    for fn, g, cfg in _escalated_corpus(connected_by_n):
+        finds.clear()
+        canonicals.clear()
+        res = fn(g, cfg)
+        where = (sl.emit_graph6(g), fn, cfg)
+        for calls in (finds, canonicals):
+            assert len(set(calls)) == len(calls), (where, calls)
+        plain = fn(g, SearchConfig(label_bound=res.range_used))
+        assert (res.value, res.witness, res.range_free, res.exhaustive_within_range) == (
+            plain.value, plain.witness, plain.range_free, True), where
+        solves += 1
+    assert solves == 968
 
 
 def test_budget_cut_keeps_canonical_witness():
@@ -466,10 +531,12 @@ def test_partition_floor_runs_once_per_escalated_solve(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(solvers, "floor", spy)
-    for fn, g6, bound in ((sl.sum_index, "E{Sw", 7), (sl.exclusive_sum_number, "Bo", 4)):
+    # each first round's value lies above the floor, so a second round runs
+    for fn, g6, bound in ((sl.sum_index, "EqoG", 5), (sl.exclusive_sum_number, "EsWG", 6),
+                          (sl.sum_number, "Ds{", 9)):
         calls.clear()
         res = fn(sl.parse_graph6(g6), SearchConfig(label_bound=bound, escalate=True))
-        assert len(res.escalation_trace) >= 2
+        assert len(res.escalation_trace) == 2
         assert len(calls) == 1, (fn, calls)
 
 

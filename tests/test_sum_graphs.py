@@ -501,19 +501,55 @@ def test_exclusive_budget_in_full_range_proof_flags_upper_bound():
 
 
 def test_sum_number_escalates_out_of_small_range():
-    # neither K3 in 1..3 nor C4 in 1..4 has a sum labelling
-    for g, bound, expect in ((sl.complete_graph(3), 3, 2), (sl.cycle_graph(4), 4, 3)):
-        assert _sigma_by_assignments(g, bound) is None
+    # neither K3 in 1..3 nor C4 in 1..4 has a sum labelling; the doubled
+    # range reaches the range-free floor, where escalation stops.  Ds{ has 4
+    # in 1..9 and its floor 3 in 1..18
+    for g, bound, within, trace in ((sl.complete_graph(3), 3, None, ((6, 2),)),
+                                    (sl.cycle_graph(4), 4, None, ((8, 3),)),
+                                    (sl.parse_graph6("Ds{"), 9, 4, ((9, 4), (18, 3)))):
+        assert _sigma_by_assignments(g, bound) == within
         res = sl.sum_number(g, SearchConfig(label_bound=bound, escalate=True))
-        assert res.exhaustive_within_range
-        assert res.value == expect
-        assert res.range_used > bound
-        values = [v for _, v in res.escalation_trace]
-        assert values[-1] == values[-2] == expect
-        bounds = [b for b, _ in res.escalation_trace]
-        assert all(b2 == 2 * b1 for b1, b2 in zip(bounds, bounds[1:]))
-        assert res.range_used == bounds[-1]
+        assert (res.exhaustive_within_range, res.range_free) == (True, True)
+        assert res.escalation_trace == trace
+        assert res.value == trace[-1][1]
+        assert res.range_used == trace[-1][0]
         _check_sum_graph(g, res)
+
+
+def test_sum_number_find_walks_each_partition_once(connected_by_n, monkeypatch):
+    # find tries the partition that the floor search kept before it searches;
+    # when none of its points is a labelling, the search reaches that
+    # partition first again and must not walk its points a second time
+    walked = []
+    real_points = solvers.points
+
+    def points(leaf, n, cap):
+        walked.append((tuple(leaf[0]), leaf[1], cap))
+        return real_points(leaf, n, cap)
+
+    real_solve = solvers._solve
+
+    def solve(spec, *args):
+        def find(r, cap):
+            walked.clear()
+            found = spec.find(r, cap)
+            assert len(set(walked)) == len(walked), (r, cap, walked)
+            return found
+
+        return real_solve(replace(spec, find=find), *args)
+
+    monkeypatch.setattr(solvers, "points", points)
+    monkeypatch.setattr(solvers, "_solve", solve)
+    solves = 0
+    for n in range(2, 6):
+        for g in connected_by_n[n]:
+            for bound in range(5, 10):
+                try:
+                    sl.sum_number(g, SearchConfig(label_bound=bound, node_budget=5_000))
+                except SolverError:
+                    pass
+                solves += 1
+    assert solves == 150
 
 
 def test_exclusive_matches_assignment_enumeration(connected_by_n):
