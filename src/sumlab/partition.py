@@ -56,7 +56,7 @@ later and then their earlier end.  In ``"sum_graph"`` the n label classes
 exist from the root, as a class with no edges imposes no equation.  Each
 edge joins a class that shares no end with it, the counted classes in the
 order they opened and then the label classes in vertex order, and then
-opens a counted class, if fewer than t are open.  Two adjacent edges with
+starts a counted class, if fewer than t are open.  Two adjacent edges with
 equal sums would give two vertices equal labels, or one the label 0, so a
 class is a matching (w counts as an end of its label class), checked
 before any algebra.  Counted classes are numbered by first use and label
@@ -122,13 +122,12 @@ from typing import Callable, Iterator
 from .graphs import Graph, branch_order, twins_below
 
 
-def _branch_edges(g: Graph, order: list[int]) -> list[tuple[int, int]]:
-    """The edges of g by the positions in ``order``, g's ``branch_order``, of
-    their later and then their earlier end: the order in which the label
-    search fixes each edge's value, so that edges sharing an end come close
-    together."""
+def _branch_edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges of g by the positions in g's ``branch_order`` of their later
+    and then their earlier end: the order in which the label search fixes
+    each edge's value, so that edges sharing an end come close together."""
     bit = [0] * g.n  # 1 << position, so that an edge's key orders its later end first
-    for i, v in enumerate(order):
+    for i, v in enumerate(branch_order(g)):
         bit[v] = 1 << i
     return sorted(g.edges, key=lambda e: bit[e[0]] | bit[e[1]])
 
@@ -220,13 +219,13 @@ def points(leaf: tuple[list[int], int], n: int, cap: int) -> Iterator[list[int]]
 # Each mode's conditions besides distinct labels, which ``refute`` checks
 # itself (in "sum_graph" the zero form among them makes them nonzero too),
 # built once per graph from n, the non-edges and the live list of class keys:
-# ``fits(labels)``, after an equation, gives the non-edge sums, or None when
-# a condition fails; ``opens(labels)``, with a counted class just keyed
-# whose sum is no non-edge sum, tells whether the conditions still hold.
+# ``fits(labels)`` gives the non-edge sums, or None when a condition fails.
+# It is asked after each new equation and, where label classes exist, after
+# a new counted class; elsewhere such a class adds only its own sum's check.
 
 def _sum(n: int, non_edges, keys):
     no_sums = frozenset()
-    return (lambda labels: no_sums), lambda labels: True
+    return lambda labels: no_sums
 
 
 def _exclusive(n: int, non_edges, keys):
@@ -234,7 +233,7 @@ def _exclusive(n: int, non_edges, keys):
         nsums = {labels[u] + labels[v] for u, v in non_edges}
         return None if any(labels[a] + labels[b] in nsums for a, b in keys) else nsums
 
-    return fits, lambda labels: True
+    return fits
 
 
 def _sum_graph(n: int, non_edges, keys):
@@ -250,28 +249,27 @@ def _sum_graph(n: int, non_edges, keys):
             return None
         return nsums
 
-    return fits, lambda labels: fits(labels) is not None
+    return fits
 
 
 # mode: its conditions, and whether it has label classes
 _MODES = {"sum": (_sum, False), "exclusive": (_exclusive, False), "sum_graph": (_sum_graph, True)}
 
 
-def refuter(g: Graph, mode: str, order: list[int] | None = None) -> Callable:
+def refuter(g: Graph, mode: str) -> Callable:
     """The typed-partition search on g in ``mode`` as a function of t, tick
-    and accept, with the edge order (from ``order``, g's ``branch_order``,
-    computed when not given), the non-edges and the twin swaps' checks built
-    once.  It returns accept(leaf) at the first passing leaf, the packed
-    forms and the last pivot, where that is not None, or None when there is
-    none; without accept, the leaf itself, which it keeps per t, so that a
-    later call at t with accept tries that leaf before it searches again,
-    and passes no leaf equal to it to accept a second time."""
+    and accept, with the edge order, the non-edges and the twin swaps'
+    checks built once.  It returns accept(leaf) at the first passing leaf,
+    the packed forms and the last pivot, where that is not None, or None
+    when there is none; without accept, the leaf itself, which it keeps per
+    t, so that a later call at t with accept tries that leaf before it
+    searches again, and passes no leaf equal to it to accept a second time."""
     if mode not in _MODES:
         raise ValueError(f"unknown refutation mode {mode!r}")
     conditions, typed = _MODES[mode]
     n = g.n
     s = n + 3
-    edges = _branch_edges(g, branch_order(g) if order is None else order)
+    edges = _branch_edges(g)
     m = len(edges)
     adj = [0] * n
     at = [0] * (n * n)  # at[a * n + b]: the position of edge ab
@@ -344,7 +342,7 @@ def refuter(g: Graph, mode: str, order: list[int] | None = None) -> Callable:
     # is not called again
     keys: list[tuple[int, int]] = [(w, n) for w in range(n)] if typed else []
     masks = [1 << w for w, _ in keys]  # each class's ends
-    fits, opens = conditions(n, non_edges, keys)
+    fits = conditions(n, non_edges, keys)
     tick: Callable[[], None]  # the current call's
 
     # a mode with label classes asks for a positive point, as translation
@@ -393,7 +391,7 @@ def refuter(g: Graph, mode: str, order: list[int] | None = None) -> Callable:
             keys.insert(opened, (c, d))
             masks.insert(opened, ends)
             found = dfs(i + 1, labels, prev, nsums, room - 1, *after) if (
-                here not in nsums and opens(labels)) else None
+                here not in nsums and (not typed or fits(labels) is not None)) else None
             del keys[opened], masks[opened]
             return found
         return None
@@ -428,15 +426,13 @@ def refute(g: Graph, t: int, mode: str, tick: Callable[[], None] = lambda: None)
     return refuter(g, mode)(t, tick) is None
 
 
-def floor(g: Graph, lower: int, limit: int, mode: str,
-          tick: Callable[[], None] = lambda: None, search: Callable | None = None) -> int:
-    """The least t in lower..limit - 1 that ``refute`` in ``mode`` does not
-    rule out, or limit when it rules out all of them (limit is a value some
-    labelling is known to reach, so it needs no search).  No labelling at
-    any range reaches a target below the result.  ``search``, if given, is
-    the caller's ``refuter`` of g in ``mode``, which keeps the passing leaf."""
-    if lower < limit:
-        search = search or refuter(g, mode)
-        while lower < limit and search(lower, tick) is None:
-            lower += 1
+def floor(search: Callable, lower: int, limit: int,
+          tick: Callable[[], None] = lambda: None) -> int:
+    """The least t in lower..limit - 1 at which ``search``, a ``refuter``,
+    finds a passing leaf, or limit when it finds none at any of them (limit
+    is a value some labelling is known to reach, so it needs no search).  No
+    labelling at any range reaches a target below the result, and the
+    refuter keeps the passing leaf at it."""
+    while lower < limit and search(lower, tick) is None:
+        lower += 1
     return lower

@@ -17,8 +17,8 @@ order.  It offers each vertex its candidate labels in increasing order, and
 its callers differ only in the data they pass: the vertex order, the
 starting window, and which cut applies.  Its feasibility search places the
 vertices in ``graphs.branch_order``; the edge-partition refutation fixes
-edge values in the same order, which the search hands it, and the greedy
-bound numbers the vertices in it.
+edge values in the same order, and the greedy bound numbers the vertices
+in it.
 
 Candidate labels are generated as Python-int bitmasks, after the shift-
 register bitmaps of optimal Golomb ruler search (Rankin 1993): the labels a
@@ -617,8 +617,7 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
     spec = _Ascent(
         invariant=name,
         find=search.search,
-        lower=(lambda: floor(g, best_sm_lower(g), upper, "sum", counter.tick,
-                             refuter(g, "sum", search.order)))
+        lower=(lambda: floor(refuter(g, "sum"), best_sm_lower(g), upper, counter.tick))
         if is_sum else lambda: best_df_lower(g),
         limit=upper,
         cheap_cap=2 * n,
@@ -682,8 +681,7 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     spec = _Ascent(
         invariant="exclusive_sum_number",
         find=search.search,
-        lower=lambda: floor(g, best_sm_lower(g), g.m + 1, "exclusive", counter.tick,
-                            refuter(g, "exclusive", search.order)),
+        lower=lambda: floor(refuter(g, "exclusive"), best_sm_lower(g), g.m + 1, counter.tick),
         limit=g.m + 1,
         cheap_cap=2 * g.n,
         canonical=search.least,
@@ -749,8 +747,7 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
         find=find,
         # sigma(G) >= min degree: the vertex labelled last has all its edge
         # sums above every vertex label (Bergstrand et al. 1989)
-        lower=lambda: floor(g, degree_sequence(g).min_degree, g.m + 1, "sum_graph",
-                            counter.tick, search),
+        lower=lambda: floor(search, degree_sequence(g).min_degree, g.m + 1, counter.tick),
         limit=g.m + 1,
         cheap_cap=4 * g.n,
         extra=lambda labels: {"isolated_labels": tuple(sorted(isolated(labels)))},

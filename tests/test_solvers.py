@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, graphs, partition, solvers
-from sumlab.partition import _positive, _step, _sum_graph, floor, refute
+from sumlab.partition import _positive, _step, _sum_graph, floor, refute, refuter
 
 
 def _observed(g, res, kind):
@@ -768,14 +768,14 @@ def test_sum_graph_conditions_on_concrete_labels():
     # root, and fits must skip them, so each case runs with and without them
     non_edges = [(0, 2)]
     for label_classes in ([], [(0, 3), (1, 3), (2, 3)]):
-        fits, _ = _sum_graph(3, non_edges, [(0, 1), (1, 2)] + label_classes)
+        fits = _sum_graph(3, non_edges, [(0, 1), (1, 2)] + label_classes)
         assert fits([1, 5, 3, 0]) == {4}
         # the non-edge sum 1 + 3 is the label 4
         assert fits([1, 4, 3, 0]) is None
         # one counted class, whose sum 2 + 3 is the label 5; no other
         # condition fails, as the non-edge sum 7 and 5 + 2, 5 + 3 lie
         # outside W = {2, 3, 5}
-        fits, _ = _sum_graph(3, non_edges, [(0, 1)] + label_classes)
+        fits = _sum_graph(3, non_edges, [(0, 1)] + label_classes)
         assert fits([2, 3, 9, 0]) == {11}
         assert fits([2, 3, 5, 0]) is None
 
@@ -814,7 +814,7 @@ def test_twin_cut_never_changes_a_refutation(connected_by_n, monkeypatch):
 def test_twin_cut_ticks_fewer_nodes_on_complete_graphs(monkeypatch):
     def nodes(g):
         ticks = count()
-        floor(g, g.n - 1, g.m + 1, "sum_graph", ticks.__next__)
+        floor(refuter(g, "sum_graph"), g.n - 1, g.m + 1, ticks.__next__)
         return next(ticks)
 
     graphs_ = [sl.complete_graph(4), sl.complete_graph(5)]
@@ -965,7 +965,7 @@ def test_sum_floor_invariant_under_relabelling(connected_by_n, data):
     perm = data.draw(st.permutations(range(n)), label="perm")
     h = sl.Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
     lower = min(len(a) for a in g.adj) if mode == "sum_graph" else sl.best_sm_lower(g)
-    assert floor(h, lower, h.m + 1, mode) == floor(g, lower, g.m + 1, mode)
+    assert floor(refuter(h, mode), lower, h.m + 1) == floor(refuter(g, mode), lower, g.m + 1)
 
 
 @pytest.mark.parametrize(
@@ -990,7 +990,7 @@ def test_floor_trees_are_pinned(connected_by_n, mode, top, expect):
         else:
             lower, limit = sl.best_sm_lower(g), g.m + 1
         ticks, passed = count(), count()
-        t = floor(g, lower, limit, mode, ticks.__next__)
+        t = floor(refuter(g, mode), lower, limit, ticks.__next__)
         if t < limit:
             assert not refute(g, t, mode, passed.__next__)
         p = next(passed)

@@ -10,7 +10,7 @@ import pytest
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, solvers
-from sumlab.partition import floor, refute
+from sumlab.partition import floor, refute, refuter
 
 
 def _check_sum_graph(g, res):
@@ -342,6 +342,10 @@ def _binary_tree_7():
     return sl.Graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
 
 
+def _wheel(k):
+    return sl.Graph(k + 1, [(i, (i + 1) % k) for i in range(k)] + [(k, i) for i in range(k)])
+
+
 @pytest.mark.parametrize(
     "graph,cfg,expect",
     [
@@ -357,13 +361,35 @@ def _binary_tree_7():
         # sigma(K_n) = 2n - 3 for n >= 4 (Bergstrand et al. 1989)
         (sl.complete_graph(4), SearchConfig(label_bound=16), 5),
         (sl.complete_graph(5), SearchConfig(label_bound=40), 7),
+        (sl.complete_graph(6), SearchConfig(), 9),
+        (sl.complete_graph(7), SearchConfig(), 11),
+        # the wheel W_k, a hub k joined to every vertex of the cycle C_k:
+        # k/2 + 2 for even k >= 4, k for odd k >= 5 (Miller, Ryan, Slamin
+        # and Smyth 1998)
+        (_wheel(4), SearchConfig(), 4),
+        (_wheel(5), SearchConfig(), 5),
+        (_wheel(6), SearchConfig(), 5),
     ],
 )
 def test_sum_number_closed_forms(graph, cfg, expect):
     res = sl.sum_number(graph, cfg)
     assert res.exhaustive_within_range
+    assert res.range_free
     assert res.value == expect
     _check_sum_graph(graph, res)
+
+
+@pytest.mark.parametrize(
+    "m,n,expect",
+    # the lab's own values, each a partition floor with a witness checked
+    # here; no closed form for K_{m,n} is pinned
+    [(2, 3, 3), (2, 4, 4), (2, 5, 4), (2, 6, 4), (3, 3, 5), (3, 4, 5), (3, 5, 6), (4, 4, 7)],
+)
+def test_sum_number_of_complete_bipartite_graphs(m, n, expect):
+    g = sl.Graph(m + n, [(u, v) for u in range(m) for v in range(m, m + n)])
+    res = sl.sum_number(g)
+    assert (res.value, res.range_free, res.exhaustive_within_range) == (expect, True, True)
+    _check_sum_graph(g, res)
 
 
 def test_sum_number_search_tree_of_k5_is_pinned():
@@ -400,7 +426,7 @@ def test_sum_floor_never_exceeds_brute_force(connected_by_n):
     for n in range(2, 6):
         for g in connected_by_n[n]:
             brute = _sigma_by_assignments(g, 10)
-            lower = floor(g, min(len(a) for a in g.adj), g.m + 1, "sum_graph")
+            lower = floor(refuter(g, "sum_graph"), min(len(a) for a in g.adj), g.m + 1)
             if brute is not None:
                 assert not refute(g, brute, "sum_graph"), sl.emit_graph6(g)
                 assert lower <= brute
@@ -449,7 +475,7 @@ def test_sum_number_results_are_pinned(connected_by_n):
 def test_sum_number_floor_is_exact_where_positivity_binds(text, value):
     g = sl.parse_graph6(text)
     lower = min(len(a) for a in g.adj)
-    assert floor(g, lower, g.m + 1, "sum_graph") == value
+    assert floor(refuter(g, "sum_graph"), lower, g.m + 1) == value
     res = sl.sum_number(g)
     assert (res.value, res.range_free, res.exhaustive_within_range) == (value, True, True)
     assert max(res.witness.as_dict().values()) <= 4 * g.n
