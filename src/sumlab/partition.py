@@ -216,7 +216,7 @@ def points(leaf: tuple[list[int], int], n: int, cap: int) -> Iterator[list[int]]
     return walk(0, [0] * n)
 
 
-# Each mode's conditions besides distinct labels, which ``refute`` checks
+# Each mode's conditions besides distinct labels, which the search checks
 # itself (in "sum_graph" the zero form among them makes them nonzero too),
 # built once per graph from n, the non-edges and the live list of class keys:
 # ``fits(labels)`` gives the non-edge sums, or None when a condition fails.
@@ -259,11 +259,13 @@ _MODES = {"sum": (_sum, False), "exclusive": (_exclusive, False), "sum_graph": (
 def refuter(g: Graph, mode: str) -> Callable:
     """The typed-partition search on g in ``mode`` as a function of t, tick
     and accept, with the edge order, the non-edges and the twin swaps'
-    checks built once.  It returns accept(leaf) at the first passing leaf,
-    the packed forms and the last pivot, where that is not None, or None
-    when there is none; without accept, the leaf itself, which it keeps per
-    t, so that a later call at t with accept tries that leaf before it
-    searches again, and passes no leaf equal to it to accept a second time."""
+    checks built once.  It calls tick once per search node and returns
+    accept(leaf) at the first passing leaf, the packed forms and the last
+    pivot, where that is not None, or None when there is none; by default
+    the leaf itself.  None means that no labelling of g in ``mode`` at any
+    label range has at most t counted values (edge sums; isolated labels in
+    ``"sum_graph"``).  Each call searches afresh, so its answer and its
+    ticks depend on its arguments alone."""
     if mode not in _MODES:
         raise ValueError(f"unknown refutation mode {mode!r}")
     conditions, typed = _MODES[mode]
@@ -343,14 +345,13 @@ def refuter(g: Graph, mode: str) -> Callable:
     keys: list[tuple[int, int]] = [(w, n) for w in range(n)] if typed else []
     masks = [1 << w for w, _ in keys]  # each class's ends
     fits = conditions(n, non_edges, keys)
-    tick: Callable[[], None]  # the current call's
+    tick: Callable[[], None]  # the current call's, and at_leaf its accept
+    at_leaf: Callable
 
     # a mode with label classes asks for a positive point, as translation
     # does not keep its equations
     def positive(labels: list[int], prev: int) -> bool:
         return not typed or _positive(_rows(labels, prev, n))
-
-    at_leaf: Callable  # the current call's accept
 
     # labels: the packed forms; prev: the last pivot; nsums: non-edge sums;
     # room: counted classes left; tied: the swaps whose known image prefix
@@ -398,41 +399,23 @@ def refuter(g: Graph, mode: str) -> Callable:
 
     labels = [1 << s * u for u in range(n)] + [0] * typed
     nsums = fits(labels)
-    first: dict[int, tuple | None] = {}  # the first passing leaf at each t searched
 
-    def search(t: int, ticks: Callable[[], None], accept: Callable | None = None):
+    def search(t: int, ticks: Callable[[], None] = lambda: None,
+               accept: Callable = lambda leaf: leaf):
         nonlocal tick, at_leaf
-        tick = ticks
-        leaf = first.get(t, ())
-        if leaf is None or (leaf and accept is None):
-            return leaf
-        if leaf and (found := accept(leaf)) is not None:
-            return found
-        # the DFS reaches a refused kept leaf first; accept has walked it
-        at_leaf = (lambda x: None if x == leaf else accept(x)) if accept else (lambda x: x)
-        found = dfs(0, labels, 1, nsums, t, (1 << swaps) - 1, [()] * swaps)
-        if accept is None:
-            first[t] = found
-        return found
+        tick, at_leaf = ticks, accept
+        return dfs(0, labels, 1, nsums, t, (1 << swaps) - 1, [()] * swaps)
 
     return search
 
 
-def refute(g: Graph, t: int, mode: str, tick: Callable[[], None] = lambda: None) -> bool:
-    """True when no labelling of g in ``mode`` at any label range has at
-    most t counted values (edge sums; isolated labels in ``"sum_graph"``),
-    False when a typed partition passes.  ``tick`` is called once per
-    search node."""
-    return refuter(g, mode)(t, tick) is None
-
-
 def floor(search: Callable, lower: int, limit: int,
           tick: Callable[[], None] = lambda: None) -> int:
-    """The least t in lower..limit - 1 at which ``search``, a ``refuter``,
-    finds a passing leaf, or limit when it finds none at any of them (limit
-    is a value some labelling is known to reach, so it needs no search).  No
-    labelling at any range reaches a target below the result, and the
-    refuter keeps the passing leaf at it."""
+    """The least t in lower..limit - 1 at which ``search(t, tick)``, a
+    ``refuter`` or a wrapper of one, finds a passing leaf, or limit when it
+    finds none at any of them (limit is a value some labelling is known to
+    reach, so it needs no search).  No labelling at any range reaches a
+    target below the result."""
     while lower < limit and search(lower, tick) is None:
         lower += 1
     return lower

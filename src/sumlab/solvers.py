@@ -7,7 +7,8 @@ exhaustive within the range, since no finite label bound certifying global
 optimality is known.  A value that equals the lower bound its ascent starts
 from is exact at any range (``range_free``); the sum index's, the exclusive
 sum number's and the sum number's lower bound is the least target that
-``partition.refute``, in the invariant's mode, does not rule out.
+the search of ``partition.refuter``, in the invariant's mode, does not
+rule out.
 
 The sum index, difference index and exclusive sum number share one search
 kernel, ``_IndexSearch``: a DFS that pins its first vertex at relative
@@ -706,8 +707,9 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     range has r.  A value at that floor is flagged ``range_free``; any other
     is an upper bound exhaustive within the range.  A target's labellings
     within a cap are the integer points of its passing partitions
-    (``partition.points``) that pass the sum-graph check; the search that
-    found the floor keeps its passing partition, which is tried first.  The
+    (``partition.points``) that pass the sum-graph check; the solve keeps
+    the passing partition that the floor search found, and tries it first
+    at the floor, as a search there would reach it first again.  The
     node budget counts the partition search's nodes and the points checked;
     when it runs out before any labelling is found, in the floor search too,
     it raises SolverError.
@@ -716,6 +718,12 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     cfg = cfg or SearchConfig()
     counter = _NodeCounter(cfg.node_budget)
     search = refuter(g, "sum_graph")
+    kept: dict[int, tuple | None] = {}  # the floor search's answer at each t
+
+    def floor_search(t: int, tick: Callable[[], None]) -> tuple | None:
+        kept[t] = leaf = search(t, tick)
+        return leaf
+
     non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
 
     def isolated(labels: list[int]) -> set[int] | None:
@@ -740,14 +748,18 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
                     return f
             return None
 
-        return search(r, counter.tick, take)
+        leaf = kept.get(r)
+        if leaf is not None and (found := take(leaf)) is not None:
+            return found
+        # the search reaches a refused kept leaf first; take has walked it
+        return search(r, counter.tick, lambda x: None if x == leaf else take(x))
 
     spec = _Ascent(
         invariant="sum_number",
         find=find,
         # sigma(G) >= min degree: the vertex labelled last has all its edge
         # sums above every vertex label (Bergstrand et al. 1989)
-        lower=lambda: floor(search, degree_sequence(g).min_degree, g.m + 1, counter.tick),
+        lower=lambda: floor(floor_search, degree_sequence(g).min_degree, g.m + 1, counter.tick),
         limit=g.m + 1,
         cheap_cap=4 * g.n,
         extra=lambda labels: {"isolated_labels": tuple(sorted(isolated(labels)))},

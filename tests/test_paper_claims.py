@@ -37,3 +37,17 @@ def test_df_falls_below_half_sm_without_search(s, sm_lower, gap):
     assert sl.best_df_lower(inst.graph) == 2
     assert sl.best_sm_lower(inst.graph) == sm_lower
     assert 2 - (sm_lower + 1) // 2 == gap
+
+
+@pytest.mark.parametrize("k", range(4, 15))
+def test_df_exceeds_half_sm_by_one_on_subdivided_complete_without_search(k):
+    # K_k with one edge subdivided: the bundled certificates give df <= k - 1
+    # and sm <= 2k - 4, and diff_degree_bound and sum_degree_bound give the
+    # same values from below, so df - ceil(sm/2) = (k - 1) - (k - 2) = 1
+    inst = sl.subdivided_complete(k)
+    df, sm = (sl.verify_certificate(inst.certificate(kind))
+              for kind in (LabelKind.DIFF, LabelKind.SUM))
+    assert df.passed and sm.passed
+    assert sl.best_df_lower(inst.graph) == k - 1 == df.claimed
+    assert sl.best_sm_lower(inst.graph) == 2 * k - 4 == sm.claimed
+    assert df.claimed - (sm.claimed + 1) // 2 == 1

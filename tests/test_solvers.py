@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, graphs, partition, solvers
-from sumlab.partition import _positive, _step, _sum_graph, floor, refute, refuter
+from sumlab.partition import _positive, _step, _sum_graph, floor, refuter
 
 
 def _observed(g, res, kind):
@@ -64,7 +64,7 @@ def test_edgeless_graphs_have_zero_index():
         assert res.witness.as_dict() == {0: 0, 1: 1, 2: 2}
     # its vertices are twins, and its one partition, the empty one, passes
     for mode in ("sum", "exclusive", "sum_graph"):
-        assert not refute(g, 0, mode)
+        assert refuter(g, mode)(0) is not None
 
 
 def _naive_min(g, is_sum, bound):
@@ -618,7 +618,7 @@ def test_sum_refutation_matches_brute_force(connected_by_n):
             value, _ = _naive_min(g, True, 2 * n)
             assert value == sl.best_sm_lower(g), sl.emit_graph6(g)
             for t in range(g.m + 1):
-                assert refute(g, t, "sum") == (t < value), (sl.emit_graph6(g), t)
+                assert (refuter(g, "sum")(t) is None) == (t < value), (sl.emit_graph6(g), t)
 
 
 def _passes_by_rank(g, t, mode):
@@ -737,13 +737,14 @@ def _passes_by_rank(g, t, mode):
 
 
 def test_refutation_matches_rank_oracle(connected_by_n):
-    # refute(t) must hold exactly when no typed partition with at most t
-    # counted classes passes, from one below the start that floor takes up
-    # to the first t that passes.  sm and eps: every connected graph with
-    # n <= 5, where eps = sm, and five six-vertex graphs with eps = sm + 1
-    # that exercise the exclusive checks (the sixth, Es~w, takes the oracle
-    # over 2 s); sigma, from the least degree: every connected graph with
-    # 2 <= n <= 4 (on n = 5 the oracle takes minutes)
+    # refuter's search at t must find nothing exactly when no typed
+    # partition with at most t counted classes passes, from one below the
+    # start that floor takes up to the first t that passes.  sm and eps:
+    # every connected graph with n <= 5, where eps = sm, and five six-vertex
+    # graphs with eps = sm + 1 that exercise the exclusive checks (the
+    # sixth, Es~w, takes the oracle over 2 s); sigma, from the least
+    # degree: every connected graph with 2 <= n <= 4 (on n = 5 the oracle
+    # takes minutes)
     graphs = [g for n in range(1, 6) for g in connected_by_n[n]]
     graphs += [sl.parse_graph6(text) for text in ("EsZ_", "Esz_", "Es^o", "Es^w", "EqzW")]
     cases = [(g, mode, sl.best_sm_lower(g)) for g in graphs for mode in ("sum", "exclusive")]
@@ -753,7 +754,7 @@ def test_refutation_matches_rank_oracle(connected_by_n):
         t = max(0, start - 1)
         while True:
             passes = _passes_by_rank(g, t, mode)
-            assert refute(g, t, mode) == (not passes), (sl.emit_graph6(g), t, mode)
+            assert (refuter(g, mode)(t) is None) == (not passes), (sl.emit_graph6(g), t, mode)
             if passes:
                 break
             t += 1
@@ -764,7 +765,7 @@ def test_sum_graph_conditions_on_concrete_labels():
     # rank oracle cannot see them: on the path 0 - 1 - 2, with label 3 the
     # zero form and counted classes keyed by the edges 01 and 12, fits gives
     # the non-edge sums only when no non-edge sum lies in W and no isolated
-    # sum repeats a label.  refute keys the label classes (w, 3) from the
+    # sum repeats a label.  refuter keys the label classes (w, 3) from the
     # root, and fits must skip them, so each case runs with and without them
     non_edges = [(0, 2)]
     for label_classes in ([], [(0, 3), (1, 3), (2, 3)]):
@@ -782,7 +783,7 @@ def test_sum_graph_conditions_on_concrete_labels():
 
 def test_refute_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="^unknown refutation mode 'signed'$"):
-        refute(sl.path_graph(3), 1, "signed")
+        refuter(sl.path_graph(3), "signed")
 
 
 def _no_twins(adj):
@@ -792,10 +793,11 @@ def _no_twins(adj):
 def test_twin_cut_never_changes_a_refutation(connected_by_n, monkeypatch):
     # the lex-leader cut on twin swaps keeps the orbit-least passing
     # partition, so on every connected graph with 2 <= n <= 5 and in every
-    # mode, refute answers at each t from the mode's lower bound to the
-    # floor as it does when the twin source reports no twins.  So it does on
-    # EuvW's sum number, whose floor a cut that compared the image's counted
-    # classes without renumbering them by first use would raise from 6 to 7
+    # mode, refuter's search answers at each t from the mode's lower bound
+    # to the floor as it does when the twin source reports no twins.  So it
+    # does on EuvW's sum number, whose floor a cut that compared the image's
+    # counted classes without renumbering them by first use would raise
+    # from 6 to 7
     cases = [(g, mode) for n in range(2, 6) for g in connected_by_n[n]
              for mode in ("sum", "exclusive", "sum_graph")]
     cases.append((sl.parse_graph6("EuvW"), "sum_graph"))
@@ -803,12 +805,14 @@ def test_twin_cut_never_changes_a_refutation(connected_by_n, monkeypatch):
     for g, mode in cases:
         lower = min(len(a) for a in g.adj) if mode == "sum_graph" else sl.best_sm_lower(g)
         t = lower
-        while refute(g, t, mode):
+        search = refuter(g, mode)
+        while search(t) is None:
             t += 1
         answers.append([(u, True) for u in range(lower, t)] + [(t, False)])
     monkeypatch.setattr(partition, "twins_below", _no_twins)
     for (g, mode), expect in zip(cases, answers):
-        assert [(t, refute(g, t, mode)) for t, _ in expect] == expect, (sl.emit_graph6(g), mode)
+        search = refuter(g, mode)
+        assert [(t, search(t) is None) for t, _ in expect] == expect, (sl.emit_graph6(g), mode)
 
 
 def test_twin_cut_ticks_fewer_nodes_on_complete_graphs(monkeypatch):
@@ -821,6 +825,23 @@ def test_twin_cut_ticks_fewer_nodes_on_complete_graphs(monkeypatch):
     cut = [nodes(g) for g in graphs_]
     monkeypatch.setattr(partition, "twins_below", _no_twins)
     assert all(a < b for a, b in zip(cut, [nodes(g) for g in graphs_]))
+
+
+def test_refuter_answers_do_not_depend_on_call_history(connected_by_n):
+    # a refuter's search keeps nothing between calls: on every connected
+    # graph with 2 <= n <= 5 and in every mode, asking for each t from the
+    # mode's lower bound up to m and then from m down again gives each t
+    # the same leaf, or None, in the same number of ticks both times
+    for mode in ("sum", "exclusive", "sum_graph"):
+        for g in (g for n in range(2, 6) for g in connected_by_n[n]):
+            lower = min(len(a) for a in g.adj) if mode == "sum_graph" else sl.best_sm_lower(g)
+            search = refuter(g, mode)
+            answers = {}
+            for t in [*range(lower, g.m + 1), *range(g.m, lower - 1, -1)]:
+                ticks = count()
+                answers.setdefault(t, []).append((search(t, ticks.__next__), next(ticks)))
+            for t, (up, down) in answers.items():
+                assert up == down, (sl.emit_graph6(g), mode, t)
 
 
 def _pack(form, s):
@@ -992,7 +1013,7 @@ def test_floor_trees_are_pinned(connected_by_n, mode, top, expect):
         ticks, passed = count(), count()
         t = floor(refuter(g, mode), lower, limit, ticks.__next__)
         if t < limit:
-            assert not refute(g, t, mode, passed.__next__)
+            assert refuter(g, mode)(t, passed.__next__) is not None
         p = next(passed)
         total += t
         refuted += next(ticks) - p

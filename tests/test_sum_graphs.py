@@ -10,7 +10,7 @@ import pytest
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, solvers
-from sumlab.partition import floor, refute, refuter
+from sumlab.partition import floor, refuter
 
 
 def _check_sum_graph(g, res):
@@ -428,7 +428,7 @@ def test_sum_floor_never_exceeds_brute_force(connected_by_n):
             brute = _sigma_by_assignments(g, 10)
             lower = floor(refuter(g, "sum_graph"), min(len(a) for a in g.adj), g.m + 1)
             if brute is not None:
-                assert not refute(g, brute, "sum_graph"), sl.emit_graph6(g)
+                assert refuter(g, "sum_graph")(brute) is not None, sl.emit_graph6(g)
                 assert lower <= brute
                 equal += lower == brute
             res = sl.sum_number(g)
@@ -590,18 +590,18 @@ def test_exclusive_matches_assignment_enumeration(connected_by_n):
 
 
 def test_refutation_spares_every_found_labelling(connected_by_n):
-    # refute(t) claims that no labelling at any range reaches t, so it must
-    # fail wherever brute force over {1..2n} finds one, and hold below the
-    # sum index's lower bound
+    # a search at t that finds nothing claims that no labelling at any range
+    # reaches t, so it must find a leaf wherever brute force over {1..2n}
+    # finds a labelling, and none below the sum index's lower bound
     for n in range(2, 5):
         for g in connected_by_n[n]:
             value, _ = _eps_by_assignments(g, 2 * n)
             lower = sl.best_sm_lower(g)
             for t in range(g.m + 1):
                 if t >= value:
-                    assert not refute(g, t, "exclusive"), (sl.emit_graph6(g), t)
+                    assert refuter(g, "exclusive")(t) is not None, (sl.emit_graph6(g), t)
                 elif t < lower:
-                    assert refute(g, t, "exclusive"), (sl.emit_graph6(g), t)
+                    assert refuter(g, "exclusive")(t) is None, (sl.emit_graph6(g), t)
 
 
 def _eps_by_label_search(g):
@@ -628,17 +628,17 @@ def test_refutation_proves_the_label_search_values(connected_by_n):
     above = 0
     for g in graphs:
         eps = _eps_by_label_search(g)
-        assert not refute(g, eps, "exclusive"), sl.emit_graph6(g)
+        assert refuter(g, "exclusive")(eps) is not None, sl.emit_graph6(g)
         if eps > sl.best_sm_lower(g):
             above += 1
-            assert refute(g, eps - 1, "exclusive"), sl.emit_graph6(g)
+            assert refuter(g, "exclusive")(eps - 1) is None, sl.emit_graph6(g)
         for _ in range(2):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = sl.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
             for t in (eps - 1, eps):
-                assert refute(h, t, "exclusive") == refute(g, t, "exclusive"), (
-                    sl.emit_graph6(g), perm)
+                assert (refuter(h, "exclusive")(t) is None) == (
+                    refuter(g, "exclusive")(t) is None), (sl.emit_graph6(g), perm)
     assert above > 0
 
 
