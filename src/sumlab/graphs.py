@@ -8,6 +8,7 @@ object is safe to share across worker processes.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator
 
@@ -43,6 +44,7 @@ class UnsupportedSizeError(GraphError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with a frozen edge set.
 
+    n and the vertex ids are integers (numpy ints pass ``operator.index``).
     Loops are rejected, duplicate edges collapse, and each edge is stored
     once as an ordered pair (u < v).  Instances are immutable and hashable.
     """
@@ -50,6 +52,11 @@ class Graph:
     __slots__ = ("_n", "_edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        try:
+            n = operator.index(n)
+            edges = [(operator.index(u), operator.index(v)) for u, v in edges]
+        except TypeError:
+            raise GraphError("the vertex count and every vertex id must be integers") from None
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         dedup: set[tuple[int, int]] = set()

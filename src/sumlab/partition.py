@@ -408,14 +408,3 @@ def refuter(g: Graph, mode: str) -> Callable:
 
     return search
 
-
-def floor(search: Callable, lower: int, limit: int,
-          tick: Callable[[], None] = lambda: None) -> int:
-    """The least t in lower..limit - 1 at which ``search(t, tick)``, a
-    ``refuter`` or a wrapper of one, finds a passing leaf, or limit when it
-    finds none at any of them (limit is a value some labelling is known to
-    reach, so it needs no search).  No labelling at any range reaches a
-    target below the result."""
-    while lower < limit and search(lower, tick) is None:
-        lower += 1
-    return lower

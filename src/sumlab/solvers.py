@@ -2,13 +2,13 @@
 
 Sum/difference index: labels range over {0..B}.  Sum number and exclusive
 sum number: labels range over {1..B} (the sum-graph definition requires
-positive integers).  The latter two are reported as upper bounds that are
-exhaustive within the range, since no finite label bound certifying global
-optimality is known.  A value that equals the lower bound its ascent starts
-from is exact at any range (``range_free``); the sum index's, the exclusive
-sum number's and the sum number's lower bound is the least target that
-the search of ``partition.refuter``, in the invariant's mode, does not
-rule out.
+positive integers).  A value is the least within the range searched; one
+at the floor of its ascent, the least target that no proof rules out at
+any range, is exact at any range (``range_free``).  The sum index, the
+exclusive sum number and the sum number prove targets below their floor
+infeasible by the search of ``partition.refuter`` in the invariant's mode,
+which no label range limits; the difference index has no such proof, and
+its floor is ``best_df_lower``.
 
 The sum index, difference index and exclusive sum number share one search
 kernel, ``_IndexSearch``: a DFS that pins its first vertex at relative
@@ -48,33 +48,18 @@ in the partition search's order and then lexicographic in the free
 vertices' labels, that passes the sum-graph check here, which shares no
 code with ``partition``, is its witness.  There is no canonical pass.
 
-All four invariants share one ascent-and-escalation driver.  It ascends
-targets from a lower bound: ``best_df_lower`` (which includes half the
-maximum degree), as ``bounds`` reports it, for the difference index.  The
-other three ascend from their range-free floors (``partition.floor``,
-run by the driver on the same node counter): the least target that the
-one typed-partition refutation does not rule out, in mode ``"sum"``,
-``"exclusive"`` or ``"sum_graph"``, from ``best_sm_lower`` for the sum
-index and the exclusive sum number, and from the min degree for the sum
-number (sigma(G) >= min degree, Bergstrand et al. 1989).
-A cheap pass at a small label cap (2n for the sum index, the difference
-index and the exclusive sum number, 4n for the sum number) ascends to a
-value quickly.  Only a full-range search proves a target infeasible, so the
-full range is then searched descending from just below that value, and only
-while each search finds a labelling: a labelling that reaches t also
-reaches t + 1, so the first target the full range cannot reach proves every
-smaller one infeasible too.  When the cheap value is optimal that is one
-search, a subset of those an ascent would run, so the descent never spends
-more nodes.  Index and exclusive witnesses are made canonical before the
-proofs and after each proof that finds a smaller value, so a node budget
-that runs out in the proofs still leaves a canonical witness.  The indices
-stop the cheap ascent at a greedy labelling's value, the better of the
-identity and the branch-order numbering, which is their result when nothing
-smaller is found.  A node budget that runs out, in the floor search too,
-leaves the least value found, flagged non-exhaustive, or raises SolverError
-if none was found.  With escalation the range doubles, and each doubled
-range runs only the descent again, from the value so far, until the value
-is range-free or the same in two consecutive rounds; no search runs twice
+All four invariants share one ascent-and-escalation driver, ``_solve``.
+Its cheap pass ascends at a small label cap (2n for the indices and the
+exclusive sum number, 4n for the sum number) from a lower bound that needs
+no search: ``best_df_lower`` for the difference index, ``best_sm_lower``
+for the sum index and the exclusive sum number, and the min degree for the
+sum number.  It asks for a proof at that bound, which rises past each
+target that the typed-partition refutation, in mode ``"sum"``,
+``"exclusive"`` or ``"sum_graph"``, rules out at any range, up to the
+range-free floor.  Above the floor only a full-range search proves a target
+infeasible, so the full range is then searched descending from just below
+the cheap value while each search finds a labelling.  With escalation each
+doubled range runs only that descent again, and no search runs twice
 within one solve.
 """
 
@@ -87,11 +72,16 @@ from typing import Callable
 from .bounds import best_df_lower, best_sm_lower
 from .graphs import Graph, branch_order, degree_sequence, is_connected, twins_below
 from .labelling import LabelKind, VertexLabelling
-from .partition import floor, points, refuter
+from .partition import points, refuter
 
 
 class SolverError(ValueError):
     """Bad solver input or an exhausted label range."""
+
+
+# find's answer when asked to prove a target that no labelling at any label
+# range reaches (see _Ascent)
+_REFUTED = object()
 
 
 class _NodeBudgetExceeded(Exception):
@@ -115,14 +105,15 @@ class _NodeCounter:
 class SearchConfig:
     """Knobs for the exact searches.
 
-    label_bound: largest label B; defaults to n(n-1)/2 + n for the sum and
+    label_bound: largest label B, an int of at least 0 or None (as is
+    node_budget; SolverError names a field that is not); defaults to n(n-1)/2 + n for the sum and
     difference indices and 4n^2 for the sum number and the exclusive sum
     number.  escalate doubles B until the value is range-free or the same
     in two consecutive rounds.  node_budget caps the total number of
     search-tree nodes; exceeding it yields the least value found, flagged
     non-exhaustive, or SolverError when none was found (only the sum number
     and exclusive sum number have no greedy labelling).  The refutations
-    that find the sm, eps and sigma floors tick the same count, and a
+    that prove the sm, eps and sigma floors tick the same count, and a
     result's ``nodes_expanded`` includes them; the sum number's walk over
     a partition's integer points ticks once per point.  A single solve is
     sequential; corpus scans take their parallel width from
@@ -132,6 +123,14 @@ class SearchConfig:
     label_bound: int | None = None
     escalate: bool = False
     node_budget: int | None = None
+
+    def __post_init__(self):
+        for name in ("label_bound", "node_budget"):
+            x = getattr(self, name)
+            if x is not None and (isinstance(x, bool) or not isinstance(x, int) or x < 0):
+                raise SolverError(f"{name} must be None or an integer of at least 0, not {x!r}")
+        if not isinstance(self.escalate, bool):
+            raise SolverError(f"escalate must be True or False, not {self.escalate!r}")
 
 
 @dataclass(frozen=True)
@@ -170,10 +169,10 @@ class IndexResult:
     """A computed invariant value with its witness and search provenance.
 
     range_free: the value is exact at any label range, since it equals the
-    lower bound the ascent starts from (for all but the difference index,
-    the least target an edge-partition refutation does not rule out).  With
-    exhaustive_within_range False it is still exact, but the node budget ran
-    out before the witness was made canonical.
+    ascent's floor: ``best_df_lower`` for the difference index, and for the
+    other three the least target that the typed-partition refutation does
+    not rule out.  With exhaustive_within_range False it is still exact,
+    but the node budget ran out before the witness was made canonical.
     """
 
     invariant: str
@@ -279,6 +278,15 @@ class _IndexSearch:
         self.counter = counter
         self.twins_below = twins_below([sum(1 << u for u in a) for a in g.adj])
         self.order = branch_order(g)
+        self.refute = refuter(g, "exclusive" if exclusive else "sum") if self.is_sum else None
+
+    def find(self, target: int, cap: int, prove: bool) -> list[int] | object | None:
+        """``search`` as the driver's find: with prove set, _REFUTED when
+        the typed-partition refutation in the search's mode rules
+        ``target`` out at any range.  The difference index has none."""
+        if prove and self.refute is not None and self.refute(target, self.counter.tick) is None:
+            return _REFUTED
+        return self.search(target, cap)
 
     def search(self, target: int, cap: int) -> list[int] | None:
         """First labelling with at most ``target`` distinct edge values and
@@ -474,16 +482,19 @@ class _IndexSearch:
 class _Ascent:
     """What one invariant supplies to ``_solve``.
 
-    find(t, cap) returns the first labelling with labels up to cap that
-    reaches target t (at most t distinct values, or at most t isolated
+    find(t, cap, prove) returns the first labelling with labels up to cap
+    that reaches target t (at most t distinct values, or at most t isolated
     labels), or None; it is monotone in t, as a labelling that reaches t
-    also reaches t + 1.  lower() returns the lower bound; the driver calls
-    it once per solve, under the node budget, as it may search.  The cheap
-    pass tries t = lower, lower + 1, ... below limit, and each round's
-    descent runs from below the value so far to lower at most; fallback, if
-    given, is a labelling known to reach limit.  find must also be monotone
-    in the cap, as a labelling within one cap lies within every larger one,
-    so that a round's descent never repeats a search of the round before.
+    also reaches t + 1.  With prove set it may return _REFUTED instead,
+    when it proves that no labelling at any cap reaches t; an invariant
+    with no such proof ignores prove.  lower is a lower bound that needs no
+    search.  The cheap pass tries t = lower, lower + 1, ... below limit,
+    asking for a proof at t = lower only and raising lower to t + 1 at each
+    _REFUTED, so lower ends at the floor; each round's descent runs from
+    below the value so far to the floor at most.  fallback, if given, is a
+    labelling known to reach limit.  find must also be monotone in the cap,
+    as a labelling within one cap lies within every larger one, so that a
+    round's descent never repeats a search of the round before.
     canonical(t, cap, known), if given, returns the lexicographically least
     labelling with labels up to cap that reaches t (for the index searches,
     ``_IndexSearch.least``).  The driver asks for it at the deterministic
@@ -493,16 +504,16 @@ class _Ascent:
     bounds the work.  cheap_cap is the canonical cap's lower limit, so a
     labelling of the cheap pass, whose labels lie within it, is always made
     canonical at min(bound, cheap_cap), whichever labelling find returned.
-    No labelling at any cap reaches a target below lower, so a value at
-    lower is reported range_free.  extra(labels) gives the invariant's own
+    No labelling at any cap reaches a target below the floor, so a value at
+    the floor is reported range_free.  extra(labels) gives the invariant's own
     IndexResult fields.  what names the labelling in the SolverError raised
     when no range searched holds one (only the positive-label invariants,
     whose ascent has no fallback, can get there).
     """
 
     invariant: str
-    find: Callable[[int, int], list[int] | None]
-    lower: Callable[[], int]
+    find: Callable[[int, int, bool], list[int] | object | None]
+    lower: int
     limit: int
     cheap_cap: int
     fallback: list[int] | None = None
@@ -516,12 +527,12 @@ def _solve(spec: _Ascent, cfg: SearchConfig, g: Graph, first: int, default: int,
     """Least target reached within label range first..B, escalated on request.
 
     B is cfg.label_bound or the invariant's default; a range first..B of
-    fewer than n labels raises SolverError.  A solve calls spec.lower() once,
-    then ascends once at the cheap cap min(B, cheap cap) from the lower bound
-    to its least value v there, whose labelling (or the fallback) survives
-    as an upper bound if the node budget later runs out.  Each round then
-    descends at its bound, which alone can prove a target infeasible, from
-    v - 1 while each search finds a labelling.  Since find is monotone in t,
+    fewer than n labels raises SolverError.  A solve ascends once at the
+    cheap cap min(B, cheap cap) from spec.lower to its least value v there,
+    whose labelling (or the fallback) survives as an upper bound if the
+    node budget later runs out; it asks for a proof at the floor.  Each
+    round then descends at its bound, whose searches prove targets
+    infeasible within the range, from v - 1 while each finds a labelling.  Since find is monotone in t,
     its first None proves every smaller target infeasible; when v is optimal
     the descent is the single search at v - 1, never more than an ascent
     over the targets below v would run.  A round whose bound is the cheap
@@ -532,7 +543,7 @@ def _solve(spec: _Ascent, cfg: SearchConfig, g: Graph, first: int, default: int,
     canonical witness.
 
     With cfg.escalate the bound doubles until the value is range-free, at
-    the lower bound, or the same in two consecutive rounds.  find is
+    the floor, or the same in two consecutive rounds.  find is
     monotone in the cap too, so the value of the round before is still
     reached at the doubled bound: each round's value is the least target
     within its bound, and no search runs twice within one solve.
@@ -542,7 +553,7 @@ def _solve(spec: _Ascent, cfg: SearchConfig, g: Graph, first: int, default: int,
         raise SolverError(f"label bound {bound} cannot label {g.n} vertices in {first}..{bound}")
     t0 = time.perf_counter()
     trace: list[tuple[int, int]] = []
-    value, labels, lower = spec.limit, spec.fallback, None
+    value, labels, lower = spec.limit, spec.fallback, spec.lower
     exhaustive = True
     cheap_cap = min(bound, spec.cheap_cap)
 
@@ -552,10 +563,11 @@ def _solve(spec: _Ascent, cfg: SearchConfig, g: Graph, first: int, default: int,
         return spec.canonical(t, min(bound, max(spec.cheap_cap, max(labels))), labels)
 
     try:
-        lower = spec.lower()
         for t in range(lower, value):
-            found = spec.find(t, cheap_cap)
-            if found is not None:
+            found = spec.find(t, cheap_cap, t == lower)
+            if found is _REFUTED:
+                lower = t + 1
+            elif found is not None:
                 value, labels = t, found
                 break
         if labels is not None:
@@ -563,7 +575,7 @@ def _solve(spec: _Ascent, cfg: SearchConfig, g: Graph, first: int, default: int,
         while True:
             if bound != cheap_cap:
                 for t in range(value - 1, lower - 1, -1):
-                    found = spec.find(t, bound)
+                    found = spec.find(t, bound, False)
                     if found is None:
                         break
                     # kept if the budget runs out in the canonical pass
@@ -617,9 +629,8 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
     upper, labels = _greedy_upper(g, is_sum, search.order)
     spec = _Ascent(
         invariant=name,
-        find=search.search,
-        lower=(lambda: floor(refuter(g, "sum"), best_sm_lower(g), upper, counter.tick))
-        if is_sum else lambda: best_df_lower(g),
+        find=search.find,
+        lower=best_sm_lower(g) if is_sum else best_df_lower(g),
         limit=upper,
         cheap_cap=2 * n,
         fallback=labels,
@@ -632,8 +643,9 @@ def _solve_index(g: Graph, kind: LabelKind, cfg: SearchConfig | None, name: str)
 def sum_index(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     """Minimum number of distinct edge sums over injective labellings in {0..B}.
 
-    The search ascends from the floor of ``partition``; a node budget that
-    runs out before it is found leaves the greedy labelling, flagged."""
+    The search ascends from ``best_sm_lower``, past each target that the
+    refutation of ``partition`` rules out; a node budget that runs out before
+    a labelling is found leaves the greedy labelling, flagged."""
     return _solve_index(g, LabelKind.SUM, cfg, "sum_index")
 
 
@@ -659,10 +671,10 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
     """Least |T| with the graph realised on vertex labels S, edges uv iff
     f(u)+f(v) in T, over injective assignments into {1..B}.
 
-    The search ascends from the least target t at or above ``best_sm_lower``
-    that the edge-partition refutation (see ``partition``) does not rule
-    out: no labelling at any label range has fewer values, and
-    some labelling at some range has t.  A value at that floor is flagged
+    The search ascends from ``best_sm_lower`` past each target that the
+    edge-partition refutation (see ``partition``) rules out, to the floor:
+    no labelling at any label range has fewer values, and some labelling at
+    some range has the floor.  A value at the floor is flagged
     ``range_free``; any other is an upper bound exhaustive within the range.
     A node budget that runs out before any labelling is found raises
     SolverError.  Disjointness of S and T is not required.
@@ -681,8 +693,8 @@ def exclusive_sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResu
 
     spec = _Ascent(
         invariant="exclusive_sum_number",
-        find=search.search,
-        lower=lambda: floor(refuter(g, "exclusive"), best_sm_lower(g), g.m + 1, counter.tick),
+        find=search.find,
+        lower=best_sm_lower(g),
         limit=g.m + 1,
         cheap_cap=2 * g.n,
         canonical=search.least,
@@ -700,30 +712,21 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
     """Least number of isolated vertices (within label range {1..B}) whose
     addition admits a sum labelling: uv is an edge iff f(u)+f(v) is a label.
 
-    The search ascends from the least r at or above the classical bound
-    sigma(G) >= min degree that the partition refutation in mode
-    ``"sum_graph"`` (see ``partition``) does not rule out: no sum labelling
-    at any label range has fewer isolated labels, and a positive one at some
-    range has r.  A value at that floor is flagged ``range_free``; any other
-    is an upper bound exhaustive within the range.  A target's labellings
-    within a cap are the integer points of its passing partitions
-    (``partition.points``) that pass the sum-graph check; the solve keeps
-    the passing partition that the floor search found, and tries it first
-    at the floor, as a search there would reach it first again.  The
-    node budget counts the partition search's nodes and the points checked;
-    when it runs out before any labelling is found, in the floor search too,
-    it raises SolverError.
+    The search ascends from sigma(G) >= min degree.  Each find runs the
+    partition search in mode ``"sum_graph"`` (see ``partition``) once, and
+    walks each passing partition's integer points (``partition.points``) as
+    it reaches it, for the first that passes the sum-graph check here.  A
+    find at the floor that reaches no passing partition proves that no sum
+    labelling at any range has so few isolated labels; at the least r with
+    one, the floor, a positive labelling at some range has r.  A value at
+    the floor is flagged ``range_free``; any other is an upper bound
+    exhaustive within the range.  The node budget counts the partition
+    search's nodes and the points checked.
     """
     _require_connected(g, "sum_number")
     cfg = cfg or SearchConfig()
     counter = _NodeCounter(cfg.node_budget)
     search = refuter(g, "sum_graph")
-    kept: dict[int, tuple | None] = {}  # the floor search's answer at each t
-
-    def floor_search(t: int, tick: Callable[[], None]) -> tuple | None:
-        kept[t] = leaf = search(t, tick)
-        return leaf
-
     non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
 
     def isolated(labels: list[int]) -> set[int] | None:
@@ -740,26 +743,26 @@ def sum_number(g: Graph, cfg: SearchConfig | None = None) -> IndexResult:
             return None
         return iso
 
-    def find(r: int, cap: int) -> list[int] | None:
+    def find(r: int, cap: int, prove: bool) -> list[int] | object | None:
+        passed = []  # the passing partitions reached
+
         def take(leaf: tuple[list[int], int]) -> list[int] | None:
+            passed.append(leaf)
             for f in points(leaf, g.n, cap):
                 counter.tick()
                 if (iso := isolated(f)) is not None and len(iso) <= r:
                     return f
             return None
 
-        leaf = kept.get(r)
-        if leaf is not None and (found := take(leaf)) is not None:
-            return found
-        # the search reaches a refused kept leaf first; take has walked it
-        return search(r, counter.tick, lambda x: None if x == leaf else take(x))
+        found = search(r, counter.tick, take)
+        return _REFUTED if prove and not passed else found
 
     spec = _Ascent(
         invariant="sum_number",
         find=find,
         # sigma(G) >= min degree: the vertex labelled last has all its edge
         # sums above every vertex label (Bergstrand et al. 1989)
-        lower=lambda: floor(floor_search, degree_sequence(g).min_degree, g.m + 1, counter.tick),
+        lower=degree_sequence(g).min_degree,
         limit=g.m + 1,
         cheap_cap=4 * g.n,
         extra=lambda labels: {"isolated_labels": tuple(sorted(isolated(labels)))},

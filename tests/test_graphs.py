@@ -31,6 +31,20 @@ def test_graph_rejects_loops_and_bad_endpoints():
         Graph(-1)
 
 
+def test_graph_rejects_non_integer_vertex_ids():
+    # a float end once passed, and then graph6 dropped the edge (Graph(3,
+    # [(0, 1.5)]) was written as the edgeless B?) and a solver's list
+    # indexing raised TypeError
+    for n, edges in ((3, [(0, 1.5)]), (2.5, [(0, 1)]), (3, [("0", 1)]), (3, [(0, None)])):
+        with pytest.raises(sl.GraphError, match="^the vertex count and every vertex id must be"):
+            Graph(n, edges)
+    # anything operator.index takes, numpy integers among them, is an int
+    np = pytest.importorskip("numpy")
+    g = Graph(np.int64(3), [(np.int32(2), np.int64(0))])
+    assert (g.n, g.edges) == (3, ((0, 2),))
+    assert all(type(x) is int for x in (g.n, *g.edges[0]))
+
+
 # ---------------------------------------------------------------------------
 # graph6
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, graphs, partition, solvers
-from sumlab.partition import _positive, _step, _sum_graph, floor, refuter
+from sumlab.partition import _positive, _step, _sum_graph, refuter
 
 
 def _observed(g, res, kind):
@@ -225,6 +225,19 @@ def test_label_bound_validation():
         sl.sum_index(sl.complete_graph(4), SearchConfig(label_bound=2))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("node_budget", -1), ("node_budget", True), ("node_budget", 2.0), ("label_bound", 3.5),
+    ("label_bound", -1), ("label_bound", False), ("label_bound", "9"), ("escalate", 1),
+    ("escalate", None),
+])
+def test_search_config_rejects_bad_fields(field, value):
+    # each once passed: a budget of -1 ran out at the first node, a label
+    # bound of 3.5 raised TypeError inside the label search, and True was
+    # a budget of 1
+    with pytest.raises(SolverError, match=f"^{field} must be "):
+        SearchConfig(**{field: value})
+
+
 @pytest.mark.parametrize("fn, first", [
     (sl.sum_index, 0), (sl.difference_index, 0),
     (sl.exclusive_sum_number, 1), (sl.sum_number, 1),
@@ -417,18 +430,28 @@ def test_values_invariant_under_reversal_of_twins(connected_by_n):
 
 class _Oracle:
     """Monotone stand-ins for an invariant's find and canonical searches: a
-    target t is reached at cap c when t is at least the value at c.  Every
-    call is recorded and ticks the node counter once; no search runs."""
+    target t is reached at cap c when t is at least the value at c.  A find
+    asked to prove t first spends ``proof`` ticks, and refutes t when it
+    lies below ``floor``.  Every call is recorded, as "prove" or by its
+    name, and ticks the node counter once more unless it refutes; no search
+    runs."""
 
-    def __init__(self, counter, cheap_cap, cheap_value, value):
+    def __init__(self, counter, cheap_cap, cheap_value, value, floor=0, proof=0):
         self.counter = counter
         self.cheap_cap = cheap_cap
         self.cheap_value = cheap_value
         self.value = value
+        self.floor = floor
+        self.proof = proof
         self.calls = []
 
-    def find(self, t, cap):
-        self.calls.append(("find", t, cap))
+    def find(self, t, cap, prove):
+        self.calls.append(("prove" if prove else "find", t, cap))
+        if prove:
+            for _ in range(self.proof):
+                self.counter.tick()
+            if t < self.floor:
+                return solvers._REFUTED
         self.counter.tick()
         reached = self.cheap_value if cap <= self.cheap_cap else self.value
         return [0, 1, 10 + t] if t >= reached else None
@@ -443,12 +466,12 @@ def _scripted_solve(cheap_value, value, budget=None, bound=50):
     counter = solvers._NodeCounter(budget)
     oracle = _Oracle(counter, 8, cheap_value, value)
     spec = solvers._Ascent(
-        invariant="scripted", find=oracle.find, lower=lambda: 1, limit=8, cheap_cap=8,
+        invariant="scripted", find=oracle.find, lower=1, limit=8, cheap_cap=8,
         canonical=oracle.canonical,
     )
     res = solvers._solve(spec, SearchConfig(node_budget=budget), sl.path_graph(3), 0,
                          bound, counter)
-    full = [(t, cap) for what, t, cap in oracle.calls if what == "find" and cap >= bound]
+    full = [(t, cap) for what, t, cap in oracle.calls if what != "canonical" and cap >= bound]
     canonical = [t for what, t, _ in oracle.calls if what == "canonical"]
     return res, full, canonical
 
@@ -481,63 +504,69 @@ def test_proof_pass_stops_at_the_first_infeasible_target():
     assert (res.value, res.exhaustive_within_range, res.range_free) == (1, True, True)
 
 
-def _lower_solve(ticks, fallback, budget=None, escalate=False):
-    """_solve on the scripted oracles (value 4 at every cap) with a lower
-    bound that spends ``ticks`` nodes before it returns 1; also the number
-    of times the driver called it."""
+def _proving_solve(proof, fallback, budget=None, escalate=False, floor=0):
+    """_solve on the scripted oracles (value 4 at every cap) from the lower
+    bound 1, whose find asked to prove a target spends ``proof`` nodes and
+    refutes the targets below ``floor``; also the targets asked to prove."""
     counter = solvers._NodeCounter(budget)
-    oracle = _Oracle(counter, 8, 4, 4)
-    calls = []
-
-    def lower():
-        calls.append(None)
-        for _ in range(ticks):
-            counter.tick()
-        return 1
-
+    oracle = _Oracle(counter, 8, 4, 4, floor=floor, proof=proof)
     spec = solvers._Ascent(
-        invariant="scripted", find=oracle.find, lower=lower, limit=8, cheap_cap=8,
+        invariant="scripted", find=oracle.find, lower=1, limit=8, cheap_cap=8,
         fallback=fallback, canonical=oracle.canonical, what="scripted",
     )
     res = solvers._solve(spec, SearchConfig(escalate=escalate, node_budget=budget),
                          sl.path_graph(3), 0, 50, counter)
-    return res, len(calls)
+    return res, [t for what, t, _ in oracle.calls if what == "prove"]
 
 
 def test_budget_in_the_lower_bound_follows_the_driver_rule():
-    # a lower bound that searches (the partition floor) runs under the
-    # driver's one budget rule: with a fallback, the result is limit, flagged
+    # a find asked to prove the lower bound (the partition refutation) runs
+    # under the driver's one budget rule: with a fallback, the result is
+    # limit, flagged
     for escalate in (False, True):
-        res, calls = _lower_solve(10, [0, 1, 3], budget=5, escalate=escalate)
+        res, proved = _proving_solve(10, [0, 1, 3], budget=5, escalate=escalate)
         assert (res.value, res.exhaustive_within_range, res.range_free) == (8, False, False)
         assert res.escalation_trace == ((50, 8),)
-        assert (res.range_used, res.nodes_expanded, calls) == (50, 6, 1)
+        assert (res.range_used, res.nodes_expanded, proved) == (50, 6, [1])
         assert res.witness.as_dict() == {0: 0, 1: 1, 2: 3}
     # without one, the budget error names the nodes spent
     with pytest.raises(SolverError, match="node budget of 5 ran out after 6 nodes"):
-        _lower_solve(10, None, budget=5)
-    # escalation rounds reuse the lower bound of the first
-    res, calls = _lower_solve(10, None, escalate=True)
-    assert res.escalation_trace == ((50, 4), (100, 4))
-    assert calls == 1
+        _proving_solve(10, None, budget=5)
+    # each refuted target raises the floor by one, and only the cheap pass
+    # of round one asks for a proof: below the value 4, the floor 3 leaves
+    # two rounds; at it, the floor 4 stops escalation at range-free
+    res, proved = _proving_solve(10, None, escalate=True, floor=3)
+    assert (res.escalation_trace, res.range_free, proved) == (((50, 4), (100, 4)), False, [1, 2, 3])
+    res, proved = _proving_solve(10, None, escalate=True, floor=4)
+    assert (res.escalation_trace, res.range_free, proved) == (((50, 4),), True, [1, 2, 3, 4])
+    assert res.nodes_expanded == 4 * 10 + 2
 
 
 def test_partition_floor_runs_once_per_escalated_solve(monkeypatch):
+    # each first round's value lies above the floor, so a second round runs;
+    # only round one's cheap pass asks for proofs, from the lower bound
+    # (best_sm_lower 3, min degree 2) to the floor, once each: Ds{'s sum
+    # number refutes 2 at any range and passes 3
     calls = []
-    real = solvers.floor
+    real = solvers._solve
 
-    def spy(*args):
-        calls.append(args[1:4])
-        return real(*args)
+    def solve(spec, *args):
+        def find(t, cap, prove):
+            found = spec.find(t, cap, prove)
+            calls.append((t, cap, prove, found is solvers._REFUTED))
+            return found
 
-    monkeypatch.setattr(solvers, "floor", spy)
-    # each first round's value lies above the floor, so a second round runs
-    for fn, g6, bound in ((sl.sum_index, "EqoG", 5), (sl.exclusive_sum_number, "EsWG", 6),
-                          (sl.sum_number, "Ds{", 9)):
+        return real(replace(spec, find=find), *args)
+
+    monkeypatch.setattr(solvers, "_solve", solve)
+    for fn, g6, bound, proofs in ((sl.sum_index, "EqoG", 5, [(3, 5, True, False)]),
+                                  (sl.exclusive_sum_number, "EsWG", 6, [(3, 6, True, False)]),
+                                  (sl.sum_number, "Ds{", 9, [(2, 9, True, True),
+                                                             (3, 9, True, False)])):
         calls.clear()
         res = fn(sl.parse_graph6(g6), SearchConfig(label_bound=bound, escalate=True))
-        assert len(res.escalation_trace) == 2
-        assert len(calls) == 1, (fn, calls)
+        assert res.escalation_trace == ((bound, 4), (2 * bound, 3))
+        assert calls == proofs + [(4, bound, False, False), (3, 2 * bound, False, False)], fn
 
 
 def test_sum_index_budget_out_in_the_floor():
@@ -573,15 +602,15 @@ def _spy(monkeypatch, field="find"):
 
 
 def test_real_solvers_prove_only_value_minus_one(monkeypatch):
-    # K4: the typed-partition floor rules out r = 3 and 4 and passes 5 (118
-    # nodes), and the cheap pass (cap 16) finds 5 at the floor's passing
-    # partition, whose points it walks at a node each (49), so no full-range
-    # search (cap 4n^2 = 64) runs; test_sum_graphs pins a budget cut in the
-    # descent on Es^w's difference index
+    # K4: the cheap pass (cap 16) refutes r = 3 and 4 at any range and finds
+    # 5 at its first passing partition (118 search nodes), whose points it
+    # walks at a node each (49), so no full-range search (cap 4n^2 = 64)
+    # runs; test_sum_graphs pins a budget cut in the descent on Es^w's
+    # difference index
     calls = _spy(monkeypatch)
     res = sl.sum_number(sl.parse_graph6("C~"))
     assert (res.value, res.exhaustive_within_range, res.range_free) == (5, True, True)
-    assert calls == [(5, 16)]
+    assert calls == [(3, 16), (4, 16), (5, 16)]
     assert [res.witness.as_dict()[v] for v in range(4)] == [7, 1, 10, 4]
     assert res.nodes_expanded == 167
     # Es^w: best_df_lower 3, the cheap pass (cap 12) fails at 3 and finds 4,
@@ -600,13 +629,20 @@ def test_real_solvers_prove_only_value_minus_one(monkeypatch):
 def test_exclusive_searches_no_target_below_its_value(monkeypatch, text):
     # eps exceeds best_sm_lower on these graphs (test_sum_graphs pins the
     # values), and the partition refutation rules out every target below
-    # eps, so the ascent starts at eps and no label search runs below it
-    calls = _spy(monkeypatch)
+    # eps, so the label search runs at eps first and never below it
+    targets = []
+    real = solvers._IndexSearch.search
+
+    def search(self, t, cap):
+        targets.append(t)
+        return real(self, t, cap)
+
+    monkeypatch.setattr(solvers._IndexSearch, "search", search)
     g = sl.parse_graph6(text)
     res = sl.exclusive_sum_number(g)
     assert res.value > sl.best_sm_lower(g)
     assert res.range_free
-    assert min(t for t, _ in calls) == res.value
+    assert targets[0] == min(targets) == res.value
 
 
 def test_sum_refutation_matches_brute_force(connected_by_n):
@@ -818,7 +854,8 @@ def test_twin_cut_never_changes_a_refutation(connected_by_n, monkeypatch):
 def test_twin_cut_ticks_fewer_nodes_on_complete_graphs(monkeypatch):
     def nodes(g):
         ticks = count()
-        floor(refuter(g, "sum_graph"), g.n - 1, g.m + 1, ticks.__next__)
+        search = refuter(g, "sum_graph")
+        next((t for t in range(g.n - 1, g.m + 1) if search(t, ticks.__next__) is not None), g.m + 1)
         return next(ticks)
 
     graphs_ = [sl.complete_graph(4), sl.complete_graph(5)]
@@ -986,7 +1023,11 @@ def test_sum_floor_invariant_under_relabelling(connected_by_n, data):
     perm = data.draw(st.permutations(range(n)), label="perm")
     h = sl.Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
     lower = min(len(a) for a in g.adj) if mode == "sum_graph" else sl.best_sm_lower(g)
-    assert floor(refuter(h, mode), lower, h.m + 1) == floor(refuter(g, mode), lower, g.m + 1)
+    floors = []
+    for x in (h, g):
+        search = refuter(x, mode)
+        floors.append(next((t for t in range(lower, x.m + 1) if search(t) is not None), x.m + 1))
+    assert floors[0] == floors[1]
 
 
 @pytest.mark.parametrize(
@@ -995,12 +1036,13 @@ def test_sum_floor_invariant_under_relabelling(connected_by_n, data):
      ("sum_graph", 5, (70, 2_523, 1_334))],
 )
 def test_floor_trees_are_pinned(connected_by_n, mode, top, expect):
-    # floor as the solvers call it, on every connected graph with
-    # 2 <= n <= top: the sum of the floors, the nodes of the refutations
-    # that rule a target out, and those of the search that passes at the
-    # floor, so that its trees are pinned apart from the label searches.  A
-    # refutation that rules a target out visits its whole tree, so only the
-    # passing count follows the order in which the search tries children
+    # the floor as the solvers' cheap pass proves it, on every connected
+    # graph with 2 <= n <= top: the sum of the floors, the nodes of the
+    # refutations that rule a target out, and those of the search that
+    # passes at the floor, so that its trees are pinned apart from the label
+    # searches.  A refutation that rules a target out visits its whole
+    # tree, so only the passing count follows the order in which the search
+    # tries children
     total = refuted = passing = 0
     for g in (g for n in range(2, top + 1) for g in connected_by_n[n]):
         if mode == "sum_graph":
@@ -1011,7 +1053,8 @@ def test_floor_trees_are_pinned(connected_by_n, mode, top, expect):
         else:
             lower, limit = sl.best_sm_lower(g), g.m + 1
         ticks, passed = count(), count()
-        t = floor(refuter(g, mode), lower, limit, ticks.__next__)
+        search = refuter(g, mode)
+        t = next((t for t in range(lower, limit) if search(t, ticks.__next__) is not None), limit)
         if t < limit:
             assert refuter(g, mode)(t, passed.__next__) is not None
         p = next(passed)

@@ -10,7 +10,7 @@ import pytest
 
 import sumlab as sl
 from sumlab import LabelKind, SearchConfig, SolverError, solvers
-from sumlab.partition import floor, refuter
+from sumlab.partition import refuter
 
 
 def _check_sum_graph(g, res):
@@ -268,8 +268,8 @@ def test_sum_number_matches_assignment_enumeration(connected_by_n):
 
 
 def _sigma_find(monkeypatch, g):
-    """The find(r, cap) that sum_number hands the ascent driver on g, taken
-    from a solve, and the solve's value."""
+    """The find(r, cap, prove) that sum_number hands the ascent driver on g,
+    taken from a solve, and the solve's value."""
     specs = []
     real = solvers._solve
 
@@ -284,13 +284,15 @@ def _sigma_find(monkeypatch, g):
 
 
 def test_sum_number_find_matches_assignment_enumeration(connected_by_n, monkeypatch):
-    # find(r, cap) walks the integer points of the passing positive typed
-    # partitions at r, so it must return a sum labelling with labels in
-    # 1..cap and at most r isolated labels exactly when brute force finds
+    # find(r, cap, prove) walks the integer points of the passing positive
+    # typed partitions at r, so it must return a sum labelling with labels
+    # in 1..cap and at most r isolated labels exactly when brute force finds
     # one there, at every cap the driver may ask for (n and above) and not
     # only at sigma: at the least r brute force reaches within the cap and
     # one below it, or at sigma where it reaches none.  The walk is complete
-    # because every such labelling is a point of its own partition
+    # because every such labelling is a point of its own partition.  Asked
+    # to prove r, it answers _REFUTED, which counts as no labelling, exactly
+    # below sigma, as every sigma here is range-free
     checked = 0
     for n in range(2, 6):
         for g in connected_by_n[n]:
@@ -307,7 +309,10 @@ def test_sum_number_find_matches_assignment_enumeration(connected_by_n, monkeypa
                 for r in ([sigma] if best is None else [best - 1, best]):
                     if r < lower:
                         continue
-                    f = find(r, cap)
+                    f = find(r, cap, True)
+                    assert (f is solvers._REFUTED) == (r < sigma), (sl.emit_graph6(g), r, cap)
+                    if f is solvers._REFUTED:
+                        f = None
                     assert (f is not None) == (best is not None and best <= r), (
                         sl.emit_graph6(g), r, cap)
                     if f is not None:
@@ -393,9 +398,9 @@ def test_sum_number_of_complete_bipartite_graphs(m, n, expect):
 
 
 def test_sum_number_search_tree_of_k5_is_pinned():
-    # the solve: the floor refutes 4, 5 and 6 and passes 7 in 498 nodes, and
-    # the cheap pass at 7 takes its witness from that passing partition, in
-    # 12 more, one per point checked; a change that cuts the floor's tree on
+    # the solve: the cheap pass refutes 4, 5 and 6 and reaches a passing
+    # partition at 7 in 498 nodes, and takes its witness from it, in 12
+    # more, one per point checked; a change that cuts the floor's tree on
     # purpose updates the pin
     res = sl.sum_number(sl.complete_graph(5), SearchConfig(label_bound=40))
     assert (res.value, res.exhaustive_within_range, res.range_free) == (7, True, True)
@@ -426,7 +431,9 @@ def test_sum_floor_never_exceeds_brute_force(connected_by_n):
     for n in range(2, 6):
         for g in connected_by_n[n]:
             brute = _sigma_by_assignments(g, 10)
-            lower = floor(refuter(g, "sum_graph"), min(len(a) for a in g.adj), g.m + 1)
+            search = refuter(g, "sum_graph")
+            lower = next((t for t in range(min(len(a) for a in g.adj), g.m + 1)
+                          if search(t) is not None), g.m + 1)
             if brute is not None:
                 assert refuter(g, "sum_graph")(brute) is not None, sl.emit_graph6(g)
                 assert lower <= brute
@@ -475,7 +482,8 @@ def test_sum_number_results_are_pinned(connected_by_n):
 def test_sum_number_floor_is_exact_where_positivity_binds(text, value):
     g = sl.parse_graph6(text)
     lower = min(len(a) for a in g.adj)
-    assert floor(refuter(g, "sum_graph"), lower, g.m + 1) == value
+    search = refuter(g, "sum_graph")
+    assert next((t for t in range(lower, g.m + 1) if search(t) is not None), g.m + 1) == value
     res = sl.sum_number(g)
     assert (res.value, res.range_free, res.exhaustive_within_range) == (value, True, True)
     assert max(res.witness.as_dict().values()) <= 4 * g.n
@@ -543,9 +551,9 @@ def test_sum_number_escalates_out_of_small_range():
 
 
 def test_sum_number_find_walks_each_partition_once(connected_by_n, monkeypatch):
-    # find tries the partition that the floor search kept before it searches;
-    # when none of its points is a labelling, the search reaches that
-    # partition first again and must not walk its points a second time
+    # each find runs one partition search, and walks the points of each
+    # passing partition it reaches once, whether or not one of them is a
+    # labelling
     walked = []
     real_points = solvers.points
 
@@ -556,9 +564,9 @@ def test_sum_number_find_walks_each_partition_once(connected_by_n, monkeypatch):
     real_solve = solvers._solve
 
     def solve(spec, *args):
-        def find(r, cap):
+        def find(r, cap, prove):
             walked.clear()
-            found = spec.find(r, cap)
+            found = spec.find(r, cap, prove)
             assert len(set(walked)) == len(walked), (r, cap, walked)
             return found
 
@@ -576,6 +584,39 @@ def test_sum_number_find_walks_each_partition_once(connected_by_n, monkeypatch):
                     pass
                 solves += 1
     assert solves == 150
+
+
+def test_sum_number_searches_each_target_once(connected_by_n, monkeypatch):
+    # the cheap pass proves the floor with the search that finds the
+    # witness, so within one solve no target's partition search runs twice:
+    # every connected graph with 3 <= n <= 5 at label ranges 1..5 to 1..9,
+    # all within the cheap cap 4n, where no descent runs
+    targets = []
+    real = solvers.refuter
+
+    def refuter_(g, mode):
+        search = real(g, mode)
+
+        def spied(t, *args):
+            targets.append(t)
+            return search(t, *args)
+
+        return spied
+
+    monkeypatch.setattr(solvers, "refuter", refuter_)
+    solves = 0
+    for n in range(3, 6):
+        for g in connected_by_n[n]:
+            for bound in range(5, 10):
+                targets.clear()
+                try:
+                    sl.sum_number(g, SearchConfig(label_bound=bound, node_budget=5_000))
+                except SolverError:
+                    pass
+                assert targets and len(set(targets)) == len(targets), (
+                    sl.emit_graph6(g), bound, targets)
+                solves += 1
+    assert solves == 145
 
 
 def test_exclusive_matches_assignment_enumeration(connected_by_n):
